@@ -26,11 +26,7 @@ import pytest
 from repro import ScenarioConfig, build_scenario
 from repro.bgp.collectors import collect_corpus
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import (
-    _compute_route_tree_legacy,
-    compute_route_tree,
-    plane_of,
-)
+from repro.bgp.propagation import compute_route_tree, plane_of
 from repro.datasets.paths import PathCorpus
 from repro.inference.asrank import ASRank
 from repro.pipeline.cache import ArtifactCache
@@ -158,37 +154,6 @@ def test_perf_propagation_scale_sweep(benchmark, n_ases):
         plane_build_seconds=plane_seconds,
         per_origin_ms=per_origin_ms,
     )
-
-
-def test_perf_engine_comparison_paper_scale(paper, benchmark):
-    """The vectorized engine must beat the legacy dict engine at paper
-    scale — the acceptance bar for shipping it as the default."""
-    adjacency = AdjacencyIndex(paper.topology.graph)
-    plane = plane_of(adjacency)
-    origins = paper.topology.graph.asns()[:100]
-
-    start = time.perf_counter()
-    for origin in origins:
-        _compute_route_tree_legacy(adjacency, origin)
-    legacy_seconds = time.perf_counter() - start
-
-    def run():
-        for origin in origins:
-            plane.propagate(origin)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    vectorized_seconds = benchmark.stats.stats.median
-    speedup = legacy_seconds / vectorized_seconds
-    print(f"\n[engine] legacy {legacy_seconds:.2f}s, "
-          f"vectorized {vectorized_seconds:.2f}s, speedup {speedup:.2f}x")
-    _record(
-        "propagation_engine_comparison",
-        benchmark,
-        n_origins=len(origins),
-        legacy_seconds=legacy_seconds,
-        speedup=speedup,
-    )
-    assert speedup > 1.2
 
 
 def _parallel_bench_config() -> ScenarioConfig:

@@ -25,30 +25,26 @@ All ties are broken deterministically: shorter path first, then lower
 neighbour ASN — the same convention real implementations approximate
 with router IDs, and the one ASRank-style inference assumes.
 
-Engines
--------
-Two implementations of the identical semantics:
+Engine
+------
+:class:`PropagationPlane` compiles the
+:class:`~repro.bgp.policy.AdjacencyIndex` once into CSR adjacency
+arrays (provider/customer/peer neighbour lists plus a partial-transit
+edge mask) and runs the three stages as numpy frontier passes; each
+stage's tie-break is a ``lexsort`` + first-occurrence reduce instead of
+a per-candidate dict race.  The result is a :class:`RouteArrays` (flat
+int32 ``pref``/``dist``/``parent`` plus a ``restricted`` mask) that
+collectors consume directly — no per-origin dict trees.
+:func:`compute_origin_routes` returns it; :func:`compute_route_tree`
+materialises the dict-backed :class:`RouteTree` view of the same
+routes.  Both satisfy one read protocol (``has_route`` /
+``path_from`` / ``pref[asn]`` / ``origin``).
 
-* **vectorized** (default) — :class:`PropagationPlane` compiles the
-  :class:`~repro.bgp.policy.AdjacencyIndex` once into CSR adjacency
-  arrays (provider/customer/peer neighbour lists plus a partial-transit
-  edge mask) and runs the three stages as numpy frontier passes; each
-  stage's tie-break is a ``lexsort`` + first-occurrence reduce instead
-  of a per-candidate dict race.  The result is a :class:`RouteArrays`
-  (flat int32 ``pref``/``dist``/``parent`` plus a ``restricted`` mask)
-  that collectors consume directly — no per-origin dict trees.
-* **legacy** — the original per-origin dict BFS, retained verbatim as
-  the differential baseline.  Select it with
-  ``REPRO_PROPAGATION_ENGINE=legacy``; the harness in
-  ``tests/bgp/test_propagation_differential.py`` proves the two
-  engines agree AS-for-AS on randomized topologies and byte-for-byte
-  on full scenario artifacts.
-
-:func:`compute_route_tree` always returns the dict-backed
-:class:`RouteTree` compatibility view regardless of engine;
-:func:`compute_origin_routes` returns whichever native representation
-the active engine produces (both satisfy the same read protocol:
-``has_route`` / ``path_from`` / ``pref[asn]`` / ``origin``).
+``tests/bgp/reference_engine.py`` holds a plain dict BFS of the same
+semantics; the differential suite in
+``tests/bgp/test_propagation_differential.py`` checks the plane
+against it AS-for-AS on randomized topologies, and pinned sha256
+digests hold full scenario artifacts fixed.
 
 Adversarial (joint two-source) propagation
 ------------------------------------------
@@ -60,18 +56,16 @@ RFC 7908 route leaks).  Every adopted route carries a provenance bit
 (``src``: 0 = legitimate, 1 = attack) propagated along parent
 pointers, and a per-AS ``blocked`` mask — security-policy deployments
 plus AS-path loop detection — drops attack-source offers in all three
-stages while leaving legitimate offers untouched.  Both engines
-implement the joint pass; the adversarial differential suite
-(``tests/adversarial/``) proves they agree byte-for-byte on polluted
-corpora.  With no attack the passes are bit-identical to the honest
-code path.
+stages while leaving legitimate offers untouched.  The test-only
+reference engine mirrors the joint pass, and pinned digests hold the
+polluted corpora of ``tests/adversarial/`` fixed.  With no attack the
+passes are bit-identical to the honest code path.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,25 +74,10 @@ from repro.bgp.policy import AdjacencyIndex, RouteClass
 #: Sentinel distance for "no route".
 _NO_ROUTE = -1
 
-#: Environment variable selecting the propagation engine.
-ENGINE_ENV = "REPRO_PROPAGATION_ENGINE"
-
-_ENGINES = ("vectorized", "legacy")
-
 _SELF = np.int32(int(RouteClass.SELF))
 _CUSTOMER = np.int32(int(RouteClass.CUSTOMER))
 _PEER = np.int32(int(RouteClass.PEER))
 _PROVIDER = np.int32(int(RouteClass.PROVIDER))
-
-
-def propagation_engine() -> str:
-    """The active engine name (``vectorized`` unless overridden)."""
-    engine = os.environ.get(ENGINE_ENV) or "vectorized"
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV}={engine!r}: expected one of {_ENGINES}"
-        )
-    return engine
 
 
 @dataclass
@@ -425,7 +404,7 @@ class PropagationPlane:
 class _ClassView:
     """Read-only ``pref[asn] -> RouteClass`` view over the pref column.
 
-    Mimics the legacy dict's mapping protocol where consumers use it:
+    Mimics the :class:`RouteTree` dict protocol where consumers use it:
     ``[]`` raises ``KeyError`` for unrouted or unknown ASes, ``in``
     tests route existence.
     """
@@ -505,7 +484,7 @@ class RouteArrays:
         """Materialise the dict-backed compatibility view.
 
         Routed ASes are emitted in ascending-ASN order (deterministic
-        but not the legacy BFS-discovery order; no consumer observes
+        but not BFS-discovery order; no consumer observes
         the dict order, and the differential tests compare by value).
         """
         routed = self.routed_ids()
@@ -554,242 +533,15 @@ def plane_of(adj: AdjacencyIndex) -> PropagationPlane:
 
 
 # ---------------------------------------------------------------------------
-# legacy engine (differential baseline)
+# entry points
 # ---------------------------------------------------------------------------
 
-def _compute_route_tree_legacy(adj: AdjacencyIndex, origin: int) -> RouteTree:
-    """The original per-origin dict BFS, kept as the reference engine."""
-    pref: Dict[int, RouteClass] = {origin: RouteClass.SELF}
-    dist: Dict[int, int] = {origin: 0}
-    parent: Dict[int, Optional[int]] = {origin: None}
-    restricted: Dict[int, bool] = {origin: False}
+def compute_origin_routes(adj: AdjacencyIndex, origin: int) -> RouteArrays:
+    """One origin's routes as :class:`RouteArrays`.
 
-    providers = adj.providers
-    customers = adj.customers
-    peers = adj.peers
-    partial = adj.partial
-
-    # ---- stage 1: customer routes ------------------------------------
-    # Level-synchronous BFS upward.  ``frontier`` holds ASes whose route
-    # is export-all; restricted holders are recorded but not expanded.
-    frontier: List[int] = [origin]
-    level = 0
-    while frontier:
-        level += 1
-        candidates: Dict[int, int] = {}
-        for asn in frontier:
-            for provider in providers[asn]:
-                if provider in pref:
-                    continue
-                best = candidates.get(provider)
-                if best is None or asn < best:
-                    candidates[provider] = asn
-        next_frontier: List[int] = []
-        for provider, chosen_child in candidates.items():
-            pref[provider] = RouteClass.CUSTOMER
-            dist[provider] = level
-            parent[provider] = chosen_child
-            is_restricted = (provider, chosen_child) in partial
-            restricted[provider] = is_restricted
-            if not is_restricted:
-                next_frontier.append(provider)
-        frontier = next_frontier
-
-    # ---- stage 2: peer routes ----------------------------------------
-    # Offers come only from export-all holders (SELF or unrestricted
-    # CUSTOMER routes).  Each receiver takes the best offer.
-    offers: Dict[int, Tuple[int, int]] = {}  # receiver -> (dist, sender)
-    for sender, sender_pref in pref.items():
-        if sender_pref is RouteClass.CUSTOMER and restricted.get(sender):
-            continue
-        sender_dist = dist[sender]
-        for receiver in peers[sender]:
-            if receiver in pref:
-                continue
-            offer = offers.get(receiver)
-            candidate = (sender_dist, sender)
-            if offer is None or candidate < offer:
-                offers[receiver] = candidate
-    for receiver, (sender_dist, sender) in offers.items():
-        pref[receiver] = RouteClass.PEER
-        dist[receiver] = sender_dist + 1
-        parent[receiver] = sender
-        restricted[receiver] = False
-
-    # ---- stage 3: provider routes ------------------------------------
-    # Everyone with a route exports it to customers.  A bucket queue by
-    # path length realises within-class shortest-path tie-breaking.
-    buckets: Dict[int, List[int]] = {}
-    for asn, asn_dist in dist.items():
-        buckets.setdefault(asn_dist, []).append(asn)
-    current_level = 0
-    max_level = max(buckets) if buckets else 0
-    while current_level <= max_level:
-        senders = buckets.get(current_level)
-        if senders:
-            candidates = {}
-            for sender in senders:
-                for customer in customers[sender]:
-                    if customer in pref:
-                        continue
-                    best = candidates.get(customer)
-                    if best is None or sender < best:
-                        candidates[customer] = sender
-            for customer, sender in candidates.items():
-                pref[customer] = RouteClass.PROVIDER
-                dist[customer] = current_level + 1
-                parent[customer] = sender
-                restricted[customer] = False
-                buckets.setdefault(current_level + 1, []).append(customer)
-                if current_level + 1 > max_level:
-                    max_level = current_level + 1
-        current_level += 1
-
-    return RouteTree(
-        origin=origin, pref=pref, dist=dist, parent=parent, restricted=restricted
-    )
-
-
-def _compute_attack_tree_legacy(
-    adj: AdjacencyIndex,
-    origin: int,
-    attacker: int,
-    claim_dist: int,
-    blocked: Set[int],
-) -> RouteTree:
-    """The dict mirror of the joint two-source pass (reference engine).
-
-    Same stage structure and tie-breaks as the honest legacy engine;
-    the attack source is pre-claimed with an export-all route of length
-    ``claim_dist``, offers from attack-descended routes are dropped at
-    ``blocked`` ASes, and the ``src`` column records provenance.
+    The hot-path entry point: no dict materialisation.  Use
+    :func:`compute_route_tree` when the dict view is required.
     """
-    pref: Dict[int, RouteClass] = {origin: RouteClass.SELF}
-    dist: Dict[int, int] = {origin: 0}
-    parent: Dict[int, Optional[int]] = {origin: None}
-    restricted: Dict[int, bool] = {origin: False}
-    src: Dict[int, int] = {origin: 0}
-    pref[attacker] = RouteClass.SELF
-    dist[attacker] = claim_dist
-    parent[attacker] = None
-    restricted[attacker] = False
-    src[attacker] = 1
-
-    providers = adj.providers
-    customers = adj.customers
-    peers = adj.peers
-    partial = adj.partial
-
-    # ---- stage 1: customer routes ------------------------------------
-    # Level-bucketed BFS upward; the attack source enters its bucket at
-    # the forged claim length.
-    pending: Dict[int, List[int]] = {0: [origin]}
-    pending.setdefault(claim_dist, []).append(attacker)
-    level = 0
-    while pending:
-        if level not in pending:
-            level = min(pending)
-        frontier = pending.pop(level)
-        candidates: Dict[int, int] = {}
-        for asn in frontier:
-            from_attack = src[asn] == 1
-            for provider in providers[asn]:
-                if provider in pref:
-                    continue
-                if from_attack and provider in blocked:
-                    continue
-                best = candidates.get(provider)
-                if best is None or asn < best:
-                    candidates[provider] = asn
-        for provider, chosen_child in candidates.items():
-            pref[provider] = RouteClass.CUSTOMER
-            dist[provider] = level + 1
-            parent[provider] = chosen_child
-            src[provider] = src[chosen_child]
-            is_restricted = (provider, chosen_child) in partial
-            restricted[provider] = is_restricted
-            if not is_restricted:
-                pending.setdefault(level + 1, []).append(provider)
-        level += 1
-
-    # ---- stage 2: peer routes ----------------------------------------
-    offers: Dict[int, Tuple[int, int]] = {}  # receiver -> (dist, sender)
-    for sender, sender_pref in pref.items():
-        if sender_pref is RouteClass.CUSTOMER and restricted.get(sender):
-            continue
-        sender_dist = dist[sender]
-        from_attack = src[sender] == 1
-        for receiver in peers[sender]:
-            if receiver in pref:
-                continue
-            if from_attack and receiver in blocked:
-                continue
-            offer = offers.get(receiver)
-            candidate = (sender_dist, sender)
-            if offer is None or candidate < offer:
-                offers[receiver] = candidate
-    for receiver, (sender_dist, sender) in offers.items():
-        pref[receiver] = RouteClass.PEER
-        dist[receiver] = sender_dist + 1
-        parent[receiver] = sender
-        restricted[receiver] = False
-        src[receiver] = src[sender]
-
-    # ---- stage 3: provider routes ------------------------------------
-    buckets: Dict[int, List[int]] = {}
-    for asn, asn_dist in dist.items():
-        buckets.setdefault(asn_dist, []).append(asn)
-    current_level = 0
-    max_level = max(buckets) if buckets else 0
-    while current_level <= max_level:
-        senders = buckets.get(current_level)
-        if senders:
-            candidates = {}
-            for sender in senders:
-                from_attack = src[sender] == 1
-                for customer in customers[sender]:
-                    if customer in pref:
-                        continue
-                    if from_attack and customer in blocked:
-                        continue
-                    best = candidates.get(customer)
-                    if best is None or sender < best:
-                        candidates[customer] = sender
-            for customer, sender in candidates.items():
-                pref[customer] = RouteClass.PROVIDER
-                dist[customer] = current_level + 1
-                parent[customer] = sender
-                restricted[customer] = False
-                src[customer] = src[sender]
-                buckets.setdefault(current_level + 1, []).append(customer)
-                if current_level + 1 > max_level:
-                    max_level = current_level + 1
-        current_level += 1
-
-    return RouteTree(
-        origin=origin, pref=pref, dist=dist, parent=parent,
-        restricted=restricted, src=src,
-    )
-
-
-# ---------------------------------------------------------------------------
-# engine dispatch
-# ---------------------------------------------------------------------------
-
-#: Either native representation; both satisfy the collector protocol.
-OriginRoutes = Union[RouteTree, RouteArrays]
-
-
-def compute_origin_routes(adj: AdjacencyIndex, origin: int) -> OriginRoutes:
-    """One origin's routes in the active engine's native representation.
-
-    The hot-path entry point: the vectorized engine returns
-    :class:`RouteArrays` (no dict materialisation), the legacy engine
-    its :class:`RouteTree`.  Use :func:`compute_route_tree` when the
-    dict view is required.
-    """
-    if propagation_engine() == "legacy":
-        return _compute_route_tree_legacy(adj, origin)
     return plane_of(adj).propagate(origin)
 
 
@@ -799,7 +551,7 @@ def compute_attack_routes(
     attacker: int,
     claim_dist: int,
     blocked: Iterable[int] = (),
-) -> OriginRoutes:
+) -> RouteArrays:
     """Joint two-source routes for a prefix contested by an attacker.
 
     The legitimate ``origin`` is seeded normally; ``attacker``
@@ -811,19 +563,11 @@ def compute_attack_routes(
     the ASes already on the forged path suffix (BGP loop detection) —
     never adopt attack-source routes but keep participating in
     legitimate propagation.
-
-    Dispatches on the active engine exactly like
-    :func:`compute_origin_routes`; both engines produce identical
-    routes (see ``tests/adversarial/test_engine_differential.py``).
     """
     if origin == attacker:
         raise ValueError("attack source cannot be the origin AS")
     if claim_dist < 0:
         raise ValueError(f"claim_dist must be >= 0, got {claim_dist}")
-    if propagation_engine() == "legacy":
-        return _compute_attack_tree_legacy(
-            adj, origin, attacker, claim_dist, set(blocked)
-        )
     plane = plane_of(adj)
     blocked_arr = np.zeros(plane.n, dtype=bool)
     for asn in sorted(blocked):
@@ -836,12 +580,9 @@ def compute_attack_routes(
 def compute_route_tree(adj: AdjacencyIndex, origin: int) -> RouteTree:
     """Run the three-stage decision process for one origin.
 
-    Always returns the dict-backed :class:`RouteTree` view; with the
-    default vectorized engine the routes are computed as array passes
-    and then materialised.
+    The routes are computed as array passes and then materialised as
+    the dict-backed :class:`RouteTree` view.
     """
-    if propagation_engine() == "legacy":
-        return _compute_route_tree_legacy(adj, origin)
     return plane_of(adj).propagate(origin).to_route_tree()
 
 

@@ -48,10 +48,9 @@ class RoutingTable:
     def compute(cls, graph: ASGraph, asn: int) -> "RoutingTable":
         """Sweep every origin's decision process for this AS.
 
-        The adjacency index — and, under the vectorized engine, the
-        CSR propagation plane — is built exactly once and reused for
-        the whole origin sweep; only the per-origin route columns are
-        recomputed.  Cost is still one propagation per origin — fine
+        The adjacency index — and its CSR propagation plane — is built
+        exactly once and reused for the whole origin sweep; only the
+        per-origin route columns are recomputed.  Cost is still one propagation per origin — fine
         for inspecting a few ASes, not meant for bulk use (collectors
         stream instead).
         """

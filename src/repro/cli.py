@@ -20,9 +20,7 @@ down from the paper-scale scenario so the CLI answers in seconds),
 plus the execution-policy knobs ``--workers N`` (propagation worker
 processes; 0 = serial, -1 = CPU count), ``--cache`` / ``--no-cache``
 (reuse scenario artifacts from the content-addressed cache under
-``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), and
-``--propagation-engine vectorized|legacy`` (the frontier-pass engine
-versus the reference dict engine; outputs are byte-identical).
+``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -65,11 +62,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="cache root (default $REPRO_CACHE_DIR "
                              "or ~/.cache/repro)")
-    parser.add_argument("--propagation-engine", default=None,
-                        choices=("vectorized", "legacy"),
-                        help="route propagation engine (default: "
-                             "$REPRO_PROPAGATION_ENGINE or vectorized; "
-                             "both produce byte-identical artifacts)")
 
 
 def _config_from(args: argparse.Namespace) -> ScenarioConfig:
@@ -93,10 +85,6 @@ def _build(args: argparse.Namespace) -> Scenario:
     # One shared normalisation for every command (and `repro serve`):
     # 0 = serial, -1/None = CPU count, positive counts literal.
     workers = resolve_workers(args.workers)
-    if getattr(args, "propagation_engine", None):
-        # The env var is the single switch the propagation layer (and
-        # its worker processes, which inherit the environment) reads.
-        os.environ["REPRO_PROPAGATION_ENGINE"] = args.propagation_engine
     print(
         f"building scenario (ases={args.ases}, vps={args.vps}, "
         f"seed={args.seed}, workers={workers}, "
@@ -283,9 +271,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     print(f"  triplets         : {stats['n_triplets']}")
     print(f"  with communities : {stats['n_routes_with_communities']}")
     print(f"layout: {memory['layout']}")
-    if intern:
-        print("intern tables: "
-              + ", ".join(f"{key}={intern[key]}" for key in sorted(intern)))
+    print("intern tables: "
+          + ", ".join(f"{key}={intern[key]}" for key in sorted(intern)))
     print(f"columnar memory: {memory['total_bytes'] / 1e6:.1f} MB")
     for section, nbytes in sorted(memory["columns_bytes"].items()):
         print(f"  column {section:<11s} {nbytes / 1e6:8.2f} MB")
@@ -363,8 +350,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print(f"invalid adversarial config: {exc}", file=sys.stderr)
         return 2
     workers = resolve_workers(args.workers)
-    if getattr(args, "propagation_engine", None):
-        os.environ["REPRO_PROPAGATION_ENGINE"] = args.propagation_engine
     print(
         f"building clean + polluted scenarios (ases={args.ases}, "
         f"seed={args.seed}, events={adversarial.attack.total_events()}) ...",

@@ -9,26 +9,19 @@ propagation.  All downstream consumers work from this corpus only:
 * the validation compiler (decodable relationship communities);
 * the feature extractor (Appendix C metrics).
 
-Two storage layouts implement one API:
-
-* ``columnar`` (the default) keeps the routes in numpy CSR columns
-  (:mod:`repro.pipeline.columnar`) and derives every index lazily with
-  vectorized array passes — this is what paper-scale runs use, and what
-  the artifact cache memory-maps on warm reads;
-* ``legacy`` rebuilds the original incremental dict/set indices route
-  by route — retained as the differential baseline (the byte-equality
-  matrix in ``tests/pipeline/test_columnar_equivalence.py`` runs every
-  algorithm against both layouts) and selectable for debugging via
-  ``PathCorpus(layout="legacy")`` or ``REPRO_CORPUS_LAYOUT=legacy``.
-
-Both layouts produce byte-identical derived views, including dict
+The routes live in numpy CSR columns (:mod:`repro.pipeline.columnar`)
+and every index is derived lazily with vectorized array passes — the
+same columns the artifact cache memory-maps on warm reads.  The derived
+views match a plain per-route dict/set index exactly, including dict
 iteration orders where observable (see the contract notes in
-:mod:`repro.pipeline.columnar`).
+:mod:`repro.pipeline.columnar`); ``tests/pipeline/reference_corpus.py``
+keeps that dict index as the test-only reference, and
+``tests/pipeline/test_columnar_equivalence.py`` checks every view
+against it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -55,10 +48,6 @@ if TYPE_CHECKING:
 #: An AS path as collected: vantage point first, origin last.
 Path = Tuple[int, ...]
 
-#: Recognised corpus storage layouts.
-_LAYOUTS = ("columnar", "legacy")
-
-
 @dataclass(frozen=True)
 class CollectedRoute:
     """One route as recorded by a collector."""
@@ -74,70 +63,14 @@ class CollectedRoute:
             yield link_key(a, b)
 
 
-class _LegacyIndex:
-    """The original eager per-route dict/set indices.
-
-    Kept verbatim as the differential baseline for the columnar engine:
-    every derived view of a ``layout="legacy"`` corpus is computed from
-    these structures exactly as the pre-columnar code did.
-    """
-
-    def __init__(self) -> None:
-        #: link -> set of VPs that saw it (ProbLink's "observed by k VPs").
-        self.link_vps: Dict[LinkKey, Set[int]] = {}
-        #: x -> set of neighbours seen adjacent to x while x was in the
-        #: middle of a path (the CAIDA transit-degree definition).
-        self.transit_neighbors: Dict[int, Set[int]] = {}
-        #: x -> all neighbours of x seen in any path (visible node degree).
-        self.neighbors: Dict[int, Set[int]] = {}
-        #: directed triplets (a, x, b) as observed left-to-right, i.e.
-        #: the collector-side AS first.
-        self.triplets: Set[Tuple[int, int, int]] = set()
-        #: link -> ASes observed to the left (collector side) of it.
-        self.left_of_link: Dict[LinkKey, Set[int]] = {}
-        #: link -> ASes observed to the right (origin side) of it.
-        self.right_of_link: Dict[LinkKey, Set[int]] = {}
-        #: origins observed announcing through each link.
-        self.link_origins: Dict[LinkKey, Set[int]] = {}
-
-    def index(self, path: Path, vp: int, origin: int) -> None:
-        for position in range(len(path) - 1):
-            a, b = path[position], path[position + 1]
-            key = link_key(a, b)
-            self.link_vps.setdefault(key, set()).add(vp)
-            self.neighbors.setdefault(a, set()).add(b)
-            self.neighbors.setdefault(b, set()).add(a)
-            if position > 0:
-                left = path[:position]
-                self.left_of_link.setdefault(key, set()).update(left)
-            if position + 2 < len(path):
-                right = path[position + 2 :]
-                self.right_of_link.setdefault(key, set()).update(right)
-            self.link_origins.setdefault(key, set()).add(origin)
-        for position in range(1, len(path) - 1):
-            a, x, b = path[position - 1], path[position], path[position + 1]
-            self.triplets.add((a, x, b))
-            transit = self.transit_neighbors.setdefault(x, set())
-            transit.add(a)
-            transit.add(b)
-
-
 class PathCorpus:
     """All collected routes plus the indices the paper's pipeline needs."""
 
-    def __init__(self, layout: Optional[str] = None) -> None:
-        if layout is None:
-            layout = os.environ.get("REPRO_CORPUS_LAYOUT") or "columnar"
-        if layout not in _LAYOUTS:
-            raise ValueError(
-                f"unknown corpus layout {layout!r}; expected one of {_LAYOUTS}"
-            )
-        self.layout = layout
+    def __init__(self) -> None:
         self._paths: Optional[List[Path]] = []
         self._seen_paths: Optional[Set[Path]] = set()
         self._communities: Optional[Dict[int, Tuple[Community, ...]]] = {}
         self._vp_set: Optional[Set[int]] = set()
-        self._legacy = _LegacyIndex() if layout == "legacy" else None
         #: Columnar backing (set when loaded from a cache artifact, or
         #: built lazily from the accumulated paths).
         self._columns: Optional["CorpusColumns"] = None
@@ -155,7 +88,7 @@ class PathCorpus:
         when a consumer actually iterates routes — the inference hot
         path never does, so a warm cache load stays near-zero-copy.
         """
-        corpus = cls(layout="columnar")
+        corpus = cls()
         corpus._columns = columns
         corpus._paths = None
         corpus._seen_paths = None
@@ -185,8 +118,6 @@ class PathCorpus:
         if route.communities:
             self._communities[index] = route.communities
         self._vp_set.add(route.vp)
-        if self._legacy is not None:
-            self._legacy.index(path, route.vp, route.origin)
         self._invalidate()
         return True
 
@@ -239,13 +170,8 @@ class PathCorpus:
             )
         return self._columns
 
-    def columnar_index(self) -> Optional["ColumnarIndices"]:
-        """The vectorized index, or ``None`` on a legacy-layout corpus."""
-        if self._legacy is not None:
-            return None
-        return self._indices()
-
-    def _indices(self) -> "ColumnarIndices":
+    def columnar_index(self) -> "ColumnarIndices":
+        """The vectorized index (built once, reused by every view)."""
         if self._index is None:
             from repro.pipeline.columnar import ColumnarIndices
 
@@ -261,23 +187,17 @@ class PathCorpus:
             return value
 
     def _degree_maps(self) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """(transit degrees, node degrees) in legacy first-seen order."""
+        """(transit degrees, node degrees) in first-seen order."""
         if "transit" not in self._memo:
-            ases, transit, node = self._indices().degrees_first_seen()
+            ases, transit, node = self.columnar_index().degrees_first_seen()
             self._memo["transit"] = dict(zip(ases, transit))
             self._memo["node"] = dict(zip(ases, node))
         return self._memo["transit"], self._memo["node"]
 
     def memory_report(self) -> Dict[str, Any]:
         """Column and index byte counts (``repro corpus stats``)."""
-        if self._legacy is not None:
-            return {
-                "columns_bytes": {},
-                "index_bytes": {},
-                "total_bytes": 0,
-                "layout": "legacy",
-            }
-        report = self._indices().memory_report()
+        report = self.columnar_index().memory_report()
+        # The only layout; the field keeps the report's shape stable.
         report["layout"] = "columnar"
         report["backing"] = self.columns().backing()
         return report
@@ -317,19 +237,17 @@ class PathCorpus:
     def visible_links(self) -> List[LinkKey]:
         """Every link that appears in at least one collected path —
         the paper's "inferred links" universe."""
-        if self._legacy is not None:
-            return sorted(self._legacy.link_vps.keys())
         return list(
-            self._memoised("links", lambda: self._indices().link_keys_list())
+            self._memoised(
+                "links", lambda: self.columnar_index().link_keys_list()
+            )
         )
 
     def link_visibility(self, key: LinkKey) -> int:
         """Number of distinct VPs that observed the link."""
-        if self._legacy is not None:
-            return len(self._legacy.link_vps.get(key, ()))
 
         def build() -> Dict[LinkKey, int]:
-            index = self._indices()
+            index = self.columnar_index()
             return dict(
                 zip(
                     index.link_keys_list(),
@@ -340,81 +258,54 @@ class PathCorpus:
         return self._memoised("link_visibility", build).get(key, 0)
 
     def vps_seeing(self, key: LinkKey) -> FrozenSet[int]:
-        if self._legacy is not None:
-            return frozenset(self._legacy.link_vps.get(key, ()))
-        return frozenset(self._indices().link_vps(key))
+        return frozenset(self.columnar_index().link_vps(key))
 
     def triplets(self) -> FrozenSet[Tuple[int, int, int]]:
         """All directed (left, middle, right) triplets."""
-        if self._legacy is not None:
-            return frozenset(self._legacy.triplets)
         return self._memoised(
-            "triplets", lambda: frozenset(self._indices().triplet_tuples())
+            "triplets",
+            lambda: frozenset(self.columnar_index().triplet_tuples()),
         )
 
     def has_triplet(self, left: int, middle: int, right: int) -> bool:
-        if self._legacy is not None:
-            return (left, middle, right) in self._legacy.triplets
-        return self._indices().has_triplet(left, middle, right)
+        return self.columnar_index().has_triplet(left, middle, right)
 
     def transit_degree(self, asn: int) -> int:
         """CAIDA transit degree: unique neighbours adjacent to ``asn``
         in paths where ``asn`` appears in transit position."""
-        if self._legacy is not None:
-            return len(self._legacy.transit_neighbors.get(asn, ()))
         return self._degree_maps()[0].get(asn, 0)
 
     def transit_degrees(self) -> Dict[int, int]:
-        if self._legacy is not None:
-            degrees = {asn: 0 for asn in self._legacy.neighbors}
-            for asn, neighbors in self._legacy.transit_neighbors.items():
-                degrees[asn] = len(neighbors)
-            return degrees
         return dict(self._degree_maps()[0])
 
     def node_degree(self, asn: int) -> int:
         """Visible node degree (distinct neighbours in any path)."""
-        if self._legacy is not None:
-            return len(self._legacy.neighbors.get(asn, ()))
         return self._degree_maps()[1].get(asn, 0)
 
     def node_degrees(self) -> Dict[int, int]:
-        if self._legacy is not None:
-            return {
-                asn: len(neigh)
-                for asn, neigh in self._legacy.neighbors.items()
-            }
         return dict(self._degree_maps()[1])
 
     def visible_ases(self) -> List[int]:
-        if self._legacy is not None:
-            return sorted(self._legacy.neighbors.keys())
         return list(
             self._memoised(
-                "ases", lambda: self._indices().visible_ases_sorted()
+                "ases", lambda: self.columnar_index().visible_ases_sorted()
             )
         )
 
     def ases_left_of(self, key: LinkKey) -> FrozenSet[int]:
         """ASes that can observe the link (occur left of it) —
         Appendix C feature #6."""
-        if self._legacy is not None:
-            return frozenset(self._legacy.left_of_link.get(key, ()))
-        return frozenset(self._indices().left_of(key))
+        return frozenset(self.columnar_index().left_of(key))
 
     def ases_right_of(self, key: LinkKey) -> FrozenSet[int]:
         """ASes that may receive traffic via the link (occur right of
         it) — Appendix C feature #7."""
-        if self._legacy is not None:
-            return frozenset(self._legacy.right_of_link.get(key, ()))
-        return frozenset(self._indices().right_of(key))
+        return frozenset(self.columnar_index().right_of(key))
 
     def origins_via(self, key: LinkKey) -> FrozenSet[int]:
         """Origins whose routes were seen crossing the link —
         Appendix C features #4/#5 build on this."""
-        if self._legacy is not None:
-            return frozenset(self._legacy.link_origins.get(key, ()))
-        return frozenset(self._indices().origins_via(key))
+        return frozenset(self.columnar_index().origins_via(key))
 
     def communities_of_route(self, index: int) -> Tuple[Community, ...]:
         return self._ensure_communities().get(index, ())
@@ -432,16 +323,7 @@ class PathCorpus:
             )
 
     def stats(self) -> Dict[str, int]:
-        if self._legacy is not None:
-            return {
-                "n_routes": len(self._paths),
-                "n_vps": len(self._vp_set),
-                "n_visible_links": len(self._legacy.link_vps),
-                "n_visible_ases": len(self._legacy.neighbors),
-                "n_triplets": len(self._legacy.triplets),
-                "n_routes_with_communities": len(self._communities),
-            }
-        index = self._indices()
+        index = self.columnar_index()
         if self._communities is not None:
             n_with_communities = len(self._communities)
         else:
@@ -461,12 +343,7 @@ class PathCorpus:
     def triplet_continuations(self) -> Dict[Tuple[int, int], List[int]]:
         """Triplets grouped by their leading directed pair:
         ``(a, x) -> [b, ...]`` with each continuation list ascending."""
-        if self._legacy is not None:
-            continuations: Dict[Tuple[int, int], List[int]] = {}
-            for a, x, b in sorted(self._legacy.triplets):
-                continuations.setdefault((a, x), []).append(b)
-            return continuations
-        return self._indices().triplet_continuations()
+        return self.columnar_index().triplet_continuations()
 
     def descending_seed_pairs(
         self, clique: Iterable[int]
@@ -474,17 +351,7 @@ class PathCorpus:
         """Distinct directed pairs on the suffix of every path after its
         first consecutive clique pair (ASRank's P2C seed evidence),
         sorted ascending."""
-        if self._legacy is not None:
-            clique_set = set(clique)
-            seeds: Set[Tuple[int, int]] = set()
-            for path in self._paths:
-                for i in range(len(path) - 1):
-                    if path[i] in clique_set and path[i + 1] in clique_set:
-                        for j in range(i + 1, len(path) - 1):
-                            seeds.add((path[j], path[j + 1]))
-                        break
-            return sorted(seeds)
-        return self._indices().descending_seed_pairs(clique)
+        return self.columnar_index().descending_seed_pairs(clique)
 
     def apparent_providers(
         self, clique: Iterable[int]
@@ -494,23 +361,7 @@ class PathCorpus:
         :func:`repro.inference.base.infer_clique`)."""
         clique_set = set(clique)
         providers: Dict[int, Set[int]] = {asn: set() for asn in clique_set}
-        if self._legacy is not None:
-            for path in self._paths:
-                apex_crossed_at = None
-                for i in range(len(path) - 1):
-                    if path[i] in clique_set and path[i + 1] in clique_set:
-                        apex_crossed_at = i
-                        break
-                if apex_crossed_at is None:
-                    continue
-                for j in range(apex_crossed_at + 2, len(path)):
-                    asn = path[j]
-                    if asn in clique_set:
-                        upstream = path[j - 1]
-                        if upstream not in clique_set:
-                            providers[asn].add(upstream)
-            return providers
-        for member, upstream in self._indices().apparent_provider_pairs(
+        for member, upstream in self.columnar_index().apparent_provider_pairs(
             clique_set
         ):
             providers[member].add(upstream)
@@ -522,15 +373,9 @@ def filter_by_vps(corpus: PathCorpus, vps: Set[int]) -> PathCorpus:
 
     TopoScope's bootstrapping partitions the VP set into groups and runs
     the base inference per group; this helper materialises each group's
-    view of the world.  On a columnar corpus the sub-corpus is sliced
-    directly out of the CSR columns — no per-route Python loop.
+    view of the world.  The sub-corpus is sliced directly out of the
+    CSR columns — no per-route Python loop.
     """
-    if corpus.layout != "columnar":
-        sub = PathCorpus(layout=corpus.layout)
-        for route in corpus.routes():
-            if route.vp in vps:
-                sub.add_route(route)
-        return sub
     from repro.pipeline.columnar import CorpusColumns
 
     cols = corpus.columns()

@@ -90,9 +90,6 @@ class LintConfig:
     perf_hot_names: Tuple[str, ...] = (
         "corpus", "paths", "routes", "route_tree", "links", "topology",
     )
-    #: Qualname substrings exempting a function from PERF0xx (the
-    #: legacy dict engine is the sanctioned scalar baseline).
-    perf_exempt_markers: Tuple[str, ...] = ("legacy",)
 
 
 @dataclass

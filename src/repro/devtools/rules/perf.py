@@ -10,12 +10,6 @@ still pass (slowly).  These rules make the idiom machine-checked: any
 function *reachable from a hot entry point* (the propagation/inference/
 columnar modules) that loops per-element over corpus/route/topology
 structures is a finding.
-
-The legacy dict engine is the sanctioned exception — it exists as the
-byte-identical differential baseline and is deliberately scalar — so
-functions whose qualname carries a ``legacy`` marker are exempt and
-pruned from traversal (a helper only the legacy engine calls is legacy
-too).
 """
 
 from __future__ import annotations
@@ -33,18 +27,9 @@ class _HotPathRule(ProgramRule):
     loop_kind = ""
 
     def check_program(self, project, config) -> List[Finding]:
-        markers = tuple(m.lower() for m in config.perf_exempt_markers)
-
-        def exempt(fid: str) -> bool:
-            qualname = project.functions[fid]["qualname"].lower()
-            return any(marker in qualname for marker in markers)
-
-        roots = [
-            fid for fid in project.functions_in_modules(
-                config.perf_entry_modules)
-            if not exempt(fid)
-        ]
-        parents = project.forward_reachable(roots, skip=exempt)
+        parents = project.forward_reachable(
+            project.functions_in_modules(config.perf_entry_modules)
+        )
         findings: List[Finding] = []
         for fid in sorted(parents):
             record = project.functions[fid]
@@ -87,9 +72,7 @@ class ScalarLoopOnHotPathRule(_HotPathRule):
         "every test still passes.  Replace the loop with an array pass "
         "over the columnar views; if the loop is genuinely cold or the "
         "structure is tiny, suppress with `# repro: noqa[PERF001]` and "
-        "say why.  The legacy dict engine (qualnames carrying "
-        "`legacy`) is exempt by design — it is the differential "
-        "baseline, not a hot path."
+        "say why."
     )
 
     def _message(self, project, fid, desc, entry) -> str:

@@ -142,18 +142,12 @@ class LinkFeatureExtractor:
     def discrete_all(self) -> Dict[LinkKey, DiscreteFeatures]:
         """Discretised features for every visible link.
 
-        On a columnar corpus the numeric columns are computed as array
-        passes; the exact Python bucket functions are then applied to
-        the (few) distinct values, so the result is byte-identical to
-        calling :meth:`discrete` per link — which remains the fallback
-        for legacy-layout corpora.
+        The numeric columns are computed as array passes; the exact
+        Python bucket functions are then applied to the (few) distinct
+        values, so the result is byte-identical to calling
+        :meth:`discrete` per link.
         """
         index = self.corpus.columnar_index()
-        if index is None:
-            return {
-                key: self.discrete(key)
-                for key in self.corpus.visible_links()
-            }
         links = self.corpus.visible_links()
         if not links:
             return {}

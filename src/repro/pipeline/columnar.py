@@ -26,8 +26,9 @@ storage with a numpy-backed columnar representation:
 
 Byte-identity contract
 ----------------------
-Every index reproduces the legacy incremental structures *exactly*,
-including their dict insertion orders where those are observable:
+Every index reproduces a plain incremental dict/set index built route
+by route *exactly*, including its dict insertion orders where those
+are observable:
 
 * the "first seen" AS order is the order of interleaved directed pair
   endpoints ``a0, b0, a1, b1, ...`` over all consecutive path pairs in
@@ -38,8 +39,10 @@ including their dict insertion orders where those are observable:
 * link keys are canonical ``(min, max)`` tuples and sort identically
   whether produced here or by ``sorted(dict.keys())``.
 
-The differential tests in ``tests/pipeline/test_columnar_equivalence``
-pin this contract algorithm by algorithm.
+``tests/pipeline/test_columnar_equivalence.py`` checks this contract
+view by view against such a reference index
+(``tests/pipeline/reference_corpus.py``) and pins the resulting
+artifact and as-rel bytes.
 """
 
 from __future__ import annotations
@@ -302,8 +305,8 @@ class ColumnarIndices:
     def _as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Visible ASes: ``(as_sorted, first_seen_perm)``.
 
-        ``as_sorted[first_seen_perm]`` is the legacy dict insertion
-        order: first appearance over the interleaved directed pair
+        ``as_sorted[first_seen_perm]`` is the incremental dict
+        insertion order: first appearance over the interleaved directed pair
         endpoints ``a0, b0, a1, b1, ...``.
         """
         if self._as_table is None:
@@ -486,7 +489,7 @@ class ColumnarIndices:
         return self._as_arrays()[0].tolist()
 
     def degrees_first_seen(self) -> Tuple[List[int], List[int], List[int]]:
-        """(ASes in legacy first-seen order, transit degrees, node
+        """(ASes in first-seen order, transit degrees, node
         degrees) — the exact iteration order the incremental dicts had."""
         as_sorted, perm = self._as_arrays()
         transit, node = self._degree_arrays()

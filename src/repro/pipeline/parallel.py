@@ -36,7 +36,6 @@ from repro.bgp.propagation import (
     compute_origin_routes,
     compute_route_tree,
     plane_of,
-    propagation_engine,
 )
 
 #: Per-process worker state, populated by the pool initializer.  Plain
@@ -76,12 +75,11 @@ def _chunk(origins: Sequence[int], workers: int, chunk_size: Optional[int]) -> L
 def _prime_engine(adjacency: AdjacencyIndex) -> None:
     """Build the propagation plane once per worker process.
 
-    The CSR compilation is the only super-per-origin cost of the
-    vectorized engine; doing it in the initializer keeps every chunk a
-    pure array pass (and keeps it out of per-chunk timing entirely).
+    The CSR compilation is the only super-per-origin cost of
+    propagation; doing it in the initializer keeps every chunk a pure
+    array pass (and keeps it out of per-chunk timing entirely).
     """
-    if propagation_engine() == "vectorized":
-        plane_of(adjacency)
+    plane_of(adjacency)
 
 
 def _init_tree_worker(adjacency: AdjacencyIndex) -> None:

@@ -312,18 +312,14 @@ def corpus_stats_payload(corpus: "PathCorpus") -> Dict[str, Any]:
     benchmarks' ``BENCH_substrate.json``, and service consumers — so a
     corpus is always described by the same JSON shape.
     """
-    payload: Dict[str, Any] = {
+    index = corpus.columnar_index()
+    return {
         "stats": corpus.stats(),
         "memory": corpus.memory_report(),
-    }
-    index = corpus.columnar_index()
-    if index is not None:
-        payload["intern_tables"] = {
+        "intern_tables": {
             "n_links": index.n_links,
             "n_ases": index.n_ases,
             "n_triplets": index.n_triplets,
             "n_link_vp_pairs": index.n_link_vp_pairs,
-        }
-    else:
-        payload["intern_tables"] = {}
-    return payload
+        },
+    }

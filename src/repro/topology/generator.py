@@ -50,6 +50,14 @@ _CLIQUE_ASN_POOL: Dict[Region, Tuple[int, ...]] = {
     Region.AFRINIC: (37100,),
 }
 
+#: The one order in which clique members and hypergiants are created.
+#: The per-region count dicts are walked in this order, never in their
+#: insertion order: the scenario fingerprint does not see dict order, so
+#: two configs with one fingerprint must build one topology.
+_SPECIAL_REGION_ORDER: Tuple[Region, ...] = (
+    Region.ARIN, Region.RIPE, Region.APNIC, Region.LACNIC, Region.AFRINIC,
+)
+
 #: Business types used to diversify stubs (§6: the S-T1 errors stem from
 #: "the broad aggregation of many diverse business models into a single
 #: Stub class").
@@ -297,7 +305,8 @@ class TopologyGenerator:
     def _create_ases(self) -> None:
         cfg = self.topo_cfg
         # Clique members get their real-world-flavoured ASNs.
-        for region, count in cfg.clique_per_region.items():
+        for region in _SPECIAL_REGION_ORDER:
+            count = cfg.clique_per_region.get(region, 0)
             pool = _CLIQUE_ASN_POOL[region]
             if count > len(pool):
                 raise ValueError(
@@ -306,8 +315,8 @@ class TopologyGenerator:
                 )
             for asn in pool[:count]:
                 self._add_node(region, Role.CLIQUE, asn=asn)
-        for region, count in cfg.hypergiants_per_region.items():
-            for _ in range(count):
+        for region in _SPECIAL_REGION_ORDER:
+            for _ in range(cfg.hypergiants_per_region.get(region, 0)):
                 self._add_node(region, Role.HYPERGIANT, business_type="cdn")
         counts = self._region_counts()
         for region, n_region in counts.items():

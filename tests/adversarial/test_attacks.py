@@ -1,6 +1,9 @@
 """Attack planning, joint two-source propagation, and corpus pollution,
 verified by hand on the tiny topology.
 
+The hand-checked propagation cases run against both the shipped
+vectorized engine and the test-only reference engine.
+
 Tiny-graph facts the cases below lean on (see tests/conftest.py):
 AS200 is a customer of AS40; AS300 is a customer of AS30 *and* AS40;
 AS100 is a customer of AS30; AS40 peers with AS30 and buys transit
@@ -22,28 +25,36 @@ from repro.adversarial.policies import resolve_deployments
 from repro.bgp.collectors import VantagePoint, routes_for_origin
 from repro.bgp.communities import CommunityRegistry
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import ENGINE_ENV, compute_attack_routes
+from repro.bgp.propagation import compute_attack_routes
 from repro.config import AdversarialConfig, ScenarioConfig
 from repro.datasets.paths import PathCorpus
 from repro.topology.generator import generate_topology
 from repro.utils.rng import make_rng
+from tests.bgp import reference_engine
 
-ENGINES = ("vectorized", "legacy")
+
+#: Joint-route engines under test: (adjacency, origin, attacker,
+#: claim_dist, blocked) -> routes with the collector read protocol.
+ENGINES = {
+    "vectorized": compute_attack_routes,
+    "reference": reference_engine.compute_attack_tree,
+}
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request, monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, request.param)
-    return request.param
+@pytest.fixture(params=sorted(ENGINES))
+def attack_routes(request):
+    return ENGINES[request.param]
 
 
 class TestJointPropagation:
-    def test_origin_hijack_splits_adoption(self, tiny_graph, engine):
+    def test_origin_hijack_splits_adoption(
+        self, tiny_graph, attack_routes
+    ):
         # AS200 claims AS300's prefix.  AS40 has both at distance 1 and
         # the customer tie-break (lower child ASN) picks the attacker;
         # AS30's side of the graph keeps the legitimate route.
         adj = AdjacencyIndex(tiny_graph)
-        joint = compute_attack_routes(adj, 300, 200, 0, blocked=())
+        joint = attack_routes(adj, 300, 200, 0, blocked=())
         assert joint.path_from(40) == (40, 200)
         assert joint.pref[40] is RouteClass.CUSTOMER
         assert joint.path_from(30) == (30, 300)
@@ -55,9 +66,11 @@ class TestJointPropagation:
         assert view.src_of(30) == 0
         assert view.src_of(10) == 0
 
-    def test_rpki_deployer_rejects_origin_hijack(self, tiny_graph, engine):
+    def test_rpki_deployer_rejects_origin_hijack(
+        self, tiny_graph, attack_routes
+    ):
         adj = AdjacencyIndex(tiny_graph)
-        joint = compute_attack_routes(adj, 300, 200, 0, blocked={40})
+        joint = attack_routes(adj, 300, 200, 0, blocked={40})
         # The deployer keeps its legitimate route...
         assert joint.path_from(40) == (40, 300)
         # ...and everything downstream of it heals too: AS50 buys
@@ -65,25 +78,25 @@ class TestJointPropagation:
         assert joint.path_from(50) == (50, 40, 300)
 
     def test_forged_origin_hijack_cannot_beat_shorter_clean_path(
-        self, tiny_graph, engine
+        self, tiny_graph, attack_routes
     ):
         # The forged path (200, 300) claims distance 1, so AS40 sees
         # the forged route at distance 2 and its direct customer route
         # to AS300 at distance 1 — the clean route wins where the
         # plain origin hijack above won.
         adj = AdjacencyIndex(tiny_graph)
-        joint = compute_attack_routes(adj, 300, 200, 1, blocked={300})
+        joint = attack_routes(adj, 300, 200, 1, blocked={300})
         assert joint.path_from(40) == (40, 300)
 
     def test_leak_wins_as_customer_route_at_the_provider(
-        self, tiny_graph, engine
+        self, tiny_graph, attack_routes
     ):
         # AS40 leaks its peer-learned route to AS100 upward to its
         # provider AS20.  AS20's clean best is a peer route via AS10,
         # so the leaked "customer" route wins — the classic valley.
         adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("leak", 40, 100, (30, 100))
-        joint = compute_attack_routes(
+        joint = attack_routes(
             adj, 100, 40, event.claim_dist, blocked=set(event.suffix)
         )
         view = AttackView(joint, event, tag_override=RouteClass.PEER)
@@ -96,9 +109,11 @@ class TestJointPropagation:
         assert joint.path_from(30) == (30, 100)
         assert joint.pref[30] is RouteClass.CUSTOMER
 
-    def test_aspa_deployer_rejects_the_leak(self, tiny_graph, engine):
+    def test_aspa_deployer_rejects_the_leak(
+        self, tiny_graph, attack_routes
+    ):
         adj = AdjacencyIndex(tiny_graph)
-        joint = compute_attack_routes(
+        joint = attack_routes(
             adj, 100, 40, 2, blocked={30, 100, 20}
         )
         # With AS20 deploying ASPA the leaked route dies at its only
@@ -106,20 +121,19 @@ class TestJointPropagation:
         assert joint.pref[20] is RouteClass.PEER
         assert joint.path_from(20) == (20, 10, 30, 100)
 
-    def test_engines_agree_on_joint_routes(self, tiny_graph, monkeypatch):
-        adj_results = {}
-        for engine_name in ENGINES:
-            monkeypatch.setenv(ENGINE_ENV, engine_name)
-            adj = AdjacencyIndex(tiny_graph)
-            joint = compute_attack_routes(adj, 300, 200, 0, blocked={40})
-            adj_results[engine_name] = {
+    def test_engines_agree_on_joint_routes(self, tiny_graph):
+        adj = AdjacencyIndex(tiny_graph)
+        results = {}
+        for name, engine in ENGINES.items():
+            joint = engine(adj, 300, 200, 0, blocked={40})
+            results[name] = {
                 asn: (joint.pref[asn], joint.path_from(asn))
                 for asn in tiny_graph.asns()
                 if joint.has_route(asn)
             }
-        assert adj_results["vectorized"] == adj_results["legacy"]
+        assert results["vectorized"] == results["reference"]
 
-    def test_attacker_equals_origin_rejected(self, tiny_graph, engine):
+    def test_attacker_equals_origin_rejected(self, tiny_graph):
         adj = AdjacencyIndex(tiny_graph)
         with pytest.raises(ValueError, match="cannot be the origin"):
             compute_attack_routes(adj, 300, 300, 0)
@@ -133,11 +147,11 @@ class TestCollectedPollution:
         return routes_for_origin(view, vps, communities, strippers=set())
 
     def test_hijacked_routes_record_the_attacker_as_origin(
-        self, tiny_graph, engine
+        self, tiny_graph, attack_routes
     ):
         adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("hijack_origin", 200, 300)
-        joint = compute_attack_routes(adj, 300, 200, 0, blocked=())
+        joint = attack_routes(adj, 300, 200, 0, blocked=())
         routes = self._collect(
             tiny_graph, AttackView(joint, event),
             [VantagePoint(40, True), VantagePoint(10, True)],
@@ -150,10 +164,12 @@ class TestCollectedPollution:
         assert by_vp[10].origin == 300
         assert by_vp[10].path == (10, 30, 300)
 
-    def test_forged_origin_hijack_invents_a_link(self, tiny_graph, engine):
+    def test_forged_origin_hijack_invents_a_link(
+        self, tiny_graph, attack_routes
+    ):
         adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("hijack_forged", 200, 300, (300,))
-        joint = compute_attack_routes(
+        joint = attack_routes(
             adj, 300, 200, 1, blocked=event_blocked_set(event, {})
         )
         routes = self._collect(
@@ -166,11 +182,11 @@ class TestCollectedPollution:
         assert 300 not in tiny_graph.neighbors_of(200)
 
     def test_partial_feed_leaker_hides_its_own_leak(
-        self, tiny_graph, engine
+        self, tiny_graph, attack_routes
     ):
         adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("leak", 40, 100, (30, 100))
-        joint = compute_attack_routes(
+        joint = attack_routes(
             adj, 100, 40, 2, blocked=set(event.suffix)
         )
         view = AttackView(joint, event, tag_override=RouteClass.PEER)

@@ -1,24 +1,27 @@
-"""Differential and invariant proofs for the propagation engines.
+"""Differential and invariant proofs for the propagation engine.
 
 Three layers of evidence that the vectorized frontier-pass engine is
-the *same function* as the legacy dict engine, not merely similar:
+the *same function* as the test-only dict reference engine
+(``reference_engine.py``), not merely similar:
 
 1. **Differential matrix** — randomized topologies over many seeds
    (partial-transit links, peering-dense cores, multi-homed stubs,
-   disconnected islands); for every origin the two engines must agree
-   AS-for-AS on ``pref``/``dist``/``parent``/``restricted``.
-2. **Byte identity** — full scenario builds on seeds 3/5/11 must
-   produce byte-identical path corpora and as-rel files for
-   asrank/problink/toposcope under either engine (the PR-5
-   equivalence-matrix pattern, extended across engines).
+   disconnected islands); for every origin the plane and the reference
+   must agree AS-for-AS on ``pref``/``dist``/``parent``/``restricted``.
+2. **Pinned bytes** — full scenario builds on seeds 3/5/11 must
+   produce path corpora and asrank/problink/toposcope as-rel files
+   whose sha256 digests match the ones pinned from the tree where the
+   dict engine still shipped and both engines gave these bytes.
 3. **Invariants** — executable versions of the docstring contract
    (valley-free, loop-free, within-class shortest, lower-ASN
    tie-break, restricted routes never exported to peers/providers),
    checked against the *adjacency alone* so they hold independently of
-   the legacy engine.
+   any reference engine.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,23 +29,42 @@ import pytest
 from repro import ScenarioConfig, build_scenario
 from repro.bgp.policy import AdjacencyIndex, RouteClass
 from repro.bgp.propagation import (
-    ENGINE_ENV,
     RouteArrays,
-    _compute_route_tree_legacy,
+    compute_origin_routes,
     compute_route_tree,
     plane_of,
-    propagation_engine,
 )
 from repro.datasets.asrel import write_asrel
 from repro.datasets.bgpdump import write_path_corpus
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
+from tests.bgp import reference_engine
 
 #: ≥ 20 seeded topologies, per the acceptance criteria.
 DIFFERENTIAL_SEEDS = tuple(range(24))
 
-#: Scenario seeds for the byte-identity layer (same as the PR-5 matrix).
-SCENARIO_SEEDS = (3, 5, 11)
+#: Scenario seeds for the pinned-bytes layer, with the sha256 of the
+#: path corpus and of each algorithm's as-rel file.
+SCENARIO_SHA256 = {
+    3: {
+        "corpus": "ce57229a624e60d43d56e88bbe1f78e5cb63395929735bff95d1cf1c9d8197fa",
+        "asrank": "9f89124fd9e4333bd67ea58aee3ac856154c354e849732dc899406781fb17a81",
+        "problink": "5ee946a4f75d071057695cd07abdb2bd940981ea5b2ba5e2cc62cf2ed2b3a3ad",
+        "toposcope": "0b994e64f935a745bbaf04dce9b6b95672a5cfe311ce665a8a6ee98ed8c685bd",
+    },
+    5: {
+        "corpus": "ed0639982b27c162485b22b214e6d69636304ca5966fab3d8a9fc9d9583187a5",
+        "asrank": "bf5ed8cf8d1ddf5fd9fbf8a3e8f8cc7013fb0114d2e58608a8c6b0d2e123a67d",
+        "problink": "701b2e50ca260e8c73bb8d8edbaff1a74fdcf18395899fe2bd0dfe62506b2d96",
+        "toposcope": "b9a4870579ed97517a022be08290cf282f10cf66d1adfb3f09685d899c84c7f8",
+    },
+    11: {
+        "corpus": "980f486f4fef64a0744d6cbb045869dfe791c75d3b19257700160229a667507c",
+        "asrank": "fe7bcd4e5747a53994bcb3cd41215dd5b608feec269aebee042ee28a1f68c5f9",
+        "problink": "2b6dfa3eb807bccfc23ed87fc0c0dde6e9fb27db5dd842c3707f46e336ab9700",
+        "toposcope": "ce1e6e71a703bcd063026e2e670a98151fdda6a3e1c14527314ceb043f885222",
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -142,44 +164,47 @@ def random_policy_graph(seed: int) -> ASGraph:
 
 
 # ---------------------------------------------------------------------------
-# layer 1: engine-vs-engine differential matrix
+# layer 1: plane-vs-reference differential matrix
 # ---------------------------------------------------------------------------
+
+def _assert_same_tree(vec, ref, origin) -> None:
+    assert vec.pref == ref.pref, f"pref mismatch, origin {origin}"
+    assert vec.dist == ref.dist, f"dist mismatch, origin {origin}"
+    assert vec.parent == ref.parent, f"parent mismatch, origin {origin}"
+    assert (
+        vec.restricted == ref.restricted
+    ), f"restricted mismatch, origin {origin}"
+
 
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_engines_identical_on_random_topologies(seed):
-    """Vectorized and legacy engines agree AS-for-AS, every origin."""
+    """The plane and the reference engine agree AS-for-AS, every origin."""
     graph = random_policy_graph(seed)
     adj = AdjacencyIndex(graph)
     plane = plane_of(adj)
     for origin in adj.asns:
-        legacy = _compute_route_tree_legacy(adj, origin)
-        vec = plane.propagate(origin).to_route_tree()
-        assert vec.pref == legacy.pref, f"pref mismatch, origin {origin}"
-        assert vec.dist == legacy.dist, f"dist mismatch, origin {origin}"
-        assert vec.parent == legacy.parent, f"parent mismatch, origin {origin}"
-        assert (
-            vec.restricted == legacy.restricted
-        ), f"restricted mismatch, origin {origin}"
+        _assert_same_tree(
+            plane.propagate(origin).to_route_tree(),
+            reference_engine.compute_route_tree(adj, origin),
+            origin,
+        )
 
 
-def test_engine_switch_controls_compute_route_tree(monkeypatch, tiny_graph):
-    """``REPRO_PROPAGATION_ENGINE`` selects the engine; both dispatch
-    paths return equal trees and unknown values are rejected."""
+def test_entry_points_match_reference_on_tiny_graph(tiny_graph):
+    """``compute_route_tree`` and ``compute_origin_routes`` both serve
+    the reference engine's routes on the hand-checkable graph."""
     adj = AdjacencyIndex(tiny_graph)
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert propagation_engine() == "vectorized"
-    vec_tree = compute_route_tree(adj, 10)
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    assert propagation_engine() == "legacy"
-    legacy_tree = compute_route_tree(adj, 10)
-    assert vec_tree == legacy_tree
-    monkeypatch.setenv(ENGINE_ENV, "dicts-of-fury")
-    with pytest.raises(ValueError, match="REPRO_PROPAGATION_ENGINE"):
-        propagation_engine()
+    for origin in adj.asns:
+        ref = reference_engine.compute_route_tree(adj, origin)
+        _assert_same_tree(compute_route_tree(adj, origin), ref, origin)
+        arrays = compute_origin_routes(adj, origin)
+        assert isinstance(arrays, RouteArrays)
+        for asn in adj.asns:
+            assert arrays.path_from(asn) == ref.path_from(asn)
 
 
 # ---------------------------------------------------------------------------
-# layer 2: byte-identical scenario artifacts across engines
+# layer 2: scenario artifacts match pinned digests
 # ---------------------------------------------------------------------------
 
 def _scenario_config(seed: int) -> ScenarioConfig:
@@ -190,32 +215,26 @@ def _scenario_config(seed: int) -> ScenarioConfig:
     return config
 
 
-@pytest.mark.parametrize("seed", SCENARIO_SEEDS)
-def test_scenario_artifacts_byte_identical_across_engines(
-    seed, tmp_path, monkeypatch
-):
-    """Corpus and as-rel outputs cannot depend on the engine."""
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    legacy = build_scenario(_scenario_config(seed))
-    monkeypatch.setenv(ENGINE_ENV, "vectorized")
-    vec = build_scenario(_scenario_config(seed))
+@pytest.mark.parametrize("seed", sorted(SCENARIO_SHA256))
+def test_scenario_artifacts_match_pinned_digests(seed, tmp_path):
+    """Corpus and as-rel outputs are the bytes both engines produced."""
+    scenario = build_scenario(_scenario_config(seed))
+    pinned = SCENARIO_SHA256[seed]
 
-    def corpus_bytes(scenario, name: str) -> bytes:
-        path = tmp_path / name
-        write_path_corpus(scenario.corpus, path)
-        return path.read_bytes()
+    def sha256(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    assert corpus_bytes(vec, "vec") == corpus_bytes(legacy, "legacy")
+    corpus_path = tmp_path / "corpus"
+    write_path_corpus(scenario.corpus, corpus_path)
+    assert sha256(corpus_path) == pinned["corpus"]
     for algorithm in ("asrank", "problink", "toposcope"):
-        rels_v = tmp_path / f"vec-{algorithm}"
-        rels_l = tmp_path / f"legacy-{algorithm}"
-        write_asrel(vec.infer(algorithm), rels_v)
-        write_asrel(legacy.infer(algorithm), rels_l)
-        assert rels_v.read_bytes() == rels_l.read_bytes(), algorithm
+        rels_path = tmp_path / algorithm
+        write_asrel(scenario.infer(algorithm), rels_path)
+        assert sha256(rels_path) == pinned[algorithm], algorithm
 
 
 # ---------------------------------------------------------------------------
-# layer 3: invariants, independent of the legacy engine
+# layer 3: invariants, independent of any reference engine
 # ---------------------------------------------------------------------------
 
 def _neighbor_sets(adj: AdjacencyIndex):

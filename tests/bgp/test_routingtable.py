@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.bgp.policy import RouteClass
-from repro.bgp.routingtable import RoutingTable
+from repro.bgp.policy import AdjacencyIndex, RouteClass
+from repro.bgp.routingtable import RibEntry, RoutingTable
+from tests.bgp import reference_engine
 
 
 @pytest.fixture
@@ -99,11 +100,19 @@ class TestSingleSweepLock:
             e.origin for e in table.entries()
         )
 
-    def test_identical_under_both_engines(self, tiny_graph, monkeypatch):
-        from repro.bgp.propagation import ENGINE_ENV
-
-        monkeypatch.setenv(ENGINE_ENV, "legacy")
-        legacy = RoutingTable.compute(tiny_graph, 30)
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        vec = RoutingTable.compute(tiny_graph, 30)
-        assert list(vec.entries()) == list(legacy.entries())
+    def test_matches_reference_engine(self, tiny_graph):
+        adjacency = AdjacencyIndex(tiny_graph)
+        expected = []
+        for origin in sorted(adjacency.asns):
+            tree = reference_engine.compute_route_tree(adjacency, origin)
+            path = tree.path_from(30)
+            if path is None:
+                continue
+            expected.append(RibEntry(
+                origin=origin,
+                next_hop=path[1] if len(path) > 1 else None,
+                path=path,
+                route_class=tree.pref[30],
+            ))
+        table = RoutingTable.compute(tiny_graph, 30)
+        assert list(table.entries()) == expected

@@ -1,12 +1,7 @@
 """The hot entry module (configured via ``perf_entry_modules``)."""
 
-from perfpkg.kernels import accumulate, legacy_total, walk
+from perfpkg.kernels import accumulate, walk
 
 
 def propagate(corpus):
     return accumulate(corpus) + len(walk(corpus.paths))
-
-
-def check(corpus):
-    # Reaches legacy_total — which stays clean via the exempt marker.
-    return propagate(corpus) == legacy_total(corpus)

@@ -90,13 +90,13 @@ def test_flow_message_spells_out_the_chain():
     assert "flowpkg.entropy:noise" in finding.message
 
 
-def test_perf_exemption_and_unreachable_negative():
+def test_perf_unreachable_negative():
     result = wp_lint("perfpkg", "PERF001")
     (finding,) = result.findings
-    # Only the reachable non-exempt kernel fires: legacy_total is
-    # marker-exempt, offline_report is unreachable from the entry.
+    # Only the reachable kernel fires: offline_report is unreachable
+    # from the entry.
     assert "accumulate" in finding.message
-    assert "legacy" not in finding.message
+    assert "offline_report" not in finding.message
 
 
 def test_conc003_spares_the_initializer_path():

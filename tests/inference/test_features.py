@@ -30,6 +30,13 @@ class TestDiscreteFeatures:
         all_feats = extractor.discrete_all()
         assert set(all_feats) == set(scenario.corpus.visible_links())
 
+    def test_array_pass_matches_per_link(self, extractor, scenario):
+        # discrete_all's array passes must equal the scalar per-link path.
+        assert extractor.discrete_all() == {
+            key: extractor.discrete(key)
+            for key in scenario.corpus.visible_links()
+        }
+
     def test_value_ranges(self, extractor, scenario):
         for key in scenario.corpus.visible_links():
             feats = extractor.discrete(key)

@@ -109,6 +109,7 @@ def test_workers_answer_byte_identically(supervised):
         ("POST", f"/v1/rel/asrank:batch?scenario={sid}",
          {"links": [[1, 2], [999_999, 1]]}),
         ("GET", f"/v1/table/asrank?scenario={sid}", None),
+        ("GET", f"/v1/bias/asrank?scenario={sid}", None),
     ]
     for method, path, body in requests:
         seen = set()

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ScenarioConfig
+from repro import build_scenario
+from repro.config import ScenarioConfig, config_from_canonical
 from repro.topology.generator import generate_topology
 from repro.topology.graph import RelType, Role
 
@@ -118,6 +119,33 @@ class TestDeterminism:
         a = generate_topology(ScenarioConfig.small(seed=11))
         b = generate_topology(ScenarioConfig.small(seed=12))
         assert [l.key for l in a.graph.links()] != [l.key for l in b.graph.links()]
+
+    def test_region_dict_order_does_not_change_the_build(self):
+        # The fingerprint ignores dict order, so a config rebuilt from
+        # its canonical form (regions sorted) or with its per-region
+        # dicts permuted must build the very same scenario.
+        original = ScenarioConfig.small(seed=7)
+        round_tripped = config_from_canonical(original.canonical_dict())
+        permuted = ScenarioConfig.small(seed=7)
+        for name in ("clique_per_region", "hypergiants_per_region"):
+            counts = getattr(permuted.topology, name)
+            setattr(permuted.topology, name, dict(reversed(counts.items())))
+        order = list(original.topology.clique_per_region)
+        assert list(round_tripped.topology.clique_per_region) != order
+        assert list(permuted.topology.clique_per_region) != order
+        base = build_scenario(original)
+
+        def shape(topology):
+            nodes = [(n.asn, n.region, n.role) for n in topology.graph.nodes()]
+            links = [(l.key, l.rel, l.partial_transit)
+                     for l in topology.graph.links()]
+            return nodes, links
+
+        for config in (round_tripped, permuted):
+            assert config.fingerprint() == original.fingerprint()
+            other = build_scenario(config)
+            assert shape(other.topology) == shape(base.topology)
+            assert other.inferred_links() == base.inferred_links()
 
 
 class TestConfigValidation:

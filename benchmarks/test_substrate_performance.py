@@ -26,7 +26,7 @@ import pytest
 from repro import ScenarioConfig, build_scenario
 from repro.bgp.collectors import collect_corpus
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import compute_route_tree, plane_of
+from repro.bgp.propagation import compute_origin_routes, plane_of
 from repro.datasets.paths import PathCorpus
 from repro.inference.asrank import ASRank
 from repro.pipeline.cache import ArtifactCache
@@ -62,16 +62,16 @@ def _bench_report():
     print(f"\n[bench] wrote {path} ({len(report['benchmarks'])} entries)")
 
 
-def test_perf_route_tree(paper, benchmark):
+def test_perf_origin_routes(paper, benchmark):
     adjacency = AdjacencyIndex(paper.topology.graph)
     origins = paper.topology.graph.asns()[:50]
 
     def run():
         for origin in origins:
-            compute_route_tree(adjacency, origin)
+            compute_origin_routes(adjacency, origin)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-    _record("route_tree_50_origins", benchmark)
+    _record("origin_routes_50_origins", benchmark)
 
 
 def test_perf_corpus_indexing(paper, benchmark):

@@ -21,7 +21,6 @@ from repro.bgp.collectors import (
 )
 from repro.bgp.lookingglass import LookingGlass, ReceivedRoute
 from repro.bgp.policy import AdjacencyIndex, RouteClass, exports_to_non_customers
-from repro.bgp.propagation import RouteTree, compute_route_tree, iter_route_trees
 from repro.bgp.routingtable import RibEntry, RoutingTable
 
 __all__ = [
@@ -44,9 +43,6 @@ __all__ = [
     "AdjacencyIndex",
     "RouteClass",
     "exports_to_non_customers",
-    "RouteTree",
-    "compute_route_tree",
-    "iter_route_trees",
     "RibEntry",
     "RoutingTable",
 ]

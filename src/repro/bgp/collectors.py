@@ -138,7 +138,12 @@ def routes_for_origin(
     communities: CommunityRegistry,
     strippers: Set[int],
 ) -> List[CollectedRoute]:
-    """Reduce one origin's route tree to the routes collectors record.
+    """Reduce one origin's routes to the routes collectors record.
+
+    ``tree`` is a :class:`~repro.bgp.propagation.RouteArrays` or any
+    object with its read protocol (``has_route`` / ``pref[asn]`` /
+    ``path_from``), such as the attack-event view of
+    :mod:`repro.adversarial.attacks`.
 
     The single source of truth for the feed-type filter and community
     survival — the serial collector and the parallel workers both call
@@ -197,28 +202,24 @@ class RouteCollector:
         origins: Optional[Iterable[int]] = None,
         corpus: Optional[PathCorpus] = None,
         adjacency: Optional[AdjacencyIndex] = None,
-        workers: Optional[int] = None,
     ) -> PathCorpus:
         """Propagate every origin and record what the collector hears.
 
         Per-origin routes are computed lazily and discarded, so the
         memory footprint stays linear in the corpus, not quadratic in
-        the AS count.  With the default vectorized engine each origin
-        yields flat :class:`~repro.bgp.propagation.RouteArrays` columns
-        straight off the shared propagation plane — no dict trees are
-        materialised anywhere on this path.  Passing an existing
-        ``corpus`` merges this round
-        into it (duplicate paths are dropped by the corpus); passing an
-        ``adjacency`` overrides the topology view, which is how churn
-        rounds inject link failures.
+        the AS count.  Each origin yields flat
+        :class:`~repro.bgp.propagation.RouteArrays` columns straight off
+        the shared propagation plane.  Passing an existing ``corpus``
+        merges this round into it (duplicate paths are dropped by the
+        corpus); passing an ``adjacency`` overrides the topology view,
+        which is how churn rounds inject link failures.
 
-        With ``workers`` (falling back to the collector-level setting),
-        the per-origin work — route tree *and* its reduction to VP
-        paths — runs in worker processes; routes cross the process
-        boundary as packed array slabs
-        (:class:`~repro.pipeline.columnar.RouteSlab`) and arrive in the
-        exact order the serial loop would produce them, so the corpus
-        is identical.
+        With the collector-level ``workers`` set, the per-origin work —
+        propagation *and* its reduction to VP paths — runs in worker
+        processes; routes cross the process boundary as packed array
+        slabs (:class:`~repro.pipeline.columnar.RouteSlab`) and arrive
+        in the exact order the serial loop would produce them, so the
+        corpus is identical.
         """
         if corpus is None:
             corpus = PathCorpus()
@@ -226,12 +227,10 @@ class RouteCollector:
             adjacency = self.adjacency
         if origins is None:
             origins = adjacency.asns
-        if workers is None:
-            workers = self.workers
-        if workers:
+        if self.workers:
             from repro.pipeline.parallel import ParallelPropagator
 
-            propagator = ParallelPropagator(adjacency, workers=workers)
+            propagator = ParallelPropagator(adjacency, workers=self.workers)
             corpus.add_routes(
                 propagator.collect_routes(
                     self.vantage_points, self.communities, self.strippers,

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.communities import Community, CommunityRegistry, Meaning
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_route_tree
+from repro.bgp.propagation import RouteArrays, compute_origin_routes
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType
 
@@ -92,34 +92,41 @@ class LookingGlass:
     def _received_route(
         self, asn: int, neighbor: int, origin: int, link
     ) -> Optional[ReceivedRoute]:
-        tree = compute_route_tree(self.adjacency, origin)
-        if not tree.has_route(neighbor):
+        routes = compute_origin_routes(self.adjacency, origin)
+        if not routes.has_route(neighbor):
             return None
-        if not self._neighbor_would_export(asn, neighbor, origin, tree, link):
+        if not self._neighbor_would_export(asn, neighbor, origin, routes, link):
             return None
-        path = tree.path_from(neighbor)
+        path = routes.path_from(neighbor)
         assert path is not None
         if asn in path:
             return None  # loop prevention: asn would reject its own ASN
-        communities = self._communities_as_received(asn, neighbor, path, tree, link)
+        communities = self._communities_as_received(
+            asn, neighbor, path, routes, link
+        )
         return ReceivedRoute(origin=origin, path=path, communities=communities)
 
     def _neighbor_would_export(
-        self, asn: int, neighbor: int, origin: int, tree, link
+        self, asn: int, neighbor: int, origin: int, routes: RouteArrays, link
     ) -> bool:
         """Export policy of the neighbour towards ``asn``."""
         if link.rel is RelType.P2C and link.provider == neighbor:
             # Neighbour is the provider: exports everything it uses.
             return True
-        pref = tree.pref[neighbor]
+        pref = routes.pref[neighbor]
         if pref is RouteClass.SELF:
             return True
-        if pref is RouteClass.CUSTOMER and not tree.restricted.get(neighbor, False):
+        if pref is RouteClass.CUSTOMER and not routes.is_restricted(neighbor):
             return True
         return False
 
     def _communities_as_received(
-        self, asn: int, neighbor: int, path: Tuple[int, ...], tree, link
+        self,
+        asn: int,
+        neighbor: int,
+        path: Tuple[int, ...],
+        routes: RouteArrays,
+        link,
     ) -> Tuple[Community, ...]:
         """Tags present when the route lands in ``asn``'s Adj-RIB-In."""
         tags: List[Community] = []
@@ -129,7 +136,7 @@ class LookingGlass:
         # neighbour's own tag is always present.
         for i in range(len(path) - 1):
             tagger = path[i]
-            meaning = _CLASS_TO_MEANING.get(tree.pref[tagger])
+            meaning = _CLASS_TO_MEANING.get(routes.pref[tagger])
             if meaning is None:
                 continue
             tags.append(self.communities.codebook(tagger).encode(meaning))

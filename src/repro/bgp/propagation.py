@@ -13,7 +13,7 @@ Stage structure
    origin along customer-to-provider edges.  Routes crossing a
    partial-transit link stop propagating upwards — the provider keeps a
    customer-*preferred* route but exports it to customers only
-   (``restricted`` in the tree), reproducing the Cogent mechanism.
+   (``restricted`` in the result), reproducing the Cogent mechanism.
 2. **Peer routes**: every AS holding an export-all route offers it
    across each of its peering links; the receiver adopts the best offer
    unless it already holds a customer route.
@@ -33,12 +33,11 @@ arrays (provider/customer/peer neighbour lists plus a partial-transit
 edge mask) and runs the three stages as numpy frontier passes; each
 stage's tie-break is a ``lexsort`` + first-occurrence reduce instead of
 a per-candidate dict race.  The result is a :class:`RouteArrays` (flat
-int32 ``pref``/``dist``/``parent`` plus a ``restricted`` mask) that
-collectors consume directly — no per-origin dict trees.
-:func:`compute_origin_routes` returns it; :func:`compute_route_tree`
-materialises the dict-backed :class:`RouteTree` view of the same
-routes.  Both satisfy one read protocol (``has_route`` /
-``path_from`` / ``pref[asn]`` / ``origin``).
+int32 ``pref``/``dist``/``parent`` plus a ``restricted`` mask), the one
+per-origin route type: :func:`compute_origin_routes` returns it, and
+collectors, the looking glass and routing tables read it through
+``has_route`` / ``path_from`` / ``pref[asn]`` / ``is_restricted`` /
+``origin``.
 
 ``tests/bgp/reference_engine.py`` holds a plain dict BFS of the same
 semantics; the differential suite in
@@ -78,49 +77,6 @@ _SELF = np.int32(int(RouteClass.SELF))
 _CUSTOMER = np.int32(int(RouteClass.CUSTOMER))
 _PEER = np.int32(int(RouteClass.PEER))
 _PROVIDER = np.int32(int(RouteClass.PROVIDER))
-
-
-@dataclass
-class RouteTree:
-    """Best routes of every AS towards one origin.
-
-    ``parent[asn]`` is the next hop towards the origin (``None`` at the
-    origin itself); ``pref``/``dist`` hold the route class and AS-path
-    length; ``restricted`` flags customer routes that arrived over a
-    partial-transit link and therefore do not propagate to peers or
-    providers.  ``src`` is only present for joint two-source (attack)
-    propagation: 0 = route descends from the legitimate origin, 1 =
-    from the attack source.
-    """
-
-    origin: int
-    pref: Dict[int, RouteClass]
-    dist: Dict[int, int]
-    parent: Dict[int, Optional[int]]
-    restricted: Dict[int, bool]
-    src: Optional[Dict[int, int]] = None
-
-    def has_route(self, asn: int) -> bool:
-        return asn in self.pref
-
-    def path_from(self, asn: int) -> Optional[Tuple[int, ...]]:
-        """AS path from ``asn`` to the origin (inclusive), or ``None``.
-
-        The first element is ``asn`` itself, the last is the origin —
-        the order a collector would record after prepending the VP.
-        """
-        if asn not in self.pref:
-            return None
-        path: List[int] = [asn]
-        current: Optional[int] = asn
-        while True:
-            current = self.parent[current]
-            if current is None:
-                break
-            path.append(current)
-            if len(path) > len(self.pref) + 1:
-                raise RuntimeError("parent-pointer loop in route tree")
-        return tuple(path)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +360,8 @@ class PropagationPlane:
 class _ClassView:
     """Read-only ``pref[asn] -> RouteClass`` view over the pref column.
 
-    Mimics the :class:`RouteTree` dict protocol where consumers use it:
-    ``[]`` raises ``KeyError`` for unrouted or unknown ASes, ``in``
-    tests route existence.
+    Reads like a mapping over routed ASes: ``[]`` raises ``KeyError``
+    for unrouted or unknown ASes, ``in`` tests route existence.
     """
 
     __slots__ = ("_routes",)
@@ -429,14 +384,12 @@ class _ClassView:
 class RouteArrays:
     """Vectorized best routes of every AS towards one origin.
 
-    The columnar counterpart of :class:`RouteTree`: ``pref_arr`` /
-    ``dist_arr`` / ``parent_arr`` are int32 columns indexed by dense
-    plane id (``pref_arr == -1`` means no route; ``parent_arr`` holds
-    plane ids, ``-1`` at the origin), ``restricted_arr`` is the
-    partial-transit mask.  The read protocol the collectors use
-    (``has_route`` / ``path_from`` / ``pref[asn]`` / ``origin``) is
-    identical to the dict tree, so :func:`routes_for_origin` accepts
-    either representation.
+    ``pref_arr`` / ``dist_arr`` / ``parent_arr`` are int32 columns
+    indexed by dense plane id (``pref_arr == -1`` means no route;
+    ``parent_arr`` holds plane ids, ``-1`` at the origin),
+    ``restricted_arr`` is the partial-transit mask.  Consumers read it
+    by ASN through ``has_route`` / ``path_from`` / ``pref[asn]`` /
+    ``is_restricted`` / ``origin``.
     """
 
     origin: int
@@ -457,6 +410,14 @@ class RouteArrays:
     def has_route(self, asn: int) -> bool:
         i = self.plane.id_or_none(asn)
         return i is not None and self.pref_arr[i] != _NO_ROUTE
+
+    def is_restricted(self, asn: int) -> bool:
+        """Does ``asn`` hold a partial-transit (customers-only) route?
+
+        False for unrouted and unknown ASes.
+        """
+        i = self.plane.id_or_none(asn)
+        return i is not None and bool(self.restricted_arr[i])
 
     def routed_ids(self) -> np.ndarray:
         """Dense ids of every AS holding a route (ascending)."""
@@ -479,42 +440,6 @@ class RouteArrays:
             if len(path) > self.plane.n + 1:
                 raise RuntimeError("parent-pointer loop in route arrays")
         return tuple(path)
-
-    def to_route_tree(self) -> RouteTree:
-        """Materialise the dict-backed compatibility view.
-
-        Routed ASes are emitted in ascending-ASN order (deterministic
-        but not BFS-discovery order; no consumer observes
-        the dict order, and the differential tests compare by value).
-        """
-        routed = self.routed_ids()
-        asns = self.plane.asns[routed].tolist()
-        prefs = self.pref_arr[routed].tolist()
-        dists = self.dist_arr[routed].tolist()
-        parents = self.parent_arr[routed].tolist()
-        restr = self.restricted_arr[routed].tolist()
-        plane_asns = self.plane.asns
-        pref: Dict[int, RouteClass] = {}
-        dist: Dict[int, int] = {}
-        parent: Dict[int, Optional[int]] = {}
-        restricted: Dict[int, bool] = {}
-        for asn, p, d, par, r in zip(asns, prefs, dists, parents, restr):
-            pref[asn] = RouteClass(p)
-            dist[asn] = d
-            parent[asn] = int(plane_asns[par]) if par >= 0 else None
-            restricted[asn] = bool(r)
-        src: Optional[Dict[int, int]] = None
-        if self.src_arr is not None:
-            src_values = self.src_arr[routed].tolist()
-            src = dict(zip(asns, (int(s) for s in src_values)))
-        return RouteTree(
-            origin=self.origin,
-            pref=pref,
-            dist=dist,
-            parent=parent,
-            restricted=restricted,
-            src=src,
-        )
 
 
 def plane_of(adj: AdjacencyIndex) -> PropagationPlane:
@@ -539,8 +464,8 @@ def plane_of(adj: AdjacencyIndex) -> PropagationPlane:
 def compute_origin_routes(adj: AdjacencyIndex, origin: int) -> RouteArrays:
     """One origin's routes as :class:`RouteArrays`.
 
-    The hot-path entry point: no dict materialisation.  Use
-    :func:`compute_route_tree` when the dict view is required.
+    Builds (or reuses) the adjacency's propagation plane and runs one
+    origin's array passes.
     """
     return plane_of(adj).propagate(origin)
 
@@ -575,43 +500,3 @@ def compute_attack_routes(
         if i is not None:
             blocked_arr[i] = True
     return plane.propagate(origin, attack=(attacker, claim_dist, blocked_arr))
-
-
-def compute_route_tree(adj: AdjacencyIndex, origin: int) -> RouteTree:
-    """Run the three-stage decision process for one origin.
-
-    The routes are computed as array passes and then materialised as
-    the dict-backed :class:`RouteTree` view.
-    """
-    return plane_of(adj).propagate(origin).to_route_tree()
-
-
-def iter_route_trees(
-    adj: AdjacencyIndex,
-    origins: Optional[Iterable[int]] = None,
-    workers: int = 0,
-) -> Iterable[RouteTree]:
-    """Yield the route tree of every origin (all ASes by default).
-
-    Trees are produced lazily so callers can extract vantage-point paths
-    and drop each tree before the next one is built — the full set of
-    trees would be quadratic in memory.  The propagation plane is built
-    once for the whole sweep (see :func:`plane_of`).
-
-    ``workers`` shards the per-origin fan-out across that many worker
-    processes (see :class:`repro.pipeline.parallel.ParallelPropagator`);
-    the yielded sequence is identical to the serial one — same trees,
-    same origin order — because every tie-break is explicit and the
-    parallel merge preserves submission order.  ``workers=0`` (default)
-    stays fully in-process.
-    """
-    if workers:
-        from repro.pipeline.parallel import ParallelPropagator
-
-        propagator = ParallelPropagator(adj, workers=workers)
-        yield from propagator.iter_route_trees(origins)
-        return
-    if origins is None:
-        origins = adj.asns
-    for origin in origins:
-        yield compute_route_tree(adj, origin)

@@ -3,7 +3,7 @@
 The propagation layer computes best routes *per origin*; operators and
 the §6.1-style investigations think *per router*: "what does AS X's
 table look like?".  :class:`RoutingTable` assembles X's Loc-RIB by
-sweeping every origin's route tree, and renders it in the familiar
+sweeping every origin's routes, and renders it in the familiar
 ``show ip bgp`` shape (one line per route, next hop, AS path, the
 route class in place of communities/local-pref details).
 
@@ -38,7 +38,7 @@ class RibEntry:
 
 
 class RoutingTable:
-    """The Loc-RIB of one AS, assembled from per-origin route trees."""
+    """The Loc-RIB of one AS, assembled from per-origin routes."""
 
     def __init__(self, asn: int, entries: Dict[int, RibEntry]) -> None:
         self.asn = asn

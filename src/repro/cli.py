@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import ScenarioConfig, build_scenario
-from repro.pipeline.parallel import resolve_workers
+from repro.pipeline.parallel import MAX_WORKERS, resolve_workers
 from repro.analysis.report import (
     render_bias_figure,
     render_imbalance_heatmaps,
@@ -393,10 +393,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return run_lint_command(args)
 
 
-#: More serve-worker processes than this is a typo, not a deployment.
-MAX_SERVE_WORKERS = 256
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.app import ReproService
 
@@ -408,10 +404,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if serve_workers > MAX_SERVE_WORKERS:
+    if serve_workers > MAX_WORKERS:
         print(
             f"error: --serve-workers {serve_workers} is absurd "
-            f"(maximum {MAX_SERVE_WORKERS})",
+            f"(maximum {MAX_WORKERS})",
             file=sys.stderr,
         )
         return 2
@@ -688,6 +684,16 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "workers"):
+        try:
+            resolve_workers(args.workers)
+        except ValueError:
+            print(
+                f"error: --workers {args.workers} is absurd "
+                f"(maximum {MAX_WORKERS})",
+                file=sys.stderr,
+            )
+            return 2
     return args.func(args)
 
 

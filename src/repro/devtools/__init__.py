@@ -32,7 +32,6 @@ from repro.devtools.baseline import Baseline
 from repro.devtools.engine import (
     LintConfig,
     LintResult,
-    lint_file,
     run_lint,
 )
 from repro.devtools.findings import Finding
@@ -47,7 +46,6 @@ __all__ = [
     "ProgramRule",
     "Rule",
     "all_rules",
-    "lint_file",
     "register",
     "render_json",
     "render_text",

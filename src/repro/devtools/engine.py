@@ -228,61 +228,6 @@ def _annotate_parents(tree: ast.Module) -> None:
             child._lint_parent = parent  # type: ignore[attr-defined]
 
 
-def lint_file(path: Path, config: LintConfig,
-              rule_ids: Sequence[str]) -> Tuple[List[Finding], int]:
-    """Lint one file (per-file rules only).
-
-    Returns ``(findings, n_suppressed)``: the findings that survive
-    noqa suppression (plus one ``SUP001`` per unused marker) and the
-    number of findings the file's markers absorbed.  Program-scope
-    rule ids are ignored — they need the project graph and only run
-    through :func:`run_lint` with ``whole_program=True``.
-    """
-    relpath = _relpath(path)
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Finding(
-            path=relpath,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1),
-            rule_id=SYNTAX_ERROR_ID,
-            message=f"file does not parse: {exc.msg}",
-        )], 0
-    _annotate_parents(tree)
-
-    registry = all_rules()
-    rule_ids = [rule_id for rule_id in rule_ids
-                if registry[rule_id].scope == "module"]
-    rules = [registry[rule_id]() for rule_id in rule_ids]
-    ctx = ModuleContext(path=path, relpath=relpath, source=source,
-                        tree=tree, config=config)
-    for rule in rules:
-        rule.begin_module(ctx)
-    Walker(rules, ctx).visit(tree)
-    for rule in rules:
-        rule.end_module(ctx)
-
-    suppressions = SuppressionIndex.from_source(source)
-    kept = []
-    n_suppressed = 0
-    for finding in ctx.findings:
-        if suppressions.suppresses(finding.line, finding.rule_id):
-            n_suppressed += 1
-        else:
-            kept.append(finding)
-    for marker in suppressions.unused(rule_ids):
-        kept.append(Finding(
-            path=relpath,
-            line=marker.line,
-            col=marker.col,
-            rule_id=UNUSED_SUPPRESSION_ID,
-            message=f"suppression {marker.describe()} matches no finding",
-        ))
-    return kept, n_suppressed
-
-
 def run_lint(
     paths: Sequence[Union[str, Path]],
     config: Optional[LintConfig] = None,

@@ -1,7 +1,7 @@
 """Execution layer: process-parallel propagation and artifact caching.
 
 The per-origin route computation that dominates scenario building is
-embarrassingly parallel — every origin's route tree depends only on the
+embarrassingly parallel — every origin's routes depend only on the
 (read-only) adjacency index — and its outputs are small, hashable
 artifacts.  This package exploits both facts:
 

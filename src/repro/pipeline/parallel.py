@@ -1,6 +1,6 @@
-"""Process-parallel per-origin propagation.
+"""Process-parallel per-origin route collection.
 
-Every origin's route tree is an independent function of the (read-only)
+Every origin's routes are an independent function of the (read-only)
 :class:`~repro.bgp.policy.AdjacencyIndex`, so the per-origin fan-out —
 the hot path of scenario building — shards cleanly across worker
 processes.  :class:`ParallelPropagator` does exactly that while keeping
@@ -9,9 +9,9 @@ the output stream *indistinguishable* from the serial code:
 * origins are split into contiguous chunks and submitted in order;
 * results are yielded strictly in submission order (origin-major), so
   consumers observe the same sequence the serial loop produces;
-* inside a worker the same :func:`compute_route_tree` /
-  :func:`~repro.bgp.collectors.routes_for_origin` code runs, so each
-  element is identical, not merely equivalent — the differential tests
+* inside a worker the same :func:`~repro.bgp.propagation.compute_origin_routes`
+  / :func:`~repro.bgp.collectors.routes_for_origin` code runs, so each
+  route is identical, not merely equivalent — the differential tests
   in ``tests/pipeline/`` assert byte-identical serialisations.
 
 ``workers=0`` falls back to plain in-process iteration (no executor,
@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import (
-    RouteTree,
-    compute_origin_routes,
-    compute_route_tree,
-    plane_of,
-)
+from repro.bgp.propagation import compute_origin_routes, plane_of
+
+#: More worker processes than this is a typo, not a deployment.
+MAX_WORKERS = 256
 
 #: Per-process worker state, populated by the pool initializer.  Plain
 #: module globals are the standard multiprocessing idiom: the dict is
@@ -47,50 +45,32 @@ _WORKER_STATE: Dict[str, Any] = {}
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalise a worker-count request.
 
-    ``0`` means serial, positive counts are taken literally, and
-    ``None`` or negative values auto-size to the CPU count.
+    ``0`` means serial, positive counts up to :data:`MAX_WORKERS` are
+    taken literally, and ``None`` or negative values auto-size to the
+    CPU count.  Larger counts raise ``ValueError``.
     """
     if workers is None or workers < 0:
         return max(1, os.cpu_count() or 1)
+    if workers > MAX_WORKERS:
+        raise ValueError(
+            f"worker count {workers} is absurd (maximum {MAX_WORKERS})"
+        )
     return workers
 
 
-def _chunk(origins: Sequence[int], workers: int, chunk_size: Optional[int]) -> List[Sequence[int]]:
+def _chunk(origins: Sequence[int], workers: int) -> List[Sequence[int]]:
     """Contiguous origin chunks, sized for ~4 chunks per worker.
 
     Chunking amortises task-submission overhead while staying fine
     grained enough that an unlucky slow chunk cannot serialise the pool.
     """
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(origins) // (workers * 4)))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [origins[i : i + chunk_size] for i in range(0, len(origins), chunk_size)]
+    size = max(1, -(-len(origins) // (workers * 4)))
+    return [origins[i : i + size] for i in range(0, len(origins), size)]
 
 
 # ---------------------------------------------------------------------------
 # worker functions (module-level so they pickle under every start method)
 # ---------------------------------------------------------------------------
-
-def _prime_engine(adjacency: AdjacencyIndex) -> None:
-    """Build the propagation plane once per worker process.
-
-    The CSR compilation is the only super-per-origin cost of
-    propagation; doing it in the initializer keeps every chunk a pure
-    array pass (and keeps it out of per-chunk timing entirely).
-    """
-    plane_of(adjacency)
-
-
-def _init_tree_worker(adjacency: AdjacencyIndex) -> None:
-    _WORKER_STATE["adjacency"] = adjacency
-    _prime_engine(adjacency)
-
-
-def _tree_chunk(origins: Sequence[int]) -> List[RouteTree]:
-    adjacency = _WORKER_STATE["adjacency"]
-    return [compute_route_tree(adjacency, origin) for origin in origins]
-
 
 def _init_collect_worker(
     adjacency: AdjacencyIndex,
@@ -102,7 +82,9 @@ def _init_collect_worker(
     _WORKER_STATE["vantage_points"] = list(vantage_points)
     _WORKER_STATE["communities"] = communities
     _WORKER_STATE["strippers"] = strippers
-    _prime_engine(adjacency)
+    # The CSR compilation is the only super-per-origin cost of
+    # propagation; building it here keeps every chunk a pure array pass.
+    plane_of(adjacency)
 
 
 def _collect_chunk(origins: Sequence[int]) -> Any:
@@ -129,36 +111,8 @@ def _collect_chunk(origins: Sequence[int]) -> Any:
     return pack_route_slab(routes)
 
 
-def _run_chunked(
-    worker_fn: Callable[[Sequence[int]], Any],
-    initializer: Callable[..., None],
-    initargs: tuple,
-    origins: Sequence[int],
-    workers: int,
-    chunk_size: Optional[int],
-    unpack: Optional[Callable[[Any], List[Any]]] = None,
-) -> Iterator[Any]:
-    """Submit origin chunks to a fresh pool; yield results in order.
-
-    Futures are drained in submission order, which gives the
-    deterministic origin-major merge the differential tests rely on —
-    whatever order the workers *finish* in is invisible to the caller.
-    ``unpack`` decodes one chunk payload into its element list (used by
-    the slab-shipping collection path); without it the payload is
-    assumed to already be a list.
-    """
-    chunks = _chunk(origins, workers, chunk_size)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        futures = [pool.submit(worker_fn, chunk) for chunk in chunks]
-        for future in futures:
-            payload = future.result()
-            yield from unpack(payload) if unpack is not None else payload
-
-
 class ParallelPropagator:
-    """Sharded route propagation behind the serial iteration API.
+    """Sharded route collection behind the serial iteration API.
 
     Parameters
     ----------
@@ -167,42 +121,13 @@ class ParallelPropagator:
     workers:
         ``0`` (default) for the serial fallback, a positive count for
         that many worker processes, ``None``/negative for CPU count.
-    chunk_size:
-        Origins per submitted task; defaults to ~4 chunks per worker.
     """
 
     def __init__(
-        self,
-        adjacency: AdjacencyIndex,
-        workers: Optional[int] = 0,
-        chunk_size: Optional[int] = None,
+        self, adjacency: AdjacencyIndex, workers: Optional[int] = 0
     ) -> None:
         self.adjacency = adjacency
         self.workers = 0 if workers == 0 else resolve_workers(workers)
-        self.chunk_size = chunk_size
-
-    def iter_route_trees(
-        self, origins: Optional[Iterable[int]] = None
-    ) -> Iterator[RouteTree]:
-        """Yield every origin's route tree in input (origin) order.
-
-        Drop-in replacement for
-        :func:`repro.bgp.propagation.iter_route_trees`; with
-        ``workers=0`` it *is* that loop.
-        """
-        origin_list = list(origins) if origins is not None else list(self.adjacency.asns)
-        if self.workers == 0 or len(origin_list) <= 1:
-            for origin in origin_list:
-                yield compute_route_tree(self.adjacency, origin)
-            return
-        yield from _run_chunked(
-            _tree_chunk,
-            _init_tree_worker,
-            (self.adjacency,),
-            origin_list,
-            self.workers,
-            self.chunk_size,
-        )
 
     def collect_routes(
         self,
@@ -215,11 +140,11 @@ class ParallelPropagator:
         exact order the serial :class:`~repro.bgp.collectors.RouteCollector`
         records them (origin-major, vantage-point order within).
 
-        The per-origin tree is built *and reduced to VP paths inside
-        the worker*, and each chunk's routes cross the process boundary
-        as one packed :class:`~repro.pipeline.columnar.RouteSlab` (flat
-        numpy buffers) instead of a list of per-route tuple graphs —
-        route trees never travel at all.
+        Each origin's routes are computed *and reduced to VP paths
+        inside the worker*, and each chunk's routes cross the process
+        boundary as one packed :class:`~repro.pipeline.columnar.RouteSlab`
+        (flat numpy buffers) instead of a list of per-route tuple
+        graphs — per-origin route arrays never travel at all.
         """
         from repro.bgp.collectors import routes_for_origin
         from repro.pipeline.columnar import unpack_route_slab
@@ -232,12 +157,19 @@ class ParallelPropagator:
                     origin_routes, vantage_points, communities, strippers
                 )
             return
-        yield from _run_chunked(
-            _collect_chunk,
-            _init_collect_worker,
-            (self.adjacency, list(vantage_points), communities, strippers),
-            origin_list,
-            self.workers,
-            self.chunk_size,
-            unpack=unpack_route_slab,
-        )
+        initargs = (self.adjacency, list(vantage_points), communities, strippers)
+        with ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_collect_worker,
+            initargs=initargs,
+        ) as pool:
+            futures = [
+                pool.submit(_collect_chunk, chunk)
+                for chunk in _chunk(origin_list, self.workers)
+            ]
+            # Futures are drained in submission order, which gives the
+            # deterministic origin-major merge the differential tests
+            # rely on — whatever order the workers *finish* in is
+            # invisible to the caller.
+            for future in futures:
+                yield from unpack_route_slab(future.result())

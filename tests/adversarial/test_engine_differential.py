@@ -29,6 +29,7 @@ from repro.config import AdversarialConfig
 from repro.pipeline.cache import ArtifactCache
 from repro.topology.generator import generate_topology
 from tests.bgp import reference_engine
+from tests.bgp.reference_engine import as_tree
 
 SEEDS = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -185,9 +186,7 @@ def test_joint_routes_match_reference_engine(seed):
         for event in plan_events(topology, config, adjacency):
             blocked = event_blocked_set(event, deployments)
             args = (event.victim, event.attacker, event.claim_dist)
-            vec = compute_attack_routes(
-                adjacency, *args, blocked
-            ).to_route_tree()
+            vec = as_tree(compute_attack_routes(adjacency, *args, blocked))
             ref = reference_engine.compute_attack_tree(
                 adjacency, *args, blocked
             )

@@ -10,14 +10,98 @@ against AS-for-AS (``test_propagation_differential.py``,
 ``test_routingtable.py`` and, for joint two-source routes,
 ``tests/adversarial/test_attacks.py`` and
 ``tests/adversarial/test_engine_differential.py``).
+
+Its results are :class:`RouteTree` dicts; :func:`as_tree` converts the
+shipped :class:`~repro.bgp.propagation.RouteArrays` into the same type
+so value-based tests compare like with like.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import RouteTree
+from repro.bgp.propagation import RouteArrays
+
+
+@dataclass
+class RouteTree:
+    """Best routes of every AS towards one origin, as dicts.
+
+    ``parent[asn]`` is the next hop towards the origin (``None`` at the
+    origin itself); ``pref``/``dist`` hold the route class and AS-path
+    length; ``restricted`` flags customer routes that arrived over a
+    partial-transit link and therefore do not propagate to peers or
+    providers.  ``src`` is only present for joint two-source (attack)
+    propagation: 0 = route descends from the legitimate origin, 1 =
+    from the attack source.
+    """
+
+    origin: int
+    pref: Dict[int, RouteClass]
+    dist: Dict[int, int]
+    parent: Dict[int, Optional[int]]
+    restricted: Dict[int, bool]
+    src: Optional[Dict[int, int]] = None
+
+    def has_route(self, asn: int) -> bool:
+        return asn in self.pref
+
+    def path_from(self, asn: int) -> Optional[Tuple[int, ...]]:
+        """AS path from ``asn`` to the origin (inclusive), or ``None``.
+
+        The first element is ``asn`` itself, the last is the origin —
+        the order a collector would record after prepending the VP.
+        """
+        if asn not in self.pref:
+            return None
+        path: List[int] = [asn]
+        current: Optional[int] = asn
+        while True:
+            current = self.parent[current]
+            if current is None:
+                break
+            path.append(current)
+            if len(path) > len(self.pref) + 1:
+                raise RuntimeError("parent-pointer loop in route tree")
+        return tuple(path)
+
+
+def as_tree(routes: RouteArrays) -> RouteTree:
+    """The dict view of vectorized routes, for value comparisons.
+
+    Routed ASes are emitted in ascending-ASN order (deterministic but
+    not BFS-discovery order; the tests compare by value).
+    """
+    routed = routes.routed_ids()
+    asns = routes.plane.asns[routed].tolist()
+    prefs = routes.pref_arr[routed].tolist()
+    dists = routes.dist_arr[routed].tolist()
+    parents = routes.parent_arr[routed].tolist()
+    restr = routes.restricted_arr[routed].tolist()
+    plane_asns = routes.plane.asns
+    pref: Dict[int, RouteClass] = {}
+    dist: Dict[int, int] = {}
+    parent: Dict[int, Optional[int]] = {}
+    restricted: Dict[int, bool] = {}
+    for asn, p, d, par, r in zip(asns, prefs, dists, parents, restr):
+        pref[asn] = RouteClass(p)
+        dist[asn] = d
+        parent[asn] = int(plane_asns[par]) if par >= 0 else None
+        restricted[asn] = bool(r)
+    src: Optional[Dict[int, int]] = None
+    if routes.src_arr is not None:
+        src_values = routes.src_arr[routed].tolist()
+        src = dict(zip(asns, (int(s) for s in src_values)))
+    return RouteTree(
+        origin=routes.origin,
+        pref=pref,
+        dist=dist,
+        parent=parent,
+        restricted=restricted,
+        src=src,
+    )
 
 
 def compute_route_tree(adj: AdjacencyIndex, origin: int) -> RouteTree:

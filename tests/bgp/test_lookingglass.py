@@ -1,9 +1,14 @@
 """Tests for the looking-glass (Adj-RIB-In) simulation."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro import ScenarioConfig, build_scenario
 from repro.bgp.communities import Meaning
 from repro.bgp.lookingglass import LookingGlass
+from repro.service.query import casestudy_payload
 
 
 @pytest.fixture
@@ -63,3 +68,55 @@ class TestPartialTransitDetection:
     def test_find_no_export_sessions(self, glass):
         assert glass.find_no_export_sessions(10) == [35]
         assert glass.find_no_export_sessions(20) == []
+
+
+# ---------------------------------------------------------------------------
+# pinned §6.1 answers on generated scenarios
+# ---------------------------------------------------------------------------
+
+#: sha256 of ``casestudy_payload(scenario.case_study())`` (sorted-key
+#: JSON) for ``ScenarioConfig.small(seed)``.
+CASESTUDY_SHA256 = {
+    3: "127ff137e7486c917c058ab61a89ecc7505601002e00a19fe210f6abf0ae8329",
+    5: "d9347f1a1c0f5cddd0faba83f578eefb6118948e9d040809a0d5e76d36e76571",
+    11: "3e5923ea956cd0b3d8679a5e40f2b052df5f75480f69db6b3769acb83498c185",
+}
+
+#: sha256 of the Cogent ASN's ``routes_received`` answers over every
+#: adjacent session plus ``find_no_export_sessions``, on the seed-7
+#: small scenario.
+COGENT_GLASS_SHA256 = (
+    "9d889ad664c87bb729d237e25c5d04d8df2df5dbb15d65c6368d33f14ff6ac67"
+)
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CASESTUDY_SHA256))
+def test_case_study_matches_pinned_digest(seed):
+    scenario = build_scenario(ScenarioConfig.small(seed=seed))
+    payload = casestudy_payload(scenario.case_study())
+    assert _sha256(payload) == CASESTUDY_SHA256[seed]
+
+
+def test_cogent_looking_glass_matches_pinned_digest(scenario):
+    glass = LookingGlass(scenario.topology, scenario.communities)
+    cogent = scenario.topology.cogent_asn
+    answers = [
+        [
+            neighbor,
+            [
+                [route.origin, list(route.path), [list(c) for c in route.communities]]
+                for route in glass.routes_received(cogent, neighbor)
+            ],
+        ]
+        for neighbor in sorted(scenario.topology.graph.neighbors_of(cogent))
+    ]
+    no_export = glass.find_no_export_sessions(cogent)
+    assert no_export, "the seed-7 Cogent AS must have flagged sessions"
+    payload = {"routes_received": answers, "no_export": no_export}
+    assert _sha256(payload) == COGENT_GLASS_SHA256

@@ -31,7 +31,6 @@ from repro.bgp.policy import AdjacencyIndex, RouteClass
 from repro.bgp.propagation import (
     RouteArrays,
     compute_origin_routes,
-    compute_route_tree,
     plane_of,
 )
 from repro.datasets.asrel import write_asrel
@@ -39,6 +38,7 @@ from repro.datasets.bgpdump import write_path_corpus
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
 from tests.bgp import reference_engine
+from tests.bgp.reference_engine import as_tree
 
 #: ≥ 20 seeded topologies, per the acceptance criteria.
 DIFFERENTIAL_SEEDS = tuple(range(24))
@@ -184,21 +184,21 @@ def test_engines_identical_on_random_topologies(seed):
     plane = plane_of(adj)
     for origin in adj.asns:
         _assert_same_tree(
-            plane.propagate(origin).to_route_tree(),
+            as_tree(plane.propagate(origin)),
             reference_engine.compute_route_tree(adj, origin),
             origin,
         )
 
 
 def test_entry_points_match_reference_on_tiny_graph(tiny_graph):
-    """``compute_route_tree`` and ``compute_origin_routes`` both serve
-    the reference engine's routes on the hand-checkable graph."""
+    """``compute_origin_routes`` serves the reference engine's routes
+    on the hand-checkable graph."""
     adj = AdjacencyIndex(tiny_graph)
     for origin in adj.asns:
         ref = reference_engine.compute_route_tree(adj, origin)
-        _assert_same_tree(compute_route_tree(adj, origin), ref, origin)
         arrays = compute_origin_routes(adj, origin)
         assert isinstance(arrays, RouteArrays)
+        _assert_same_tree(as_tree(arrays), ref, origin)
         for asn in adj.asns:
             assert arrays.path_from(asn) == ref.path_from(asn)
 
@@ -349,16 +349,17 @@ def test_route_invariants_on_tiny_graph(tiny_graph):
 
 
 # ---------------------------------------------------------------------------
-# RouteArrays protocol (the duck-typed RouteTree surface)
+# RouteArrays read protocol vs the dict view
 # ---------------------------------------------------------------------------
 
 def test_route_arrays_protocol_matches_tree(tiny_graph):
     adj = AdjacencyIndex(tiny_graph)
     arrays = plane_of(adj).propagate(10)
-    tree = arrays.to_route_tree()
+    tree = as_tree(arrays)
     for asn in adj.asns:
         assert arrays.has_route(asn) == tree.has_route(asn)
         assert arrays.path_from(asn) == tree.path_from(asn)
+        assert arrays.is_restricted(asn) is tree.restricted.get(asn, False)
         if tree.has_route(asn):
             assert arrays.pref[asn] is tree.pref[asn]
             assert asn in arrays.pref
@@ -369,5 +370,6 @@ def test_route_arrays_protocol_matches_tree(tiny_graph):
     # Unknown ASes behave like the dict view too.
     assert not arrays.has_route(999999)
     assert arrays.path_from(999999) is None
+    assert arrays.is_restricted(999999) is False
     with pytest.raises(KeyError):
         arrays.pref[999999]

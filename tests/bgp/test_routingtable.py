@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.policy import AdjacencyIndex, RouteClass
 from repro.bgp.routingtable import RibEntry, RoutingTable
 from tests.bgp import reference_engine
+from tests.bgp.reference_engine import as_tree
 
 
 @pytest.fixture
@@ -74,18 +75,18 @@ class TestRoutingTable:
 
 class TestSingleSweepLock:
     """``RoutingTable.compute`` builds one adjacency/plane and sweeps;
-    its output is locked against the per-origin compatibility view."""
+    its output is locked against the per-origin routes."""
 
     @pytest.mark.parametrize("asn", [10, 30, 50, 350])
     def test_matches_per_origin_route_trees(self, tiny_graph, asn):
         from repro.bgp.policy import AdjacencyIndex
-        from repro.bgp.propagation import compute_route_tree
+        from repro.bgp.propagation import compute_origin_routes
 
         table = RoutingTable.compute(tiny_graph, asn)
         adjacency = AdjacencyIndex(tiny_graph)
         expected_origins = []
         for origin in adjacency.asns:
-            tree = compute_route_tree(adjacency, origin)
+            tree = as_tree(compute_origin_routes(adjacency, origin))
             if not tree.has_route(asn):
                 continue
             expected_origins.append(origin)

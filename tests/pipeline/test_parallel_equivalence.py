@@ -1,9 +1,9 @@
 """Differential tests: parallel execution must be invisible.
 
 The property under test is strict — not "statistically equivalent" but
-*byte-identical*: route trees, serialised path corpora, and inference
-outputs produced with worker processes must match the serial pipeline
-exactly, across seeds and worker counts.  Anything weaker would let a
+*byte-identical*: collected route streams, serialised path corpora, and
+inference outputs produced with worker processes must match the serial
+pipeline exactly, across seeds and worker counts.  Anything weaker would let a
 perf refactor silently move the paper's numbers.
 """
 
@@ -14,9 +14,13 @@ from functools import lru_cache
 import pytest
 
 from repro import ParallelPropagator, ScenarioConfig, build_scenario
-from repro.bgp.collectors import collect_corpus
+from repro.bgp.collectors import (
+    collect_corpus,
+    measurement_setup,
+    routes_for_origin,
+)
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import compute_route_tree, iter_route_trees
+from repro.bgp.propagation import compute_origin_routes
 from repro.datasets.asrel import write_asrel
 from repro.datasets.bgpdump import write_path_corpus
 from repro.topology.generator import generate_topology
@@ -53,46 +57,59 @@ def rels_bytes(rels, tmp_path, name: str) -> bytes:
     return path.read_bytes()
 
 
-@pytest.fixture(scope="module")
-def adjacency():
-    topology = generate_topology(tiny_config(seed=SEEDS[0]))
-    return AdjacencyIndex(topology.graph)
+@lru_cache(maxsize=None)
+def collection_inputs(seed: int):
+    """(adjacency, vantage points, communities, strippers) of a seed."""
+    config = tiny_config(seed)
+    topology = generate_topology(config)
+    vps, communities, strippers = measurement_setup(topology, config)
+    return AdjacencyIndex(topology.graph), vps, communities, strippers
 
 
-class TestRouteTrees:
+def serial_routes(adjacency, vps, communities, strippers, origins):
+    """The serial collector's route stream, origin-major."""
+    return [
+        route
+        for origin in origins
+        for route in routes_for_origin(
+            compute_origin_routes(adjacency, origin),
+            vps, communities, strippers,
+        )
+    ]
+
+
+class TestCollectRoutes:
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_trees_identical_for_every_worker_count(self, adjacency, workers):
-        origins = adjacency.asns[:60]
-        serial = [compute_route_tree(adjacency, o) for o in origins]
+    def test_worker_counts_match_serial(self, seed, workers):
+        adjacency, vps, communities, strippers = collection_inputs(seed)
+        origins = adjacency.asns
+        serial = serial_routes(adjacency, vps, communities, strippers, origins)
         parallel = list(
-            ParallelPropagator(adjacency, workers=workers).iter_route_trees(
-                origins
+            ParallelPropagator(adjacency, workers=workers).collect_routes(
+                vps, communities, strippers, origins
             )
         )
-        assert len(parallel) == len(serial)
-        for expected, got in zip(serial, parallel):
-            # Dataclass equality covers pref/dist/parent/restricted.
-            assert got == expected
-            # Dict equality ignores ordering, but downstream consumers
-            # iterate these dicts — demand the insertion order too.
-            assert list(got.pref) == list(expected.pref)
-            assert list(got.parent) == list(expected.parent)
-
-    def test_iter_route_trees_workers_argument(self, adjacency):
-        origins = adjacency.asns[:30]
-        serial = list(iter_route_trees(adjacency, origins))
-        parallel = list(iter_route_trees(adjacency, origins, workers=2))
+        assert serial
+        # Route for route, in the same order; ``repr`` also pins the
+        # element types (plain ints after the slab round trip).
         assert parallel == serial
+        assert [repr(route) for route in parallel] == [
+            repr(route) for route in serial
+        ]
 
-    def test_single_origin_stays_in_process(self, adjacency):
+    def test_single_origin_stays_in_process(self):
+        adjacency, vps, communities, strippers = collection_inputs(SEEDS[0])
         origin = adjacency.asns[0]
         # len(origins) <= 1 short-circuits the pool entirely.
-        trees = list(
-            ParallelPropagator(adjacency, workers=4).iter_route_trees(
-                [origin]
+        routes = list(
+            ParallelPropagator(adjacency, workers=4).collect_routes(
+                vps, communities, strippers, [origin]
             )
         )
-        assert trees == [compute_route_tree(adjacency, origin)]
+        assert routes == serial_routes(
+            adjacency, vps, communities, strippers, [origin]
+        )
 
 
 class TestCorpusEquivalence:

@@ -16,7 +16,7 @@ import pytest
 from repro import cli
 from repro.datasets.asrel import RelationshipSet
 from repro.pipeline.cache import ArtifactCache
-from repro.pipeline.parallel import resolve_workers
+from repro.pipeline.parallel import MAX_WORKERS, resolve_workers
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -130,6 +130,22 @@ def test_resolve_workers_contract():
     assert resolve_workers(3) == 3            # literal
     assert resolve_workers(-1) >= 1           # CPU count
     assert resolve_workers(None) == resolve_workers(-1)
+    assert resolve_workers(MAX_WORKERS) == MAX_WORKERS == 256
+    for absurd in (MAX_WORKERS + 1, 100000):
+        with pytest.raises(ValueError, match="absurd"):
+            resolve_workers(absurd)
+
+
+@pytest.mark.parametrize("command", [
+    ["figures", "--ases", "200", "--vps", "20"],
+    ["serve", "--port", "0"],
+])
+def test_absurd_workers_rejected_before_building(command, capsys):
+    rc = cli.main(command + ["--workers", "100000"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --workers 100000 is absurd (maximum 256)\n"
+    )
 
 
 def test_serve_parser_defaults():

@@ -14,11 +14,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.metrics import confusion_for_links
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_route_tree
+from repro.bgp.propagation import compute_origin_routes
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
 from repro.validation.cleaning import CleanedValidation, CleaningReport
+from tests.bgp.reference_engine import as_tree
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -121,7 +122,7 @@ class TestPropagationProperties:
     def test_routes_are_loop_free_and_policy_consistent(self, graph, origin_pick):
         origin = graph.asns()[origin_pick % len(graph)]
         adjacency = AdjacencyIndex(graph)
-        tree = compute_route_tree(adjacency, origin)
+        tree = as_tree(compute_origin_routes(adjacency, origin))
         for asn in graph.asns():
             path = tree.path_from(asn)
             if path is None:
@@ -141,7 +142,7 @@ class TestPropagationProperties:
         every AS must have a route to every origin."""
         adjacency = AdjacencyIndex(graph)
         for origin in graph.asns():
-            tree = compute_route_tree(adjacency, origin)
+            tree = as_tree(compute_origin_routes(adjacency, origin))
             for asn in graph.asns():
                 assert tree.has_route(asn)
 
@@ -150,7 +151,7 @@ class TestPropagationProperties:
     def test_valley_free(self, graph):
         adjacency = AdjacencyIndex(graph)
         for origin in graph.asns()[:5]:
-            tree = compute_route_tree(adjacency, origin)
+            tree = as_tree(compute_origin_routes(adjacency, origin))
             for asn in graph.asns():
                 path = tree.path_from(asn)
                 if path is None or len(path) < 3:

@@ -25,7 +25,11 @@ import pytest
 from repro import ScenarioConfig
 from repro.adversarial.attacks import inject_attacks, plan_events
 from repro.adversarial.impact import run_impact
-from repro.bgp.collectors import collect_rounds, measurement_setup
+from repro.bgp.collectors import (
+    RouteCollector,
+    collect_rounds,
+    measurement_setup,
+)
 from repro.bgp.policy import AdjacencyIndex
 from repro.bgp.propagation import compute_attack_routes
 from repro.config import AdversarialConfig
@@ -108,9 +112,8 @@ def test_perf_pollution_overhead_10k(benchmark):
     def run():
         corpus = PathCorpus()
         corpus.add_routes(clean.routes())
-        events = inject_attacks(
-            topology, config, vps, communities, strippers, corpus
-        )
+        collector = RouteCollector(topology, vps, communities, strippers)
+        events = inject_attacks(collector, config, corpus)
         assert len(events) == len(plan_events(topology, config))
         return corpus
 

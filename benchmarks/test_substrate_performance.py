@@ -141,7 +141,7 @@ def test_perf_propagation_scale_sweep(benchmark, n_ases):
 
     def run():
         for origin in origins:
-            plane.propagate(origin)
+            plane.propagate(plane.ids([origin]))
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     per_origin_ms = benchmark.stats.stats.median / len(origins) * 1000.0

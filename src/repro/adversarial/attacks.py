@@ -32,9 +32,24 @@ legitimate origin and the attacker announce simultaneously and every
 AS picks its Gao-Rexford best route among both, with policy deployers
 (and the suffix ASes themselves, which would detect their own ASN on
 the path — standard AS-path loop detection) dropping attack-sourced
-offers.  The resulting routes are reduced through the *same*
-:func:`repro.bgp.collectors.routes_for_origin` used for honest
-collection and merged into the corpus.
+offers.  The resulting routes are reduced through the honest collector's own
+:class:`repro.bgp.collectors.RouteReducer` and merged into the corpus.  Two event inputs shape the reduction:
+
+* the forged suffix is appended to every path whose route descends
+  from the attack source, so collected paths end at the claimed
+  origin;
+* for leaks, the leaker's route class is overridden to its real
+  (clean) class — the leaked route *was* peer/provider-learned, and
+  that is what the leaker's informational community says.  The
+  override also means a partial-feed VP that is itself the leaker does
+  not export its own leak (its table still says peer/provider-learned),
+  which matches how partial feeds hide leaks in real collectors.
+
+The suffix ASes hold their clean routes in the joint propagation (they
+are loop-blocked from the attack source, and legitimate offers can only
+shrink relative to the clean run, never improve — so each suffix AS
+keeps its clean class/distance/parent by induction up the clean path).
+Their community tags on forged paths are therefore their honest ones.
 """
 
 from __future__ import annotations
@@ -43,7 +58,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.adversarial.policies import blocked_ases, resolve_deployments
-from repro.bgp.collectors import VantagePoint, routes_for_origin
+from repro.bgp.collectors import RouteCollector
 from repro.bgp.policy import AdjacencyIndex, RouteClass
 from repro.bgp.propagation import (
     compute_attack_routes,
@@ -149,88 +164,6 @@ def plan_events(
     return events
 
 
-class _AttackPrefView:
-    """``pref[asn]`` over an :class:`AttackView` (collector protocol)."""
-
-    __slots__ = ("_view",)
-
-    def __init__(self, view: "AttackView") -> None:
-        self._view = view
-
-    def __getitem__(self, asn: int) -> RouteClass:
-        view = self._view
-        if asn == view.event.attacker and view.tag_override is not None:
-            return view.tag_override
-        return view.routes.pref[asn]
-
-    def __contains__(self, asn: int) -> bool:
-        return self._view.routes.has_route(asn)
-
-
-class AttackView:
-    """Collector-protocol view over one event's joint routes.
-
-    Presents ``has_route`` / ``pref[asn]`` / ``path_from`` / ``origin``
-    so :func:`repro.bgp.collectors.routes_for_origin` reduces polluted
-    routes exactly like honest ones.  Two adjustments:
-
-    * ``path_from`` appends the event's forged suffix to every
-      attack-sourced path, so collected paths end at the claimed
-      origin;
-    * for leaks, the leaker's ingress class is overridden to its real
-      (clean) class — the leaked route *was* peer/provider-learned,
-      and that is what the leaker's informational community says.  The
-      override also means a partial-feed VP that is itself the leaker
-      does not export its own leak (its table still says
-      peer/provider-learned), which matches how partial feeds hide
-      leaks in real collectors.
-
-    The suffix ASes hold their clean routes in the joint propagation
-    (they are loop-blocked from the attack source, and legitimate
-    offers can only shrink relative to the clean run, never improve —
-    so each suffix AS keeps its clean class/distance/parent by
-    induction up the clean path).  Their community tags on forged
-    paths are therefore their honest ones.
-    """
-
-    def __init__(
-        self,
-        routes,
-        event: AttackEvent,
-        tag_override: Optional[RouteClass] = None,
-    ) -> None:
-        self.routes = routes
-        self.event = event
-        self.tag_override = tag_override
-        self.origin = routes.origin
-
-    def has_route(self, asn: int) -> bool:
-        return self.routes.has_route(asn)
-
-    @property
-    def pref(self) -> _AttackPrefView:
-        return _AttackPrefView(self)
-
-    def src_of(self, asn: int) -> int:
-        """Provenance of an AS's best route (0 legit, 1 attack)."""
-        src_arr = getattr(self.routes, "src_arr", None)
-        if src_arr is not None:
-            i = self.routes.plane.id_or_none(asn)
-            return int(src_arr[i]) if i is not None else 0
-        src = getattr(self.routes, "src", None)
-        if src is not None:
-            return src.get(asn, 0)
-        return 0
-
-    def path_from(self, asn: int) -> Optional[Tuple[int, ...]]:
-        base = self.routes.path_from(asn)
-        if base is None:
-            return None
-        if self.src_of(asn) == 1:
-            return base + self.event.suffix
-        return base
-
-
 def event_blocked_set(
     event: AttackEvent, deployments: Dict[str, Tuple[int, ...]]
 ) -> Set[int]:
@@ -246,23 +179,23 @@ def event_blocked_set(
 
 
 def inject_attacks(
-    topology: "Topology",
+    collector: RouteCollector,
     config: "ScenarioConfig",
-    vps: List[VantagePoint],
-    communities: "CommunityRegistry",
-    strippers: Set[int],
     corpus: "PathCorpus",
 ) -> List[AttackEvent]:
     """Run every planned attack and merge its routes into the corpus.
 
-    Events run in plan order; within an event, vantage points are
-    visited in list order — so pollution is as deterministic as honest
-    collection.  Returns the executed plan.
+    The attack round runs on the honest ``collector``'s converged
+    adjacency and reduces through its :class:`RouteReducer`.  Events
+    run in plan order; within an event, vantage points are visited in
+    list order — so pollution is as deterministic as honest collection.
+    Returns the executed plan.
     """
     adv = config.adversarial
     if adv is None or adv.attack.total_events() == 0:
         return []
-    adjacency = AdjacencyIndex(topology.graph)
+    topology = collector.topology
+    adjacency = collector.adjacency
     events = plan_events(topology, config, adjacency)
     if not events:
         return []
@@ -276,11 +209,15 @@ def inject_attacks(
             event.claim_dist,
             blocked,
         )
-        override: Optional[RouteClass] = None
+        override: Optional[Tuple[int, RouteClass]] = None
         if event.kind == "leak":
-            override = adjacency.route_class(event.attacker, event.suffix[0])
-        view = AttackView(joint, event, tag_override=override)
-        corpus.add_routes(
-            routes_for_origin(view, vps, communities, strippers)
+            override = (
+                event.attacker,
+                adjacency.route_class(event.attacker, event.suffix[0]),
+            )
+        corpus.ingest_columns(
+            collector.reducer.reduce(
+                joint, suffix=event.suffix, tag_override=override
+            )
         )
     return events

@@ -10,14 +10,13 @@ from repro.bgp.communities import (
 )
 from repro.bgp.collectors import (
     RouteCollector,
+    RouteReducer,
     VantagePoint,
     assign_community_strippers,
     collect_corpus,
     collect_rounds,
     measurement_setup,
-    routes_for_origin,
     select_vantage_points,
-    surviving_communities,
 )
 from repro.bgp.lookingglass import LookingGlass, ReceivedRoute
 from repro.bgp.policy import AdjacencyIndex, RouteClass, exports_to_non_customers
@@ -30,14 +29,13 @@ __all__ = [
     "Meaning",
     "RELATIONSHIP_MEANINGS",
     "RouteCollector",
+    "RouteReducer",
     "VantagePoint",
     "assign_community_strippers",
     "collect_corpus",
     "collect_rounds",
     "measurement_setup",
-    "routes_for_origin",
     "select_vantage_points",
-    "surviving_communities",
     "LookingGlass",
     "ReceivedRoute",
     "AdjacencyIndex",

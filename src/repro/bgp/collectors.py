@@ -21,23 +21,40 @@ and the collector strips foreign communities.  Partial-transit action
 communities never reach collectors (the provider strips them towards
 customers and never exports the route to peers), matching footnote 11
 of the paper.
+
+A collection round is array passes over blocks of origins: the
+propagation plane computes a block's routes at once, and one
+:class:`RouteReducer` per collector turns each block into corpus
+columns (feed filter as a mask over the VPs' route classes, paths as
+repeated parent gathers, community survival as a cumulative sum of
+stripper flags), which the corpus ingests without building per-route
+objects.  ``tests/bgp/reference_collector.py`` keeps the scalar per-VP
+reduction as the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.bgp.communities import (
-    Community,
-    CommunityRegistry,
-    Meaning,
-)
+from repro.bgp.communities import CommunityRegistry, Meaning
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_origin_routes
-from repro.datasets.paths import CollectedRoute, PathCorpus
+from repro.bgp.propagation import PropagationPlane, plane_of
+# Unused here, kept importable: perfbench's traced run wraps this name.
+from repro.bgp.propagation import compute_origin_routes  # noqa: F401
+from repro.datasets.paths import PathCorpus
+from repro.pipeline.columnar import CorpusColumns
 from repro.topology.generator import Topology
 from repro.topology.graph import Role
 from repro.utils.rng import child_rng
@@ -45,12 +62,13 @@ from repro.utils.rng import child_rng
 if TYPE_CHECKING:
     from repro.config import ScenarioConfig
 
-#: RouteClass -> the informational meaning an AS tags at ingress.
-_CLASS_TO_MEANING = {
-    RouteClass.CUSTOMER: Meaning.LEARNED_FROM_CUSTOMER,
-    RouteClass.PEER: Meaning.LEARNED_FROM_PEER,
-    RouteClass.PROVIDER: Meaning.LEARNED_FROM_PROVIDER,
-}
+#: (RouteClass, the informational meaning an AS tags at ingress).
+_TAGGED_CLASSES = (
+    (int(RouteClass.CUSTOMER), Meaning.LEARNED_FROM_CUSTOMER),
+    (int(RouteClass.PEER), Meaning.LEARNED_FROM_PEER),
+    (int(RouteClass.PROVIDER), Meaning.LEARNED_FROM_PROVIDER),
+)
+_N_CLASSES = len(RouteClass)
 
 
 @dataclass(frozen=True)
@@ -102,80 +120,160 @@ def assign_community_strippers(
     }
 
 
-def surviving_communities(
-    path: Tuple[int, ...],
-    tree,
-    communities: CommunityRegistry,
-    strippers: Set[int],
-) -> Tuple[Community, ...]:
-    """Informational tags still on the route when it reaches the
-    collector.
-
-    Walking from the collector side: the tag applied by ``path[i]``
-    survives iff none of ``path[0..i-1]`` strips foreign communities.
-    The VP's own tag (i = 0) always survives.
-    """
-    surviving: List[Community] = []
-    upstream_keeps = True
-    for i in range(len(path) - 1):
-        tagger = path[i]
-        if i > 0:
-            upstream_keeps = upstream_keeps and path[i - 1] not in strippers
-            if not upstream_keeps:
-                break
-        tagger_class = tree.pref[tagger]
-        meaning = _CLASS_TO_MEANING.get(tagger_class)
-        if meaning is None:
-            continue
-        codebook = communities.codebook(tagger)
-        surviving.append(codebook.encode(meaning))
-    return tuple(surviving)
-
-
-def routes_for_origin(
-    tree,
-    vantage_points: Iterable[VantagePoint],
-    communities: CommunityRegistry,
-    strippers: Set[int],
-) -> List[CollectedRoute]:
-    """Reduce one origin's routes to the routes collectors record.
-
-    ``tree`` is a :class:`~repro.bgp.propagation.RouteArrays` or any
-    object with its read protocol (``has_route`` / ``pref[asn]`` /
-    ``path_from``), such as the attack-event view of
-    :mod:`repro.adversarial.attacks`.
+class RouteReducer:
+    """Reduces blocks of propagated routes to what collectors record.
 
     The single source of truth for the feed-type filter and community
-    survival — the serial collector and the parallel workers both call
-    this, so the two paths cannot drift apart.  Vantage points are
-    visited in list order, which fixes the route order within an origin.
+    survival: serial collection, the parallel workers and the attack
+    round all reduce through one of these.  Built once per collector
+    over the plane's (sorted) ASN column, it holds
+
+    * ``vp_ids`` — the plane id of each vantage point present in the
+      plane, in list order (absent VPs never hold a route);
+    * ``full_feed`` — the matching full-feed mask;
+    * ``stripper`` — a per-AS flag: strips foreign communities;
+    * ``tags`` — an (AS x :class:`RouteClass`) table of the
+      informational community value each AS tags at ingress (``-1``
+      for SELF, which tags nothing).
+
+    :meth:`reduce` turns a block into :class:`CorpusColumns` whose
+    routes are origin-major, VP order within — the order the corpus
+    ingests them in.
     """
-    routes: List[CollectedRoute] = []
-    for vp in vantage_points:
-        if not tree.has_route(vp.asn):
-            continue
-        if not vp.full_feed and tree.pref[vp.asn] not in (
-            RouteClass.SELF,
-            RouteClass.CUSTOMER,
-        ):
-            continue
-        path = tree.path_from(vp.asn)
-        assert path is not None
-        routes.append(
-            CollectedRoute(
-                vp=vp.asn,
-                # The AS the collector *believes* originated the route is
-                # whoever sits at the path tail.  For honest trees that is
-                # tree.origin; under an origin hijack the forged path ends
-                # at the attacker instead.
-                origin=path[-1],
-                path=path,
-                communities=surviving_communities(
-                    path, tree, communities, strippers
-                ),
-            )
+
+    def __init__(
+        self,
+        asns: np.ndarray,
+        vantage_points: Iterable[VantagePoint],
+        communities: CommunityRegistry,
+        strippers: Set[int],
+    ) -> None:
+        self.asns = asns
+        n = len(asns)
+        vp_ids: List[int] = []
+        full_feed: List[bool] = []
+        for vp in vantage_points:
+            pos = int(np.searchsorted(asns, vp.asn))
+            if pos < n and int(asns[pos]) == vp.asn:
+                vp_ids.append(pos)
+                full_feed.append(vp.full_feed)
+        self.vp_ids = np.array(vp_ids, dtype=np.int64)
+        self.full_feed = np.array(full_feed, dtype=bool)
+        self.stripper = np.isin(
+            asns, np.fromiter(strippers, dtype=np.int64, count=len(strippers))
         )
-    return routes
+        self.tags = np.full((n, _N_CLASSES), -1, dtype=np.int64)
+        for i, asn in enumerate(asns.tolist()):
+            values = communities.codebook(asn).values
+            for route_class, meaning in _TAGGED_CLASSES:
+                self.tags[i, route_class] = values[meaning]
+
+    def check_plane(self, plane: PropagationPlane) -> None:
+        """Refuse a plane whose ids mean other ASes than ours."""
+        if not np.array_equal(plane.asns, self.asns):
+            raise ValueError("plane ASNs differ from the reducer's")
+
+    def reduce(
+        self,
+        routes,
+        suffix: Tuple[int, ...] = (),
+        tag_override: Optional[Tuple[int, RouteClass]] = None,
+    ) -> CorpusColumns:
+        """The collector-visible routes of a block, as corpus columns.
+
+        ``routes`` is a :class:`~repro.bgp.propagation.RouteBlock` or a
+        :class:`~repro.bgp.propagation.RouteArrays` (a block of one):
+        anything with flat ``pref_arr`` / ``parent_arr`` / ``src_arr``
+        columns of ``rows * n`` cells.  Per row, a VP exports when it
+        holds a route and is a full feeder or holds a SELF/CUSTOMER
+        route; its path is the parent walk from it to the origin.  The
+        tag of hop ``i`` (every hop but the last) survives iff no hop
+        before it strips foreign communities — a shifted cumulative sum
+        of stripper flags along the path.
+
+        The attack round passes its event here (blocks of one):
+        ``suffix`` — the forged tail — is appended to the paths of VPs
+        whose route descends from the attack source (``src_arr`` is 1),
+        and ``tag_override = (asn, class)`` replaces that AS's route
+        class, for both the feed filter and its tag.
+        """
+        n = len(self.asns)
+        pref = routes.pref_arr
+        if tag_override is not None:
+            asn, override = tag_override
+            pref = pref.copy()
+            pref[int(np.searchsorted(self.asns, asn))] = int(override)
+        rows = len(pref) // n
+        vp_pref = pref.reshape(rows, n)[:, self.vp_ids]
+        exported = (vp_pref >= 0) & (
+            self.full_feed | (vp_pref <= int(RouteClass.CUSTOMER))
+        )
+        route_row, vp_col = np.nonzero(exported)
+        base = route_row * n
+
+        # Parent walk into a -1-padded id matrix: one gather per hop for
+        # every route at once; a finished path reads the trailing -1
+        # cell until the longest one ends.
+        end = rows * n
+        parent = np.append(routes.parent_arr, -1)
+        hop = self.vp_ids[vp_col]
+        steps = [hop]
+        while True:
+            hop = parent[np.where(hop >= 0, base + hop, end)]
+            if (hop < 0).all():
+                break
+            steps.append(hop)
+        ids = np.stack(steps, axis=1)
+        on_path = ids >= 0
+        lengths = on_path.sum(axis=1)
+
+        if suffix:
+            if routes.src_arr is None:
+                raise ValueError("a forged suffix needs the attack pass")
+            forged = np.flatnonzero(routes.src_arr[ids[:, 0]] == 1)
+            tail = np.searchsorted(self.asns, np.array(suffix))
+            ids = np.concatenate(
+                (ids, np.full((len(ids), len(suffix)), -1)), axis=1
+            )
+            for k, tail_id in enumerate(tail.tolist()):
+                ids[forged, lengths[forged] + k] = tail_id
+            lengths[forged] += len(suffix)
+            on_path = ids >= 0
+
+        safe = np.where(on_path, ids, 0)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        hops = self.asns[safe[on_path]].astype(np.uint32)
+
+        # Tags: every hop but the last, by its route class, while no
+        # earlier hop strips.
+        position = np.arange(ids.shape[1])
+        tagging = position < (lengths - 1)[:, None]
+        route_class = pref[base[:, None] + safe]
+        value = self.tags[safe, np.where(tagging, route_class, 0)]
+        strips = self.stripper[safe] & on_path
+        upstream = np.cumsum(strips, axis=1) - strips
+        survive = tagging & (upstream == 0) & (value != -1)
+        comm_route, comm_pos = np.nonzero(survive)
+        return CorpusColumns(
+            hops=hops,
+            offsets=offsets,
+            comm_route=comm_route.astype(np.int64),
+            comm_owner=self.asns[safe[comm_route, comm_pos]].astype(
+                np.uint32
+            ),
+            comm_value=value[comm_route, comm_pos],
+        )
+
+    def collect_blocks(
+        self, plane: PropagationPlane, origins: Sequence[int]
+    ) -> Iterator[CorpusColumns]:
+        """Propagate ``origins`` block by block and reduce each block."""
+        self.check_plane(plane)
+        ids = plane.ids(origins)
+        size = plane.block_size
+        for lo in range(0, len(ids), size):
+            yield self.reduce(plane.propagate(ids[lo : lo + size]))
 
 
 class RouteCollector:
@@ -196,6 +294,12 @@ class RouteCollector:
         self.strippers = strippers
         self.adjacency = AdjacencyIndex(topology.graph)
         self.workers = workers
+        self.reducer = RouteReducer(
+            plane_of(self.adjacency).asns,
+            self.vantage_points,
+            communities,
+            strippers,
+        )
 
     def collect(
         self,
@@ -205,47 +309,32 @@ class RouteCollector:
     ) -> PathCorpus:
         """Propagate every origin and record what the collector hears.
 
-        Per-origin routes are computed lazily and discarded, so the
-        memory footprint stays linear in the corpus, not quadratic in
-        the AS count.  Each origin yields flat
-        :class:`~repro.bgp.propagation.RouteArrays` columns straight off
-        the shared propagation plane.  Passing an existing ``corpus``
+        Origins run in blocks of :attr:`PropagationPlane.block_size`:
+        each block is propagated in one array pass, reduced to corpus
+        columns and ingested, so memory stays linear in the corpus, not
+        quadratic in the AS count.  Passing an existing ``corpus``
         merges this round into it (duplicate paths are dropped by the
         corpus); passing an ``adjacency`` overrides the topology view,
-        which is how churn rounds inject link failures.
+        which is how churn rounds inject link failures — its plane must
+        hold the same ASes.
 
-        With the collector-level ``workers`` set, the per-origin work —
-        propagation *and* its reduction to VP paths — runs in worker
-        processes; routes cross the process boundary as packed array
-        slabs (:class:`~repro.pipeline.columnar.RouteSlab`) and arrive
-        in the exact order the serial loop would produce them, so the
-        corpus is identical.
+        With the collector-level ``workers`` set, contiguous origin
+        chunks run the same block collection in worker processes; each
+        chunk's columns come back in submission order, so the corpus is
+        identical to the serial one.
         """
         if corpus is None:
             corpus = PathCorpus()
         if adjacency is None:
             adjacency = self.adjacency
-        if origins is None:
-            origins = adjacency.asns
-        if self.workers:
-            from repro.pipeline.parallel import ParallelPropagator
+        # Imported lazily: repro.pipeline sits above the BGP layer.
+        from repro.pipeline.parallel import ParallelPropagator
 
-            propagator = ParallelPropagator(adjacency, workers=self.workers)
-            corpus.add_routes(
-                propagator.collect_routes(
-                    self.vantage_points, self.communities, self.strippers,
-                    origins,
-                )
-            )
-            return corpus
-        for origin in origins:
-            routes = compute_origin_routes(adjacency, origin)
-            corpus.add_routes(
-                routes_for_origin(
-                    routes, self.vantage_points, self.communities,
-                    self.strippers,
-                )
-            )
+        parts = ParallelPropagator(
+            adjacency, workers=self.workers
+        ).collect_columns(self.reducer, origins)
+        for columns in parts:
+            corpus.ingest_columns(columns)
         return corpus
 
 
@@ -318,9 +407,7 @@ def collect_rounds(
         # Imported lazily: repro.adversarial sits above the BGP layer.
         from repro.adversarial.attacks import inject_attacks
 
-        inject_attacks(
-            topology, config, vps, communities, strippers, corpus
-        )
+        inject_attacks(collector, config, corpus)
     return corpus
 
 

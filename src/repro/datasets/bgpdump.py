@@ -40,7 +40,7 @@ def write_path_corpus(corpus: PathCorpus, path: Union[str, Path]) -> int:
 
 def read_path_corpus(path: Union[str, Path]) -> PathCorpus:
     """Parse a corpus file back into a fully-indexed :class:`PathCorpus`."""
-    corpus = PathCorpus()
+    routes: List[CollectedRoute] = []
     for line_no, raw in enumerate(
         Path(path).read_text(encoding="ascii").splitlines(), 1
     ):
@@ -57,7 +57,7 @@ def read_path_corpus(path: Union[str, Path]) -> PathCorpus:
         for token in community_part.split():
             owner_s, value_s = token.split(":", 1)
             communities.append((int(owner_s), int(value_s)))
-        corpus.add_route(
+        routes.append(
             CollectedRoute(
                 vp=as_path[0],
                 origin=as_path[-1],
@@ -65,4 +65,6 @@ def read_path_corpus(path: Union[str, Path]) -> PathCorpus:
                 communities=tuple(communities),
             )
         )
+    corpus = PathCorpus()
+    corpus.add_routes(routes)
     return corpus

@@ -64,16 +64,24 @@ class CollectedRoute:
 
 
 class PathCorpus:
-    """All collected routes plus the indices the paper's pipeline needs."""
+    """All collected routes plus the indices the paper's pipeline needs.
+
+    Routes are stored as the corpus columns they were ingested as, one
+    part per ingest, concatenated on first read.  Python-side views
+    (path tuples, the community dict, the VP set) and every derived
+    index are built lazily from the columns and dropped when routes are
+    added.
+    """
 
     def __init__(self) -> None:
-        self._paths: Optional[List[Path]] = []
-        self._seen_paths: Optional[Set[Path]] = set()
-        self._communities: Optional[Dict[int, Tuple[Community, ...]]] = {}
-        self._vp_set: Optional[Set[int]] = set()
-        #: Columnar backing (set when loaded from a cache artifact, or
-        #: built lazily from the accumulated paths).
-        self._columns: Optional["CorpusColumns"] = None
+        self._parts: List["CorpusColumns"] = []
+        self._n_routes = 0
+        #: Dedup keys of the stored paths (``None`` until the first
+        #: ingest into a corpus wrapped around existing columns).
+        self._seen: Optional[Set[bytes]] = set()
+        self._paths: Optional[List[Path]] = None
+        self._communities: Optional[Dict[int, Tuple[Community, ...]]] = None
+        self._vp_set: Optional[Set[int]] = None
         self._index: Optional["ColumnarIndices"] = None
         self._memo: Dict[str, Any] = {}
 
@@ -85,90 +93,109 @@ class PathCorpus:
         """Wrap pre-built (possibly memory-mapped) corpus columns.
 
         Paths, communities and the dedup set materialise lazily, only
-        when a consumer actually iterates routes — the inference hot
-        path never does, so a warm cache load stays near-zero-copy.
+        when a consumer actually iterates routes or adds more — the
+        inference hot path never does, so a warm cache load stays
+        near-zero-copy.
         """
         corpus = cls()
-        corpus._columns = columns
-        corpus._paths = None
-        corpus._seen_paths = None
-        corpus._communities = None
-        corpus._vp_set = None
+        corpus._parts = [columns]
+        corpus._n_routes = columns.n_routes
+        corpus._seen = None
         return corpus
 
-    def add_route(self, route: CollectedRoute) -> bool:
-        """Index one collected route.
+    def ingest_columns(self, columns: "CorpusColumns") -> int:
+        """Append routes given as corpus columns; returns how many were
+        new.
 
         Identical paths (same VP, origin, and hops — and therefore the
         same communities, which are deterministic per path) are stored
-        once; re-adding returns ``False``.  This keeps multi-round
-        (churn) collection linear in the number of *distinct* routes.
+        once: the first one seen is kept, later ones are dropped.  This
+        keeps multi-round (churn) collection linear in the number of
+        *distinct* routes.
         """
-        path = route.path
-        if len(path) < 1:
-            raise ValueError("empty AS path")
-        if path[0] != route.vp or path[-1] != route.origin:
-            raise ValueError("path endpoints disagree with vp/origin")
-        self._materialise()
-        if path in self._seen_paths:
-            return False
-        self._seen_paths.add(path)
-        index = len(self._paths)
-        self._paths.append(path)
-        if route.communities:
-            self._communities[index] = route.communities
-        self._vp_set.add(route.vp)
+        if self._seen is None:
+            self._seen = set(self.columns().path_keys())
+        seen = self._seen
+        fresh: List[int] = []
+        for index, key in enumerate(columns.path_keys()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(index)
+        if not fresh:
+            return 0
+        if len(fresh) < columns.n_routes:
+            columns = columns.take(np.array(fresh, dtype=np.int64))
+        self._parts.append(columns)
+        self._n_routes += len(fresh)
         self._invalidate()
-        return True
+        return len(fresh)
+
+    def add_route(self, route: CollectedRoute) -> bool:
+        """Index one collected route; ``False`` when its path is
+        already stored (see :meth:`ingest_columns`)."""
+        return self.add_routes((route,)) == 1
 
     def add_routes(self, routes: Iterable[CollectedRoute]) -> int:
         """Bulk :meth:`add_route`; returns the number actually added."""
-        added = 0
+        from repro.pipeline.columnar import CorpusColumns
+
+        paths: List[Path] = []
+        communities: Dict[int, Tuple[Community, ...]] = {}
         for route in routes:
-            if self.add_route(route):
-                added += 1
-        return added
+            path = route.path
+            if len(path) < 1:
+                raise ValueError("empty AS path")
+            if path[0] != route.vp or path[-1] != route.origin:
+                raise ValueError("path endpoints disagree with vp/origin")
+            if route.communities:
+                communities[len(paths)] = route.communities
+            paths.append(path)
+        columns = CorpusColumns.from_paths(paths, communities)
+        return self.ingest_columns(columns)
 
     def _invalidate(self) -> None:
-        self._columns = None
+        self._paths = None
+        self._communities = None
+        self._vp_set = None
         self._index = None
         if self._memo:
             self._memo = {}
 
     def _materialise(self) -> None:
-        """Rebuild the Python-side route storage from the columns."""
+        """Build the path tuples from the columns."""
         if self._paths is not None:
             return
-        cols = self._columns
+        cols = self.columns()
         hops = cols.hops.tolist()
         offsets = cols.offsets.tolist()
         self._paths = [
             tuple(hops[offsets[i] : offsets[i + 1]])
             for i in range(len(offsets) - 1)
         ]
-        self._seen_paths = set(self._paths)
-        if self._communities is None:
-            self._communities = cols.communities_dict()
-        if self._vp_set is None:
-            self._vp_set = {path[0] for path in self._paths}
 
     def _ensure_communities(self) -> Dict[int, Tuple[Community, ...]]:
         if self._communities is None:
-            self._communities = self._columns.communities_dict()
+            self._communities = self.columns().communities_dict()
         return self._communities
 
     # ------------------------------------------------------------------
     # columnar machinery
     # ------------------------------------------------------------------
     def columns(self) -> "CorpusColumns":
-        """The corpus as CSR columns (built once, reused by the cache)."""
-        if self._columns is None:
+        """The corpus as CSR columns (ingested parts concatenated once,
+        reused by the cache)."""
+        if len(self._parts) != 1:
             from repro.pipeline.columnar import CorpusColumns
 
-            self._columns = CorpusColumns.from_paths(
-                self._paths, self._communities
-            )
-        return self._columns
+            self._parts = [
+                CorpusColumns.concat(self._parts)
+                if self._parts
+                else CorpusColumns.from_paths([], {})
+            ]
+            # Reading ends an ingest phase: the dedup keys are rebuilt
+            # from the columns if routes are ever added again.
+            self._seen = None
+        return self._parts[0]
 
     def columnar_index(self) -> "ColumnarIndices":
         """The vectorized index (built once, reused by every view)."""
@@ -206,9 +233,7 @@ class PathCorpus:
     # raw access
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._paths is not None:
-            return len(self._paths)
-        return self._columns.n_routes
+        return self._n_routes
 
     def paths(self) -> Iterator[Path]:
         self._materialise()
@@ -217,18 +242,19 @@ class PathCorpus:
     def routes(self) -> Iterator[CollectedRoute]:
         """Re-materialise :class:`CollectedRoute` objects."""
         self._materialise()
+        communities = self._ensure_communities()
         for index, path in enumerate(self._paths):
             yield CollectedRoute(
                 vp=path[0],
                 origin=path[-1],
                 path=path,
-                communities=self._communities.get(index, ()),
+                communities=communities.get(index, ()),
             )
 
     @property
     def vantage_points(self) -> FrozenSet[int]:
         if self._vp_set is None:
-            self._vp_set = set(self._columns.vp_column().tolist())
+            self._vp_set = set(self.columns().vp_column().tolist())
         return frozenset(self._vp_set)
 
     # ------------------------------------------------------------------
@@ -313,21 +339,19 @@ class PathCorpus:
     def routes_with_communities(self) -> Iterator[CollectedRoute]:
         """Only the routes that still carry at least one community."""
         self._materialise()
-        for index in sorted(self._communities):
+        communities = self._ensure_communities()
+        for index in sorted(communities):
             path = self._paths[index]
             yield CollectedRoute(
                 vp=path[0],
                 origin=path[-1],
                 path=path,
-                communities=self._communities[index],
+                communities=communities[index],
             )
 
     def stats(self) -> Dict[str, int]:
         index = self.columnar_index()
-        if self._communities is not None:
-            n_with_communities = len(self._communities)
-        else:
-            n_with_communities = self._columns.n_community_routes()
+        n_with_communities = self.columns().n_community_routes()
         return {
             "n_routes": len(self),
             "n_vps": len(self.vantage_points),
@@ -376,35 +400,8 @@ def filter_by_vps(corpus: PathCorpus, vps: Set[int]) -> PathCorpus:
     view of the world.  The sub-corpus is sliced directly out of the
     CSR columns — no per-route Python loop.
     """
-    from repro.pipeline.columnar import CorpusColumns
-
     cols = corpus.columns()
     vp_list = sorted(v for v in vps if 0 <= v <= 0xFFFFFFFF)
     vp_arr = np.fromiter(vp_list, dtype=np.uint32, count=len(vp_list))
-    keep = np.isin(cols.vp_column(), vp_arr)
-    keep_routes = np.flatnonzero(keep)
-    lengths = cols.lengths()
-    new_lengths = lengths[keep_routes]
-    new_offsets = np.zeros(len(keep_routes) + 1, dtype=np.int64)
-    np.cumsum(new_lengths, out=new_offsets[1:])
-    new_hops = np.ascontiguousarray(cols.hops[np.repeat(keep, lengths)])
-    if len(cols.comm_route):
-        comm_keep = np.isin(cols.comm_route, keep_routes)
-        new_comm_route = np.searchsorted(
-            keep_routes, cols.comm_route[comm_keep]
-        ).astype(np.int64)
-        new_comm_owner = np.ascontiguousarray(cols.comm_owner[comm_keep])
-        new_comm_value = np.ascontiguousarray(cols.comm_value[comm_keep])
-    else:
-        new_comm_route = np.empty(0, dtype=np.int64)
-        new_comm_owner = np.empty(0, dtype=np.uint32)
-        new_comm_value = np.empty(0, dtype=np.int64)
-    return PathCorpus.from_columns(
-        CorpusColumns(
-            hops=new_hops,
-            offsets=new_offsets,
-            comm_route=new_comm_route,
-            comm_owner=new_comm_owner,
-            comm_value=new_comm_value,
-        )
-    )
+    keep_routes = np.flatnonzero(np.isin(cols.vp_column(), vp_arr))
+    return PathCorpus.from_columns(cols.take(keep_routes))

@@ -1,4 +1,4 @@
-"""Columnar path-corpus engine: CSR storage, vectorized indices, slabs.
+"""Columnar path-corpus engine: CSR storage and vectorized indices.
 
 The corpus layout every consumer used to pay for — one Python tuple per
 AS path plus dict/set indices built route by route — dominates both
@@ -17,8 +17,6 @@ storage with a numpy-backed columnar representation:
   Python loops.  Link and AS ids are interned via sorted unique arrays;
   directed pairs and (link, vp) pairs are packed into ``uint64`` words
   so deduplication is a single ``np.unique``.
-* :class:`RouteSlab` — a pickling-friendly array bundle that parallel
-  collection workers ship instead of lists of per-route tuples.
 * :func:`write_corpus_columns` / :func:`read_corpus_columns` — a
   compact binary artifact format (magic + JSON section directory +
   64-byte-aligned little-endian sections) that the artifact cache
@@ -157,6 +155,57 @@ class CorpusColumns:
             comm_owner=np.array(owners, dtype=np.uint32),
             comm_value=np.array(values, dtype=np.int64),
         )
+
+    @classmethod
+    def concat(cls, parts: Sequence["CorpusColumns"]) -> "CorpusColumns":
+        """The routes of ``parts`` one after another, as one set of
+        columns."""
+        if len(parts) == 1:
+            return parts[0]
+        hop_base = np.cumsum([0] + [len(part.hops) for part in parts[:-1]])
+        route_base = np.cumsum([0] + [part.n_routes for part in parts[:-1]])
+        return cls(
+            hops=np.concatenate([part.hops for part in parts]),
+            offsets=np.concatenate(
+                [parts[0].offsets[:1]]
+                + [
+                    part.offsets[1:] + base
+                    for part, base in zip(parts, hop_base)
+                ]
+            ),
+            comm_route=np.concatenate(
+                [
+                    part.comm_route + base
+                    for part, base in zip(parts, route_base)
+                ]
+            ),
+            comm_owner=np.concatenate([part.comm_owner for part in parts]),
+            comm_value=np.concatenate([part.comm_value for part in parts]),
+        )
+
+    def take(self, routes: np.ndarray) -> "CorpusColumns":
+        """The columns of the routes at ascending indices ``routes``."""
+        keep = np.zeros(self.n_routes, dtype=bool)
+        keep[routes] = True
+        lengths = self.lengths()
+        offsets = np.zeros(len(routes) + 1, dtype=np.int64)
+        np.cumsum(lengths[routes], out=offsets[1:])
+        comm_keep = keep[self.comm_route]
+        return CorpusColumns(
+            hops=np.ascontiguousarray(self.hops[np.repeat(keep, lengths)]),
+            offsets=offsets,
+            comm_route=np.searchsorted(
+                routes, self.comm_route[comm_keep]
+            ).astype(np.int64),
+            comm_owner=np.ascontiguousarray(self.comm_owner[comm_keep]),
+            comm_value=np.ascontiguousarray(self.comm_value[comm_keep]),
+        )
+
+    def path_keys(self) -> List[bytes]:
+        """One exact, hashable key per route: its hops' bytes."""
+        raw = np.ascontiguousarray(self.hops, dtype="<u4").tobytes()
+        bounds = (self.offsets * 4).tolist()
+        return [raw[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------
     @property
@@ -674,61 +723,6 @@ class ColumnarIndices:
             "index_bytes": indices,
             "total_bytes": int(total),
         }
-
-
-# ---------------------------------------------------------------------------
-# parallel-worker slabs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RouteSlab:
-    """A chunk of collected routes packed into arrays for cheap IPC.
-
-    Pickling a :class:`RouteSlab` serialises five contiguous buffers
-    instead of thousands of nested tuples; the receiving side unpacks
-    into :class:`~repro.datasets.paths.CollectedRoute` objects that are
-    identical (``==``) to what the serial collector would have built.
-    """
-
-    columns: CorpusColumns
-
-    def __len__(self) -> int:
-        return self.columns.n_routes
-
-
-def pack_route_slab(routes: Sequence[Any]) -> RouteSlab:
-    """Pack an ordered route list into a :class:`RouteSlab`."""
-    # The pack boundary: one attribute read per CollectedRoute object
-    # is unavoidable when converting objects into columnar buffers.
-    paths = [route.path for route in routes]  # repro: noqa[PERF001]
-    communities = {
-        index: route.communities
-        for index, route in enumerate(routes)
-        if route.communities
-    }
-    return RouteSlab(columns=CorpusColumns.from_paths(paths, communities))
-
-
-def unpack_route_slab(slab: RouteSlab) -> List[Any]:
-    """Rebuild the exact route list a :func:`pack_route_slab` consumed."""
-    from repro.datasets.paths import CollectedRoute
-
-    cols = slab.columns
-    hops = cols.hops.tolist()
-    offsets = cols.offsets.tolist()
-    communities = cols.communities_dict()
-    routes: List[Any] = []
-    for index in range(cols.n_routes):
-        path = tuple(hops[offsets[index]:offsets[index + 1]])
-        routes.append(
-            CollectedRoute(
-                vp=path[0],
-                origin=path[-1],
-                path=path,
-                communities=communities.get(index, ()),
-            )
-        )
-    return routes
 
 
 # ---------------------------------------------------------------------------

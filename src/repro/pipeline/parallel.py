@@ -9,37 +9,40 @@ the output stream *indistinguishable* from the serial code:
 * origins are split into contiguous chunks and submitted in order;
 * results are yielded strictly in submission order (origin-major), so
   consumers observe the same sequence the serial loop produces;
-* inside a worker the same :func:`~repro.bgp.propagation.compute_origin_routes`
-  / :func:`~repro.bgp.collectors.routes_for_origin` code runs, so each
-  route is identical, not merely equivalent — the differential tests
-  in ``tests/pipeline/`` assert byte-identical serialisations.
+* inside a worker the collector's own
+  :class:`~repro.bgp.collectors.RouteReducer` runs the same block
+  collection as the serial loop, so each route is identical, not merely
+  equivalent — the differential tests in ``tests/pipeline/`` assert
+  byte-identical corpus artifacts.
 
 ``workers=0`` falls back to plain in-process iteration (no executor,
 no pickling), which is also the default everywhere; ``workers=None`` or
 a negative count auto-sizes to the machine's CPU count.
 
-The heavy, shared inputs (adjacency index, vantage points, community
-registry, stripper set) travel to each worker exactly once via the pool
-initializer instead of once per task, which keeps the per-chunk payload
-down to a list of origin ASNs.
+One worker pool serves every collection round of the process: the
+converged round, the churn rounds and any later build with the same
+worker count reuse its processes, so only the first round pays process
+start-up.  Each chunk carries its round's propagation plane and reducer
+— a few flat arrays that pickle in O(bytes) — so a warm worker needs no
+per-round initialisation.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import compute_origin_routes, plane_of
+from repro.bgp.propagation import PropagationPlane, plane_of
 
 #: More worker processes than this is a typo, not a deployment.
 MAX_WORKERS = 256
 
-#: Per-process worker state, populated by the pool initializer.  Plain
-#: module globals are the standard multiprocessing idiom: the dict is
-#: filled once per worker process and read by every chunk it executes.
-_WORKER_STATE: Dict[str, Any] = {}
+#: The process-wide worker pool, keyed by its worker count; replaced
+#: when a different count is asked for.
+_POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -72,43 +75,28 @@ def _chunk(origins: Sequence[int], workers: int) -> List[Sequence[int]]:
 # worker functions (module-level so they pickle under every start method)
 # ---------------------------------------------------------------------------
 
-def _init_collect_worker(
-    adjacency: AdjacencyIndex,
-    vantage_points: Sequence[Any],
-    communities: Any,
-    strippers: Any,
-) -> None:
-    _WORKER_STATE["adjacency"] = adjacency
-    _WORKER_STATE["vantage_points"] = list(vantage_points)
-    _WORKER_STATE["communities"] = communities
-    _WORKER_STATE["strippers"] = strippers
-    # The CSR compilation is the only super-per-origin cost of
-    # propagation; building it here keeps every chunk a pure array pass.
-    plane_of(adjacency)
+def _collect_chunk(
+    plane: PropagationPlane, reducer: Any, origins: Sequence[int]
+) -> Any:
+    from repro.pipeline.columnar import CorpusColumns
+
+    # One set of columns per chunk: a few contiguous buffers pickle in
+    # O(bytes), and the parent ingests them as they are.
+    return CorpusColumns.concat(list(reducer.collect_blocks(plane, origins)))
 
 
-def _collect_chunk(origins: Sequence[int]) -> Any:
-    # Imported here (not at module top) so that worker processes under
-    # the ``spawn`` start method import the minimal closure they need.
-    from repro.bgp.collectors import routes_for_origin
-    from repro.pipeline.columnar import pack_route_slab
-
-    adjacency = _WORKER_STATE["adjacency"]
-    vantage_points = _WORKER_STATE["vantage_points"]
-    communities = _WORKER_STATE["communities"]
-    strippers = _WORKER_STATE["strippers"]
-    routes: List[Any] = []
-    for origin in origins:
-        origin_routes = compute_origin_routes(adjacency, origin)
-        routes.extend(
-            routes_for_origin(
-                origin_routes, vantage_points, communities, strippers
-            )
-        )
-    # Ship the chunk as an array slab: five contiguous buffers pickle in
-    # O(bytes) instead of one object graph per route, and the parent
-    # unpacks into routes identical to what the serial loop builds.
-    return pack_route_slab(routes)
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide pool of ``workers`` processes, started on first
+    use and kept for later rounds."""
+    pool = _POOLS.get(workers)
+    if pool is None:
+        # Join the old pool before forking the new one: no executor
+        # thread of it may hold a lock across the fork.
+        for stale in _POOLS.values():
+            stale.shutdown()
+        _POOLS.clear()
+        pool = _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
+    return pool
 
 
 class ParallelPropagator:
@@ -129,42 +117,31 @@ class ParallelPropagator:
         self.adjacency = adjacency
         self.workers = 0 if workers == 0 else resolve_workers(workers)
 
-    def collect_routes(
-        self,
-        vantage_points: Sequence[Any],
-        communities: Any,
-        strippers: Any,
-        origins: Optional[Iterable[int]] = None,
+    def collect_columns(
+        self, reducer: Any, origins: Optional[Iterable[int]] = None
     ) -> Iterator[Any]:
-        """Yield the collector-visible routes of every origin, in the
-        exact order the serial :class:`~repro.bgp.collectors.RouteCollector`
+        """Yield the collector-visible routes of every origin as
+        :class:`~repro.pipeline.columnar.CorpusColumns`, in the exact
+        order the serial :class:`~repro.bgp.collectors.RouteCollector`
         records them (origin-major, vantage-point order within).
 
-        Each origin's routes are computed *and reduced to VP paths
-        inside the worker*, and each chunk's routes cross the process
-        boundary as one packed :class:`~repro.pipeline.columnar.RouteSlab`
-        (flat numpy buffers) instead of a list of per-route tuple
-        graphs — per-origin route arrays never travel at all.
+        Each worker of the shared pool runs the block collection of
+        :meth:`~repro.bgp.collectors.RouteReducer.collect_blocks` over a
+        contiguous chunk of origins with the collector's own reducer and
+        this round's plane; per-origin route arrays never cross the
+        process boundary.
         """
-        from repro.bgp.collectors import routes_for_origin
-        from repro.pipeline.columnar import unpack_route_slab
-
-        origin_list = list(origins) if origins is not None else list(self.adjacency.asns)
+        origin_list = list(
+            self.adjacency.asns if origins is None else origins
+        )
+        plane = plane_of(self.adjacency)
         if self.workers == 0 or len(origin_list) <= 1:
-            for origin in origin_list:
-                origin_routes = compute_origin_routes(self.adjacency, origin)
-                yield from routes_for_origin(
-                    origin_routes, vantage_points, communities, strippers
-                )
+            yield from reducer.collect_blocks(plane, origin_list)
             return
-        initargs = (self.adjacency, list(vantage_points), communities, strippers)
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_collect_worker,
-            initargs=initargs,
-        ) as pool:
+        pool = _shared_pool(self.workers)
+        try:
             futures = [
-                pool.submit(_collect_chunk, chunk)
+                pool.submit(_collect_chunk, plane, reducer, chunk)
                 for chunk in _chunk(origin_list, self.workers)
             ]
             # Futures are drained in submission order, which gives the
@@ -172,4 +149,9 @@ class ParallelPropagator:
             # rely on — whatever order the workers *finish* in is
             # invisible to the caller.
             for future in futures:
-                yield from unpack_route_slab(future.result())
+                yield future.result()
+        except BrokenProcessPool:
+            # A dead worker breaks the pool for good: drop it so the
+            # next round starts a fresh one.
+            _POOLS.pop(self.workers, None)
+            raise

@@ -1,8 +1,10 @@
 """Attack planning, joint two-source propagation, and corpus pollution,
 verified by hand on the tiny topology.
 
-The hand-checked propagation cases run against both the shipped
-vectorized engine and the test-only reference engine.
+The hand-checked cases run against both the shipped vectorized engine
+and the test-only reference engine; collected pollution goes through
+the shipped reducer for the former and the scalar reference collector
+for the latter.
 
 Tiny-graph facts the cases below lean on (see tests/conftest.py):
 AS200 is a customer of AS40; AS300 is a customer of AS30 *and* AS40;
@@ -16,21 +18,21 @@ import pytest
 
 from repro.adversarial.attacks import (
     AttackEvent,
-    AttackView,
     event_blocked_set,
     inject_attacks,
     plan_events,
 )
 from repro.adversarial.policies import resolve_deployments
-from repro.bgp.collectors import VantagePoint, routes_for_origin
+from repro.bgp.collectors import RouteCollector, RouteReducer, VantagePoint
 from repro.bgp.communities import CommunityRegistry
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_attack_routes
+from repro.bgp.propagation import RouteArrays, compute_attack_routes
 from repro.config import AdversarialConfig, ScenarioConfig
 from repro.datasets.paths import PathCorpus
 from repro.topology.generator import generate_topology
 from repro.utils.rng import make_rng
 from tests.bgp import reference_engine
+from tests.bgp.reference_collector import AttackTreeView, routes_for_origin
 
 
 #: Joint-route engines under test: (adjacency, origin, attacker,
@@ -44,6 +46,15 @@ ENGINES = {
 @pytest.fixture(params=sorted(ENGINES))
 def attack_routes(request):
     return ENGINES[request.param]
+
+
+def src_of(joint, asn: int) -> int:
+    """Provenance of an AS's best route (0 legit, 1 attack), read from
+    either engine's joint routes."""
+    if isinstance(joint, RouteArrays):
+        i = joint.plane.id_or_none(asn)
+        return 0 if i is None else int(joint.src_arr[i])
+    return joint.src.get(asn, 0)
 
 
 class TestJointPropagation:
@@ -60,11 +71,10 @@ class TestJointPropagation:
         assert joint.path_from(30) == (30, 300)
         assert joint.path_from(10) == (10, 30, 300)
         # Provenance marks each side.
-        view = AttackView(joint, AttackEvent("hijack_origin", 200, 300))
-        assert view.src_of(40) == 1
-        assert view.src_of(50) == 1          # (50, 40, 200)
-        assert view.src_of(30) == 0
-        assert view.src_of(10) == 0
+        assert src_of(joint, 40) == 1
+        assert src_of(joint, 50) == 1        # (50, 40, 200)
+        assert src_of(joint, 30) == 0
+        assert src_of(joint, 10) == 0
 
     def test_rpki_deployer_rejects_origin_hijack(
         self, tiny_graph, attack_routes
@@ -99,12 +109,12 @@ class TestJointPropagation:
         joint = attack_routes(
             adj, 100, 40, event.claim_dist, blocked=set(event.suffix)
         )
-        view = AttackView(joint, event, tag_override=RouteClass.PEER)
         assert joint.pref[20] is RouteClass.CUSTOMER
-        assert view.src_of(20) == 1
-        assert view.path_from(20) == (20, 40, 30, 100)
-        # The leaker's own table still says peer-learned.
-        assert view.pref[40] is RouteClass.PEER
+        assert src_of(joint, 20) == 1
+        assert joint.path_from(20) + event.suffix == (20, 40, 30, 100)
+        # The leaker's own table still says peer-learned: the class the
+        # attack round tags the leaker's hop with.
+        assert adj.route_class(40, event.suffix[0]) is RouteClass.PEER
         # Suffix ASes are loop-blocked and keep their clean routes.
         assert joint.path_from(30) == (30, 100)
         assert joint.pref[30] is RouteClass.CUSTOMER
@@ -140,10 +150,22 @@ class TestJointPropagation:
 
 
 class TestCollectedPollution:
-    def _collect(self, tiny_graph, view, vps):
+    def _collect(self, tiny_graph, joint, event, vps, tag_override=None):
+        """The event's collected routes: the shipped reducer on
+        vectorized routes, the reference collector on reference
+        trees."""
         communities = CommunityRegistry.build(
             tiny_graph.asns(), make_rng(5)
         )
+        if isinstance(joint, RouteArrays):
+            reducer = RouteReducer(
+                joint.plane.asns, vps, communities, strippers=set()
+            )
+            columns = reducer.reduce(
+                joint, suffix=event.suffix, tag_override=tag_override
+            )
+            return list(PathCorpus.from_columns(columns).routes())
+        view = AttackTreeView(joint, event.suffix, tag_override)
         return routes_for_origin(view, vps, communities, strippers=set())
 
     def test_hijacked_routes_record_the_attacker_as_origin(
@@ -153,7 +175,7 @@ class TestCollectedPollution:
         event = AttackEvent("hijack_origin", 200, 300)
         joint = attack_routes(adj, 300, 200, 0, blocked=())
         routes = self._collect(
-            tiny_graph, AttackView(joint, event),
+            tiny_graph, joint, event,
             [VantagePoint(40, True), VantagePoint(10, True)],
         )
         by_vp = {route.vp: route for route in routes}
@@ -173,7 +195,7 @@ class TestCollectedPollution:
             adj, 300, 200, 1, blocked=event_blocked_set(event, {})
         )
         routes = self._collect(
-            tiny_graph, AttackView(joint, event), [VantagePoint(200, True)]
+            tiny_graph, joint, event, [VantagePoint(200, True)]
         )
         assert routes[0].path == (200, 300)
         assert routes[0].origin == 300
@@ -189,9 +211,9 @@ class TestCollectedPollution:
         joint = attack_routes(
             adj, 100, 40, 2, blocked=set(event.suffix)
         )
-        view = AttackView(joint, event, tag_override=RouteClass.PEER)
         routes = self._collect(
-            tiny_graph, view, [VantagePoint(40, False)]
+            tiny_graph, joint, event, [VantagePoint(40, False)],
+            tag_override=(40, RouteClass.PEER),
         )
         # A partial feeder exports SELF/CUSTOMER routes only; the
         # leaker's table honestly says peer-learned, so the leak is
@@ -280,8 +302,9 @@ class TestEventPlanning:
         corpus = PathCorpus()
         for route in clean.routes():
             corpus.add_route(route)
-        events = inject_attacks(
-            small_topology, config, vps, communities, strippers, corpus
+        collector = RouteCollector(
+            small_topology, vps, communities, strippers
         )
+        events = inject_attacks(collector, config, corpus)
         assert len(events) == 2
         assert len(corpus) >= len(clean)

@@ -31,7 +31,6 @@ from repro.bgp.policy import AdjacencyIndex, RouteClass
 from repro.bgp.propagation import (
     RouteArrays,
     compute_origin_routes,
-    plane_of,
 )
 from repro.datasets.asrel import write_asrel
 from repro.datasets.bgpdump import write_path_corpus
@@ -181,10 +180,9 @@ def test_engines_identical_on_random_topologies(seed):
     """The plane and the reference engine agree AS-for-AS, every origin."""
     graph = random_policy_graph(seed)
     adj = AdjacencyIndex(graph)
-    plane = plane_of(adj)
     for origin in adj.asns:
         _assert_same_tree(
-            as_tree(plane.propagate(origin)),
+            as_tree(compute_origin_routes(adj, origin)),
             reference_engine.compute_route_tree(adj, origin),
             origin,
         )
@@ -336,16 +334,14 @@ def _check_invariants(adj: AdjacencyIndex, routes: RouteArrays) -> None:
 def test_route_invariants_on_random_topologies(seed):
     graph = random_policy_graph(seed)
     adj = AdjacencyIndex(graph)
-    plane = plane_of(adj)
     for origin in adj.asns:
-        _check_invariants(adj, plane.propagate(origin))
+        _check_invariants(adj, compute_origin_routes(adj, origin))
 
 
 def test_route_invariants_on_tiny_graph(tiny_graph):
     adj = AdjacencyIndex(tiny_graph)
-    plane = plane_of(adj)
     for origin in adj.asns:
-        _check_invariants(adj, plane.propagate(origin))
+        _check_invariants(adj, compute_origin_routes(adj, origin))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,7 @@ def test_route_invariants_on_tiny_graph(tiny_graph):
 
 def test_route_arrays_protocol_matches_tree(tiny_graph):
     adj = AdjacencyIndex(tiny_graph)
-    arrays = plane_of(adj).propagate(10)
+    arrays = compute_origin_routes(adj, 10)
     tree = as_tree(arrays)
     for asn in adj.asns:
         assert arrays.has_route(asn) == tree.has_route(asn)

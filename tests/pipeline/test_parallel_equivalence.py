@@ -1,7 +1,7 @@
 """Differential tests: parallel execution must be invisible.
 
 The property under test is strict — not "statistically equivalent" but
-*byte-identical*: collected route streams, serialised path corpora, and
+*byte-identical*: collected corpus columns, serialised path corpora, and
 inference outputs produced with worker processes must match the serial
 pipeline exactly, across seeds and worker counts.  Anything weaker would let a
 perf refactor silently move the paper's numbers.
@@ -9,21 +9,28 @@ perf refactor silently move the paper's numbers.
 
 from __future__ import annotations
 
+import os
+import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from repro import ParallelPropagator, ScenarioConfig, build_scenario
 from repro.bgp.collectors import (
+    RouteCollector,
     collect_corpus,
     measurement_setup,
-    routes_for_origin,
 )
-from repro.bgp.policy import AdjacencyIndex
 from repro.bgp.propagation import compute_origin_routes
 from repro.datasets.asrel import write_asrel
 from repro.datasets.bgpdump import write_path_corpus
+from repro.datasets.paths import PathCorpus
+from repro.pipeline import parallel
+from repro.pipeline.columnar import write_corpus_columns
 from repro.topology.generator import generate_topology
+from tests.bgp.reference_collector import routes_for_origin
 
 #: Three seeds, per the acceptance criteria; kept small so the whole
 #: differential layer stays in the seconds range on one core.
@@ -59,57 +66,81 @@ def rels_bytes(rels, tmp_path, name: str) -> bytes:
 
 @lru_cache(maxsize=None)
 def collection_inputs(seed: int):
-    """(adjacency, vantage points, communities, strippers) of a seed."""
+    """(topology, vantage points, communities, strippers) of a seed."""
     config = tiny_config(seed)
     topology = generate_topology(config)
     vps, communities, strippers = measurement_setup(topology, config)
-    return AdjacencyIndex(topology.graph), vps, communities, strippers
+    return topology, vps, communities, strippers
 
 
-def serial_routes(adjacency, vps, communities, strippers, origins):
-    """The serial collector's route stream, origin-major."""
-    return [
-        route
-        for origin in origins
-        for route in routes_for_origin(
-            compute_origin_routes(adjacency, origin),
-            vps, communities, strippers,
-        )
-    ]
+@lru_cache(maxsize=None)
+def collected_npc(seed: int, workers: int) -> bytes:
+    """``corpus.npc`` bytes of one converged collection round."""
+    topology, vps, communities, strippers = collection_inputs(seed)
+    corpus = RouteCollector(
+        topology, vps, communities, strippers, workers=workers
+    ).collect()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.npc"
+        write_corpus_columns(corpus.columns(), path)
+        return path.read_bytes()
 
 
 class TestCollectRoutes:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_match_serial(self, seed, workers):
-        adjacency, vps, communities, strippers = collection_inputs(seed)
-        origins = adjacency.asns
-        serial = serial_routes(adjacency, vps, communities, strippers, origins)
-        parallel = list(
-            ParallelPropagator(adjacency, workers=workers).collect_routes(
-                vps, communities, strippers, origins
-            )
-        )
-        assert serial
-        # Route for route, in the same order; ``repr`` also pins the
-        # element types (plain ints after the slab round trip).
-        assert parallel == serial
-        assert [repr(route) for route in parallel] == [
-            repr(route) for route in serial
-        ]
+        serial = collected_npc(seed, 0)
+        assert len(serial) > 1000
+        assert collected_npc(seed, workers) == serial
 
     def test_single_origin_stays_in_process(self):
-        adjacency, vps, communities, strippers = collection_inputs(SEEDS[0])
+        topology, vps, communities, strippers = collection_inputs(SEEDS[0])
+        collector = RouteCollector(topology, vps, communities, strippers)
+        adjacency = collector.adjacency
         origin = adjacency.asns[0]
         # len(origins) <= 1 short-circuits the pool entirely.
-        routes = list(
-            ParallelPropagator(adjacency, workers=4).collect_routes(
-                vps, communities, strippers, [origin]
-            )
+        (columns,) = ParallelPropagator(
+            adjacency, workers=4
+        ).collect_columns(collector.reducer, [origin])
+        expected = routes_for_origin(
+            compute_origin_routes(adjacency, origin),
+            vps, communities, strippers,
         )
-        assert routes == serial_routes(
-            adjacency, vps, communities, strippers, [origin]
+        assert expected
+        assert list(PathCorpus.from_columns(columns).routes()) == expected
+
+
+class TestSharedPool:
+    """One pool serves every round; a broken one is replaced."""
+
+    def test_rounds_reuse_one_pool(self):
+        assert collected_npc(SEEDS[0], 2) == collected_npc(SEEDS[0], 0)
+        pool = parallel._shared_pool(2)
+        topology, vps, communities, strippers = collection_inputs(SEEDS[1])
+        RouteCollector(
+            topology, vps, communities, strippers, workers=2
+        ).collect()
+        assert parallel._shared_pool(2) is pool
+        assert parallel._shared_pool(1) is not pool
+        assert list(parallel._POOLS) == [1]
+
+    def test_broken_pool_is_replaced(self):
+        pool = parallel._shared_pool(2)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os._exit, 1).result()
+        topology, vps, communities, strippers = collection_inputs(SEEDS[0])
+        collector = RouteCollector(
+            topology, vps, communities, strippers, workers=2
         )
+        with pytest.raises(BrokenProcessPool):
+            collector.collect()
+        corpus = collector.collect()
+        assert parallel._shared_pool(2) is not pool
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.npc"
+            write_corpus_columns(corpus.columns(), path)
+            assert path.read_bytes() == collected_npc(SEEDS[0], 0)
 
 
 class TestCorpusEquivalence:

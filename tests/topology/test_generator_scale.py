@@ -154,12 +154,11 @@ class TestHundredKScale:
         assert _edge_set(first) == _edge_set(second)
 
         from repro.bgp.policy import AdjacencyIndex
-        from repro.bgp.propagation import plane_of
+        from repro.bgp.propagation import compute_origin_routes
 
         adjacency = AdjacencyIndex(first.graph)
-        plane = plane_of(adjacency)
         for origin in adjacency.asns[:10]:
-            routes = plane.propagate(origin)
+            routes = compute_origin_routes(adjacency, origin)
             assert len(routes.routed_ids()) > 50_000
         elapsed = time.perf_counter() - start
         rss_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6

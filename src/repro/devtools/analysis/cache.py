@@ -1,18 +1,31 @@
-"""Content-hash cache for per-module analysis summaries.
+"""Content-hash cache of per-module lint entries.
 
-A summary is a pure function of ``(ANALYSIS_VERSION, extraction config,
-relpath, source bytes)``, so the cache key is simply the SHA-256 of
-that tuple and no invalidation protocol is needed: editing a file,
-bumping the analysis version, or changing an extraction knob all
-produce a different key, and the stale entry is never read again
-(a sweep of very old files can reclaim the directory at leisure).
+One entry holds everything the lint derives from one module's bytes:
+its analysis summary, the selected module rules' raw findings (before
+any suppression) and its ``# repro: noqa`` markers.  An entry is a pure
+function of five things, so the cache key is the SHA-256 of them and no
+invalidation protocol is needed:
+
+* ``ANALYSIS_VERSION``;
+* :func:`module_config_digest` — every ``LintConfig`` field that shapes
+  an entry, plus the selected module-rule ids;
+* :func:`code_digest` — the ``repro.devtools`` sources that compute an
+  entry (and the interpreter that runs them), so an edited rule can
+  never serve stale findings;
+* the module's relpath;
+* its source.
+
+Editing any of them produces a different key, and the stale entry is
+never read again (a sweep of very old files can reclaim the directory
+at leisure).
 
 Entries are single JSON files, written atomically (unique temp name +
-``os.replace``) with sorted keys and no timestamps, so a given summary
+``os.replace``) with sorted keys and no timestamps, so a given entry
 serialises byte-identically on every run and the cache directory
-itself diffs cleanly.  A belt-and-braces ``analysis_version`` field
-inside each entry is re-checked on load so a manually copied or
-tampered file from another version is rejected rather than trusted.
+itself diffs cleanly.  Each loaded entry is re-checked — its
+``analysis_version`` field and the shape of every per-file field — so
+a manually copied, truncated or tampered file is a miss rather than a
+crash.
 """
 
 from __future__ import annotations
@@ -20,10 +33,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.devtools.analysis import summaries as _summaries
+from repro.devtools.findings import Finding
+from repro.devtools.registry import scoped_rule_ids
+from repro.devtools.suppressions import SuppressionIndex
+
+#: The ``LintConfig`` fields that shape an entry: the summarizer's
+#: extraction knob and every module-rule knob.  Selection enters the
+#: digest as the resolved module-rule ids; the remaining fields are read
+#: by program rules only.
+ENTRY_CONFIG_FIELDS = (
+    "perf_hot_names",
+    "det001_exempt",
+    "det003_contexts",
+    "first_party",
+    "allowed_imports",
+    "extra_allowed_imports",
+    "tree_allowed_imports",
+)
+
+_DEVTOOLS_ROOT = Path(__file__).resolve().parent.parent
 
 
 def default_cache_root() -> Path:
@@ -33,18 +68,98 @@ def default_cache_root() -> Path:
     return base / "analysis"
 
 
+@lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Digest of the ``repro.devtools`` sources and the interpreter tag.
+
+    Computed once per process.  The interpreter tag is in because the
+    ``ast`` shapes and DEP001's stdlib list come with the interpreter.
+    """
+    digest = hashlib.sha256(sys.implementation.cache_tag.encode("utf-8"))
+    for path in sorted(_DEVTOOLS_ROOT.rglob("*.py")):
+        digest.update(path.relative_to(_DEVTOOLS_ROOT).as_posix()
+                      .encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def module_config_digest(config) -> str:
+    """Digest of the config fields and module rules that shape an entry."""
+    payload = repr((
+        tuple((name, tuple(getattr(config, name)))
+              for name in ENTRY_CONFIG_FIELDS),
+        tuple(scoped_rule_ids(config.select, config.ignore, "module")),
+    ))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
 def summary_key(relpath: str, source: str, config_digest: str) -> str:
-    """The content hash addressing one module summary."""
+    """The content hash addressing one module's entry."""
     payload = (
         f"repro-analysis:{_summaries.ANALYSIS_VERSION}:"
-        f"{config_digest}:{relpath}:".encode("utf-8")
+        f"{config_digest}:{code_digest()}:{relpath}:".encode("utf-8")
         + source.encode("utf-8")
     )
     return hashlib.sha256(payload).hexdigest()
 
 
+@dataclass
+class ModuleEntry:
+    """Everything the lint derives from one module's bytes."""
+
+    #: The analysis summary; ``None`` when the run has no program pass
+    #: (such an entry is never stored).
+    summary: Optional[Dict[str, Any]]
+    #: The selected module rules' findings, before suppression.
+    findings: List[Finding]
+    #: The module's noqa markers, none of them used yet.
+    suppressions: SuppressionIndex
+
+    def document(self) -> Dict[str, Any]:
+        """The JSON document stored for this entry."""
+        return {
+            "analysis_version": _summaries.ANALYSIS_VERSION,
+            "summary": self.summary,
+            "findings": [[f.line, f.col, f.rule_id, f.message]
+                         for f in self.findings],
+            "markers": self.suppressions.markers(),
+        }
+
+    @classmethod
+    def from_document(cls, document: Dict[str, Any],
+                      relpath: str) -> "ModuleEntry":
+        """The entry a :meth:`SummaryCache.get` document holds."""
+        return cls(
+            summary=document["summary"],
+            findings=[Finding(relpath, *row)
+                      for row in document["findings"]],
+            suppressions=SuppressionIndex.from_markers(
+                document["markers"]),
+        )
+
+
+def _rows(rows: Any, types: Sequence[Any]) -> bool:
+    """True when ``rows`` is a list of lists typed column by column."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == len(types)
+        and all(isinstance(value, kind)
+                for value, kind in zip(row, types))
+        for row in rows
+    )
+
+
+def _well_formed(document: Any) -> bool:
+    return (isinstance(document, dict)
+            and document.get("analysis_version")
+            == _summaries.ANALYSIS_VERSION
+            and isinstance(document.get("summary"), dict)
+            and _rows(document.get("findings"), (int, int, str, str))
+            and _rows(document.get("markers"),
+                      (int, int, (str, type(None)))))
+
+
 class SummaryCache:
-    """On-disk summary store keyed by content hash (see module doc)."""
+    """On-disk entry store keyed by content hash (see module doc)."""
 
     def __init__(self, root: Optional[Path] = None):
         self.root = Path(root) if root is not None else default_cache_root()
@@ -57,21 +172,19 @@ class SummaryCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored document under ``key``, or ``None`` (a miss)."""
         path = self._path_for(key)
         try:
             document = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (not isinstance(document, dict)
-                or document.get("analysis_version")
-                != _summaries.ANALYSIS_VERSION):
+            document = None
+        if not _well_formed(document):
             self.misses += 1
             return None
         self.hits += 1
         return document
 
-    def put(self, key: str, summary: Dict[str, Any]) -> None:
+    def put(self, key: str, document: Dict[str, Any]) -> None:
         path = self._path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -79,7 +192,7 @@ class SummaryCache:
             tmp = path.with_name(
                 f".{path.name}.{os.getpid()}.{self._counter}.tmp")
             tmp.write_text(
-                json.dumps(summary, sort_keys=True,
+                json.dumps(document, sort_keys=True,
                            separators=(",", ":")) + "\n",
                 encoding="utf-8",
             )

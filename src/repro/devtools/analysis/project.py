@@ -1,61 +1,76 @@
-"""Assemble a :class:`ProjectGraph` from files, through the cache.
+"""Per-module lint entries through the cache, and the project graph.
 
-The engine hands over the ``(relpath, source, tree)`` triples it
-already parsed for the per-file pass, so a cold whole-program run costs
-one summary extraction per module on top of normal linting, and a warm
-run (cache hit) costs only the content hash.
+:class:`ModuleEntries` is the one place a module's entry is produced:
+served from the cache on a hit (no parse, no rule walk, no tokenize),
+otherwise parsed, walked by the selected module rules, scanned for noqa
+markers and summarised, then stored once.  The engine's per-file loop
+and ``--call-graph`` (through :func:`build_project`) both use it, so
+they share every entry.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.devtools.analysis.cache import SummaryCache, summary_key
+from repro.devtools.analysis.cache import (
+    ModuleEntry,
+    SummaryCache,
+    module_config_digest,
+    summary_key,
+)
 from repro.devtools.analysis.graph import ProjectGraph
 from repro.devtools.analysis.summaries import summarize_module
+from repro.devtools.engine import check_module
+from repro.devtools.registry import scoped_rule_ids
+from repro.devtools.suppressions import SuppressionIndex
 
 
-def extraction_config_digest(config) -> str:
-    """Digest of the LintConfig knobs that shape summary *extraction*.
+class ModuleEntries:
+    """The entries of one run's modules (see module docstring).
 
-    Rule-time knobs (sink contexts, entry-point modules) do not
-    invalidate cached summaries — only knobs that change what the
-    summarizer records do.
+    ``summarize`` is off only for runs without a program pass; those
+    never have a cache either.
     """
-    payload = repr(tuple(config.perf_hot_names))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    def __init__(self, config, cache: Optional[SummaryCache] = None,
+                 summarize: bool = True):
+        self.config = config
+        self.cache = cache
+        self.summarize = summarize
+        self.module_ids = scoped_rule_ids(config.select, config.ignore,
+                                          "module")
+        self._digest = module_config_digest(config)
+
+    def entry(self, relpath: str, source: str,
+              tree: Optional[ast.Module] = None) -> ModuleEntry:
+        """The entry for one module; raises ``SyntaxError`` on a miss
+        whose source does not parse (such files are never stored)."""
+        if self.cache is not None:
+            key = summary_key(relpath, source, self._digest)
+            document = self.cache.get(key)
+            if document is not None:
+                return ModuleEntry.from_document(document, relpath)
+        if tree is None:
+            tree = ast.parse(source, filename=relpath)
+        findings = check_module(relpath, source, tree, self.config,
+                                self.module_ids)
+        suppressions = SuppressionIndex.from_source(source)
+        summary = (summarize_module(relpath, tree,
+                                    tuple(self.config.perf_hot_names))
+                   if self.summarize else None)
+        entry = ModuleEntry(summary, findings, suppressions)
+        if self.cache is not None:
+            self.cache.put(key, entry.document())
+        return entry
 
 
-def build_project(
-    items: Iterable[Tuple[str, str, Optional[ast.Module]]],
-    config,
+def project_graph(
+    summaries: List[Dict[str, Any]],
     cache: Optional[SummaryCache] = None,
 ) -> Tuple[ProjectGraph, Dict[str, int]]:
-    """``(graph, cache stats)`` for ``(relpath, source, tree)`` items.
-
-    ``tree`` may be ``None`` for files that did not parse (they carry a
-    SYN001 finding from the per-file pass); such files contribute no
-    summary.  When ``tree`` is ``None`` but the source *does* parse
-    (the --call-graph path reads files itself), it is parsed here.
-    """
-    digest = extraction_config_digest(config)
-    summaries: List[Dict[str, Any]] = []
-    for relpath, source, tree in items:
-        key = summary_key(relpath, source, digest)
-        summary = cache.get(key) if cache is not None else None
-        if summary is None:
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=relpath)
-                except SyntaxError:
-                    continue
-            summary = summarize_module(
-                relpath, tree, tuple(config.perf_hot_names))
-            if cache is not None:
-                cache.put(key, summary)
-        summaries.append(summary)
+    """``(graph, stats)``: the call graph plus module/edge and cache
+    counts."""
     graph = ProjectGraph(summaries)
     stats = dict(graph.stats())
     if cache is not None:
@@ -63,3 +78,23 @@ def build_project(
     else:
         stats.update({"hits": 0, "misses": len(summaries), "stores": 0})
     return graph, stats
+
+
+def build_project(
+    items: Iterable[Tuple[str, str, Optional[ast.Module]]],
+    config,
+    cache: Optional[SummaryCache] = None,
+) -> Tuple[ProjectGraph, Dict[str, int]]:
+    """``(graph, stats)`` for ``(relpath, source, tree)`` items.
+
+    ``tree`` may be ``None``; the source is then parsed on a cache miss.
+    Files that do not parse contribute no summary.
+    """
+    modules = ModuleEntries(config, cache)
+    summaries: List[Dict[str, Any]] = []
+    for relpath, source, tree in items:
+        try:
+            summaries.append(modules.entry(relpath, source, tree).summary)
+        except SyntaxError:
+            continue
+    return project_graph(summaries, cache)

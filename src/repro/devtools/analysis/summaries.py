@@ -21,7 +21,7 @@ JSON-able dict of the facts the interprocedural rules need:
 
 Summaries are pure values: byte-stable under ``json.dumps(sort_keys)``
 and a function of (source, ANALYSIS_VERSION, extraction config), which
-is exactly what makes the on-disk summary cache sound.
+is exactly what makes the on-disk module cache sound.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from repro.devtools.rules.determinism import (
     _unordered_core,
 )
 
-#: Bumped whenever summary extraction or the rule families change in a
-#: way that invalidates cached summaries.
-ANALYSIS_VERSION = 1
+#: The module cache's entry layout version.  Edits to extraction or to
+#: any rule need no bump: the cache key's code digest covers them.
+ANALYSIS_VERSION = 2
 
 #: Unseeded numpy bit generators: ``np.random.PCG64()`` without a seed
 #: draws OS entropy exactly like ``default_rng()`` — and is invisible

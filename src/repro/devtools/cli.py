@@ -71,12 +71,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="print resolved call edges (optionally "
                              "filtered to callers under PREFIX) and exit")
     parser.add_argument("--analysis-cache", default=None, metavar="DIR",
-                        help="directory for whole-program summary cache "
+                        help="directory for the whole-program module cache "
                              "(default: $REPRO_CACHE_DIR or "
                              "~/.cache/repro)")
     parser.add_argument("--no-analysis-cache", action="store_true",
                         default=False,
-                        help="disable the summary cache for this run")
+                        help="disable the module cache for this run")
     parser.add_argument("--verbose", action="store_true", default=False,
                         help="also show baselined findings (text format)")
     parser.add_argument("--list-rules", action="store_true", default=False,

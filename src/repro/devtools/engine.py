@@ -2,10 +2,11 @@
 
 One :func:`run_lint` call is the whole pipeline::
 
-    discover files -> parse -> annotate parents -> walk once,
-    dispatching nodes to interested rules -> apply noqa suppressions
-    (tracking use) -> report unused suppressions -> partition against
-    the baseline -> LintResult
+    discover files -> per module, its cache entry or: parse ->
+    annotate parents -> walk once, dispatching nodes to interested
+    rules -> read noqa markers (-> summarise) -> apply noqa
+    suppressions (tracking use) -> [program pass] -> report unused
+    suppressions -> partition against the baseline -> LintResult
 
 The engine itself obeys the contracts it enforces: no wall-clock, no
 unsorted iteration anywhere near output, and a result that is a pure
@@ -24,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.devtools.baseline import Baseline
 from repro.devtools.findings import Finding, sorted_findings
-from repro.devtools.registry import Rule, all_rules, resolve_rule_ids
+from repro.devtools.registry import Rule, all_rules, scoped_rule_ids
 from repro.devtools.suppressions import (
     UNUSED_SUPPRESSION_ID,
     SuppressionIndex,
@@ -96,7 +97,6 @@ class LintConfig:
 class ModuleContext:
     """Per-file state shared by every rule during one walk."""
 
-    path: Path
     relpath: str
     source: str
     tree: ast.Module
@@ -228,6 +228,24 @@ def _annotate_parents(tree: ast.Module) -> None:
             child._lint_parent = parent  # type: ignore[attr-defined]
 
 
+def check_module(relpath: str, source: str, tree: ast.Module,
+                 config: LintConfig,
+                 module_ids: Sequence[str]) -> List[Finding]:
+    """The raw (unsuppressed) findings of the module rules
+    ``module_ids`` on one parsed file, in walk order."""
+    registry = all_rules()
+    _annotate_parents(tree)
+    rules = [registry[rule_id]() for rule_id in module_ids]
+    ctx = ModuleContext(relpath=relpath, source=source, tree=tree,
+                        config=config)
+    for rule in rules:
+        rule.begin_module(ctx)
+    Walker(rules, ctx).visit(tree)
+    for rule in rules:
+        rule.end_module(ctx)
+    return ctx.findings
+
+
 def run_lint(
     paths: Sequence[Union[str, Path]],
     config: Optional[LintConfig] = None,
@@ -237,36 +255,37 @@ def run_lint(
 ) -> LintResult:
     """Lint ``paths`` and partition the findings against ``baseline``.
 
-    With ``whole_program=True`` the per-file pass is followed by the
-    interprocedural pass: every parsed tree is summarised (through
-    ``summary_cache`` when one is given), the summaries are assembled
-    into a project call graph, and each registered program-scope rule
-    runs against it.  ``# repro: noqa`` markers apply to program
-    findings exactly as to per-file ones, and the unused-suppression
-    check (SUP001) is deferred until both passes have had the chance
-    to consume markers.
+    With ``whole_program=True`` the per-file pass also summarises every
+    module, the summaries are assembled into a project call graph, and
+    each registered program-scope rule runs against it.  Given a
+    ``summary_cache``, such a run serves each unchanged module's
+    summary, raw module-rule findings and noqa markers from its cache
+    entry, and parses, walks and tokenizes only the modules that miss.
+    ``# repro: noqa`` markers apply to program findings exactly as to
+    per-file ones, and the unused-suppression check (SUP001) is
+    deferred until both passes have had the chance to consume markers.
     """
+    from repro.devtools.analysis.project import ModuleEntries, project_graph
+
     config = config or LintConfig()
     registry = all_rules()
-    rule_ids = resolve_rule_ids(config.select, config.ignore)
-    module_ids = [rid for rid in rule_ids
-                  if registry[rid].scope == "module"]
-    program_ids = [rid for rid in rule_ids
-                   if registry[rid].scope == "program"]
+    program_ids = scoped_rule_ids(config.select, config.ignore, "program")
+    program_pass = whole_program and bool(program_ids)
+    cache = summary_cache if program_pass else None
+    modules = ModuleEntries(config, cache, summarize=program_pass)
     files = discover_files(paths)
 
     raw: List[Finding] = []
     suppressed_total = 0
-    # (relpath, source, tree-or-None, suppression index) per file, kept
-    # so the program pass reuses the parses and the markers.
-    per_file: List[Tuple[str, str, Optional[ast.Module],
+    # (relpath, summary-or-None, suppression index) per file, kept so
+    # the program pass reuses the summaries and the markers.
+    per_file: List[Tuple[str, Optional[Dict[str, object]],
                          SuppressionIndex]] = []
     for path in files:
         relpath = _relpath(path)
         source = path.read_text(encoding="utf-8")
         try:
-            tree: Optional[ast.Module] = ast.parse(
-                source, filename=str(path))
+            entry = modules.entry(relpath, source)
         except SyntaxError as exc:
             raw.append(Finding(
                 path=relpath,
@@ -275,36 +294,24 @@ def run_lint(
                 rule_id=SYNTAX_ERROR_ID,
                 message=f"file does not parse: {exc.msg}",
             ))
-            per_file.append((relpath, source, None,
+            per_file.append((relpath, None,
                              SuppressionIndex.from_source(source)))
             continue
-        _annotate_parents(tree)
-        rules = [registry[rule_id]() for rule_id in module_ids]
-        ctx = ModuleContext(path=path, relpath=relpath, source=source,
-                            tree=tree, config=config)
-        for rule in rules:
-            rule.begin_module(ctx)
-        Walker(rules, ctx).visit(tree)
-        for rule in rules:
-            rule.end_module(ctx)
-        suppressions = SuppressionIndex.from_source(source)
-        for finding in ctx.findings:
-            if suppressions.suppresses(finding.line, finding.rule_id):
+        for finding in entry.findings:
+            if entry.suppressions.suppresses(finding.line,
+                                             finding.rule_id):
                 suppressed_total += 1
             else:
                 raw.append(finding)
-        per_file.append((relpath, source, tree, suppressions))
+        per_file.append((relpath, entry.summary, entry.suppressions))
 
     analysis: Optional[Dict[str, object]] = None
-    if whole_program and program_ids:
-        from repro.devtools.analysis.project import build_project
-
-        project, analysis = build_project(
-            [(relpath, source, tree)
-             for relpath, source, tree, _ in per_file],
-            config, summary_cache)
+    if program_pass:
+        project, analysis = project_graph(
+            [summary for _, summary, _ in per_file if summary is not None],
+            cache)
         markers_by_path = {relpath: index
-                           for relpath, _, _, index in per_file}
+                           for relpath, _, index in per_file}
         for rule_id in program_ids:
             for finding in registry[rule_id]().check_program(project,
                                                             config):
@@ -318,8 +325,9 @@ def run_lint(
     # Markers naming program rules only count as "active" when the
     # program pass actually ran — a per-file-only run cannot tell
     # whether they would have matched.
-    active_ids = module_ids + (program_ids if whole_program else [])
-    for relpath, _source, _tree, suppressions in per_file:
+    active_ids = modules.module_ids + (program_ids if whole_program
+                                       else [])
+    for relpath, _summary, suppressions in per_file:
         for marker in suppressions.unused(active_ids):
             raw.append(Finding(
                 path=relpath,

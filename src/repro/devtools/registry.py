@@ -102,6 +102,15 @@ def resolve_rule_ids(
     return [rid for rid in chosen if rid not in ignored]
 
 
+def scoped_rule_ids(select: Optional[Iterable[str]],
+                    ignore: Optional[Iterable[str]],
+                    scope: str) -> List[str]:
+    """The selected rule ids of one ``scope`` ("module"/"program")."""
+    registry = all_rules()
+    return [rid for rid in resolve_rule_ids(select, ignore)
+            if registry[rid].scope == scope]
+
+
 # ---------------------------------------------------------------------------
 # shared AST helpers
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
             f"whole-program: {stats.get('modules', 0)} modules, "
             f"{stats.get('functions', 0)} functions, "
             f"{stats.get('call_edges', 0)} call edges "
-            f"(summary cache: {stats.get('hits', 0)} hit(s), "
+            f"(module cache: {stats.get('hits', 0)} hit(s), "
             f"{stats.get('misses', 0)} miss(es))"
         )
     return "\n".join(lines)

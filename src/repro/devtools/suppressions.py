@@ -59,6 +59,9 @@ class SuppressionIndex:
     @classmethod
     def from_source(cls, source: str) -> "SuppressionIndex":
         by_line: Dict[int, List[Suppression]] = {}
+        if "noqa" not in source:
+            # Exact, not a heuristic: every marker contains the literal.
+            return cls(by_line)
         try:
             tokens = tokenize.generate_tokens(io.StringIO(source).readline)
             for token in tokens:
@@ -88,6 +91,31 @@ class SuppressionIndex:
             # no suppressions.
             pass
         return cls(by_line)
+
+    @classmethod
+    def from_markers(cls, rows: List[list]) -> "SuppressionIndex":
+        """The index :meth:`markers` serialised (every marker unused)."""
+        by_line: Dict[int, List[Suppression]] = {}
+        for line, col, ids in rows:
+            rule_ids = (None if ids is None
+                        else frozenset(filter(None, ids.split(","))))
+            by_line.setdefault(line, []).append(
+                Suppression(line=line, col=col, rule_ids=rule_ids))
+        return cls(by_line)
+
+    def markers(self) -> List[list]:
+        """Every marker as a JSON row ``[line, col, ids]``, in order.
+
+        ``ids`` is the comma-joined sorted rule ids, or ``None`` for
+        the bare form.
+        """
+        return [
+            [marker.line, marker.col,
+             None if marker.rule_ids is None
+             else ",".join(sorted(marker.rule_ids))]
+            for line in sorted(self._by_line)
+            for marker in self._by_line[line]
+        ]
 
     def suppresses(self, line: int, rule_id: str) -> bool:
         """True (and marks the marker used) if the finding is covered."""

@@ -15,7 +15,7 @@ from repro.devtools import LintConfig, run_lint
 from repro.devtools.analysis import (
     SummaryCache,
     build_project,
-    extraction_config_digest,
+    module_config_digest,
     summary_key,
 )
 from repro.devtools.analysis import summaries as summaries_mod
@@ -47,7 +47,7 @@ def test_cold_then_warm_hit_counts(tmp_path):
 
 
 def test_edit_changes_the_key_and_invalidates(tmp_path):
-    digest = extraction_config_digest(LintConfig())
+    digest = module_config_digest(LintConfig())
     before = summary_key("m.py", "def f():\n    return 1\n", digest)
     after = summary_key("m.py", "def f():\n    return 2\n", digest)
     assert before != after
@@ -71,10 +71,10 @@ def test_edit_changes_the_key_and_invalidates(tmp_path):
 def test_extraction_config_changes_the_key():
     source = "def f():\n    return 1\n"
     a = summary_key("m.py", source,
-                    extraction_config_digest(LintConfig()))
+                    module_config_digest(LintConfig()))
     b = summary_key(
         "m.py", source,
-        extraction_config_digest(
+        module_config_digest(
             LintConfig(perf_hot_names=("corpus",))))
     assert a != b
 
@@ -90,7 +90,7 @@ def test_version_bump_rejects_stale_summaries(tmp_path, monkeypatch):
     monkeypatch.setattr(summaries_mod, "ANALYSIS_VERSION",
                         summaries_mod.ANALYSIS_VERSION + 1)
     stale = SummaryCache(tmp_path / "c")
-    digest = extraction_config_digest(LintConfig())
+    digest = module_config_digest(LintConfig())
     for path in sorted((FIXTURES / "flowpkg").glob("*.py")):
         key = summary_key(str(path),
                           path.read_text(encoding="utf-8"), digest)

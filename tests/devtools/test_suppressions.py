@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from repro.devtools import LintConfig, run_lint
+from repro.devtools import suppressions
 from repro.devtools.suppressions import (
     UNUSED_SUPPRESSION_ID,
     SuppressionIndex,
@@ -76,3 +77,36 @@ def test_case_insensitive_rule_ids_in_marker(tmp_path):
     result = run_lint([target], LintConfig(select=["DET002"]))
     assert result.findings == []
     assert result.suppressed == 1
+
+
+def test_sources_without_a_marker_give_no_markers(monkeypatch):
+    # The only "noqa" sits in a string literal: tokenized, no marker.
+    in_string = SuppressionIndex.from_source(
+        's = "# repro: noqa[DET001]"  # a plain comment\n')
+    assert in_string.markers() == []
+    assert in_string.unused() == []
+
+    # No "noqa" anywhere: answered without tokenizing.
+    def no_tokenize(*args, **kwargs):
+        raise AssertionError("tokenized a source with no noqa")
+
+    monkeypatch.setattr(suppressions.tokenize, "generate_tokens",
+                        no_tokenize)
+    none = SuppressionIndex.from_source("x = 1  # a plain comment\n")
+    assert none.markers() == []
+    assert none.unused() == []
+
+
+def test_markers_round_trip():
+    index = SuppressionIndex.from_source(
+        "a = 1  # repro: noqa\n"
+        "b = 2  # repro: noqa[det002, DET001]\n"
+        "c = 3  # repro: noqa[]\n"
+    )
+    rows = index.markers()
+    assert rows == [[1, 8, None], [2, 8, "DET001,DET002"], [3, 8, ""]]
+    rebuilt = SuppressionIndex.from_markers(rows)
+    assert rebuilt.markers() == rows
+    assert rebuilt.suppresses(2, "DET002")
+    assert not rebuilt.suppresses(3, "DET002")
+    assert [marker.line for marker in rebuilt.unused()] == [1, 3]

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.communities import Community, CommunityRegistry, Meaning
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import RouteArrays, compute_origin_routes
+from repro.bgp.propagation import RouteArrays, plane_of
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType
 
@@ -60,7 +60,10 @@ class LookingGlass:
         Only routes the neighbour's export policy permits on this
         session are returned: towards a peer or provider the neighbour
         exports its own and (unrestricted) customer routes; towards a
-        customer it exports everything it uses.
+        customer it exports everything it uses.  Entries come in origin
+        order.  The session's origins are propagated in blocks of
+        ``plane.block_size`` and each entry is read off its block row;
+        no route outlives the call.
         """
         graph = self.topology.graph
         if not graph.has_link(asn, from_neighbor):
@@ -70,11 +73,18 @@ class LookingGlass:
             link.rel is RelType.P2C and link.provider == from_neighbor
         )
         origins = self._exportable_origins(from_neighbor, neighbor_exports_all)
+        plane = plane_of(self.adjacency)
+        ids = plane.ids(sorted(origins))
+        step = plane.block_size
         received: List[ReceivedRoute] = []
-        for origin in sorted(origins):
-            entry = self._received_route(asn, from_neighbor, origin, link)
-            if entry is not None:
-                received.append(entry)
+        for start in range(0, len(ids), step):
+            block = plane.propagate(ids[start:start + step])
+            for b in range(len(block)):
+                entry = self._received_route(
+                    asn, from_neighbor, block.row(b), link
+                )
+                if entry is not None:
+                    received.append(entry)
         return received
 
     def _exportable_origins(self, neighbor: int, exports_all: bool) -> Set[int]:
@@ -90,12 +100,11 @@ class LookingGlass:
         return {neighbor} | cone
 
     def _received_route(
-        self, asn: int, neighbor: int, origin: int, link
+        self, asn: int, neighbor: int, routes: RouteArrays, link
     ) -> Optional[ReceivedRoute]:
-        routes = compute_origin_routes(self.adjacency, origin)
         if not routes.has_route(neighbor):
             return None
-        if not self._neighbor_would_export(asn, neighbor, origin, routes, link):
+        if not self._neighbor_would_export(neighbor, routes, link):
             return None
         path = routes.path_from(neighbor)
         assert path is not None
@@ -104,10 +113,12 @@ class LookingGlass:
         communities = self._communities_as_received(
             asn, neighbor, path, routes, link
         )
-        return ReceivedRoute(origin=origin, path=path, communities=communities)
+        return ReceivedRoute(
+            origin=routes.origin, path=path, communities=communities
+        )
 
     def _neighbor_would_export(
-        self, asn: int, neighbor: int, origin: int, routes: RouteArrays, link
+        self, neighbor: int, routes: RouteArrays, link
     ) -> bool:
         """Export policy of the neighbour towards ``asn``."""
         if link.rel is RelType.P2C and link.provider == neighbor:

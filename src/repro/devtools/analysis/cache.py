@@ -3,7 +3,7 @@
 One entry holds everything the lint derives from one module's bytes:
 its analysis summary, the selected module rules' raw findings (before
 any suppression) and its ``# repro: noqa`` markers.  An entry is a pure
-function of five things, so the cache key is the SHA-256 of them and no
+function of six things, so the cache key is the SHA-256 of them and no
 invalidation protocol is needed:
 
 * ``ANALYSIS_VERSION``;
@@ -13,6 +13,9 @@ invalidation protocol is needed:
   entry (and the interpreter that runs them), so an edited rule can
   never serve stale findings;
 * the module's relpath;
+* its dotted name and package flag, which depend on which parent
+  directories hold ``__init__.py`` (adding or removing one renames the
+  module without touching its bytes);
 * its source.
 
 Editing any of them produces a different key, and the stale entry is
@@ -37,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.devtools.analysis import summaries as _summaries
 from repro.devtools.findings import Finding
@@ -93,11 +96,19 @@ def module_config_digest(config) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def summary_key(relpath: str, source: str, config_digest: str) -> str:
-    """The content hash addressing one module's entry."""
+def summary_key(relpath: str, source: str, config_digest: str,
+                module: Optional[Tuple[str, bool]] = None) -> str:
+    """The content hash addressing one module's entry.
+
+    ``module`` is the ``(dotted name, is_package)`` pair
+    :func:`~repro.devtools.analysis.summaries.module_name_for` gives
+    ``relpath``; it is derived when not given.
+    """
+    name, is_package = module or _summaries.module_name_for(Path(relpath))
     payload = (
         f"repro-analysis:{_summaries.ANALYSIS_VERSION}:"
-        f"{config_digest}:{code_digest()}:{relpath}:".encode("utf-8")
+        f"{config_digest}:{code_digest()}:{relpath}:{name}:"
+        f"{int(is_package)}:".encode("utf-8")
         + source.encode("utf-8")
     )
     return hashlib.sha256(payload).hexdigest()

@@ -11,6 +11,7 @@ they share every entry.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.devtools.analysis.cache import (
@@ -20,7 +21,7 @@ from repro.devtools.analysis.cache import (
     summary_key,
 )
 from repro.devtools.analysis.graph import ProjectGraph
-from repro.devtools.analysis.summaries import summarize_module
+from repro.devtools.analysis.summaries import module_name_for, summarize_module
 from repro.devtools.engine import check_module
 from repro.devtools.registry import scoped_rule_ids
 from repro.devtools.suppressions import SuppressionIndex
@@ -46,8 +47,9 @@ class ModuleEntries:
               tree: Optional[ast.Module] = None) -> ModuleEntry:
         """The entry for one module; raises ``SyntaxError`` on a miss
         whose source does not parse (such files are never stored)."""
+        module = module_name_for(Path(relpath))
         if self.cache is not None:
-            key = summary_key(relpath, source, self._digest)
+            key = summary_key(relpath, source, self._digest, module)
             document = self.cache.get(key)
             if document is not None:
                 return ModuleEntry.from_document(document, relpath)
@@ -57,7 +59,8 @@ class ModuleEntries:
                                 self.module_ids)
         suppressions = SuppressionIndex.from_source(source)
         summary = (summarize_module(relpath, tree,
-                                    tuple(self.config.perf_hot_names))
+                                    tuple(self.config.perf_hot_names),
+                                    module)
                    if self.summarize else None)
         entry = ModuleEntry(summary, findings, suppressions)
         if self.cache is not None:

@@ -564,9 +564,15 @@ class _Summarizer(ast.NodeVisitor):
 
 
 def summarize_module(relpath: str, tree: ast.Module,
-                     hot_names: Tuple[str, ...]) -> Dict[str, Any]:
-    """The analysis summary of one parsed module (see module docstring)."""
-    module, is_package = module_name_for(Path(relpath))
+                     hot_names: Tuple[str, ...],
+                     module: Optional[Tuple[str, bool]] = None
+                     ) -> Dict[str, Any]:
+    """The analysis summary of one parsed module (see module docstring).
+
+    ``module`` is :func:`module_name_for`'s answer for ``relpath``; it
+    is derived when not given.
+    """
+    module, is_package = module or module_name_for(Path(relpath))
     visitor = _Summarizer(module, is_package, tree, hot_names)
     visitor.visit(tree)
     return {

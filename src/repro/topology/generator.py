@@ -37,7 +37,9 @@ from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.ixp import IXP, IXPRegistry
 from repro.topology.orgs import Organisation, OrgMap
 from repro.topology.regions import Region, RegionMap
-from repro.utils.rng import child_rng, weighted_choice
+from repro.utils.rng import (
+    child_rng, draw_from_cdf, weighted_choice, weights_to_cdf,
+)
 
 #: Real-world-flavoured ASNs for the clique, assigned in order per
 #: region.  AS174 (the Cogent-like member) is always the designated
@@ -58,6 +60,9 @@ _SPECIAL_REGION_ORDER: Tuple[Region, ...] = (
     Region.ARIN, Region.RIPE, Region.APNIC, Region.LACNIC, Region.AFRINIC,
 )
 
+#: Provider regions in draw order (enum order).
+_REGIONS: Tuple[Region, ...] = tuple(Region)
+
 #: Business types used to diversify stubs (§6: the S-T1 errors stem from
 #: "the broad aggregation of many diverse business models into a single
 #: Stub class").
@@ -69,6 +74,37 @@ SPECIAL_BUSINESS_TYPES: Tuple[str, ...] = (
 )
 
 _ORDINARY_BUSINESS_TYPES: Tuple[str, ...] = ("enterprise", "eyeball")
+#: Draw weights of ``_ORDINARY_BUSINESS_TYPES``, as a cdf.
+_ORDINARY_BUSINESS_CDF = weights_to_cdf([0.7, 0.3])
+
+#: Provider-tier mix per customer role, as ``(tiers, cdf of their
+#: weights)``.  Stubs buy transit everywhere, including directly from
+#: Tier-1s (the S-T1 class of Figure 2 is mostly P2C for that reason;
+#: real Tier-1s hold by far the largest direct customer bases, which is
+#: also what makes transit degree a usable rank signal).
+_PROVIDER_TIERS: Dict[Role, Tuple[Tuple[Role, ...], np.ndarray]] = {
+    role: (tuple(tier for tier, _ in mix),
+           weights_to_cdf([weight for _, weight in mix]))
+    for role, mix in {
+        Role.LARGE_TRANSIT: [(Role.CLIQUE, 1.0)],
+        Role.MID_TRANSIT: [(Role.LARGE_TRANSIT, 0.65), (Role.CLIQUE, 0.35)],
+        Role.SMALL_TRANSIT: [
+            (Role.MID_TRANSIT, 0.56),
+            (Role.LARGE_TRANSIT, 0.36),
+            (Role.CLIQUE, 0.08),
+        ],
+        Role.HYPERGIANT: [(Role.CLIQUE, 0.6), (Role.LARGE_TRANSIT, 0.4)],
+        Role.STUB: [
+            (Role.CLIQUE, 0.18),
+            (Role.LARGE_TRANSIT, 0.25),
+            (Role.MID_TRANSIT, 0.31),
+            (Role.SMALL_TRANSIT, 0.26),
+        ],
+    }.items()
+}
+
+#: Provider counts a customer draws from ``provider_count_probs``.
+_PROVIDER_COUNTS: Tuple[int, ...] = (1, 2, 3)
 
 #: Above this AS count the generator registers the overflow 32-bit
 #: blocks (the base blocks cannot hold ~100k ASes) and the 16-bit
@@ -331,11 +367,9 @@ class TopologyGenerator:
             for _ in range(n_small):
                 self._add_node(region, Role.SMALL_TRANSIT)
             for _ in range(n_stub):
-                business = str(
-                    weighted_choice(
-                        self._rng_roles, _ORDINARY_BUSINESS_TYPES, [0.7, 0.3]
-                    )
-                )
+                business = _ORDINARY_BUSINESS_TYPES[
+                    draw_from_cdf(self._rng_roles, _ORDINARY_BUSINESS_CDF)
+                ]
                 self._add_node(region, Role.STUB, business_type=business)
         self._apply_transfers()
 
@@ -416,6 +450,12 @@ class TopologyGenerator:
             ]
             self._region_transit[region] = transit
             self._region_transit_set[region] = set(transit)
+        # Provider-region cdf per customer region (a row of
+        # ``provider_region_matrix`` over ``_REGIONS``).
+        self._region_cdfs: Dict[Region, np.ndarray] = {
+            region: weights_to_cdf([row[r] for r in _REGIONS])
+            for region, row in self.topo_cfg.provider_region_matrix.items()
+        }
 
     def _pool_entry(
         self, role: Role, pool: List[int]
@@ -498,43 +538,14 @@ class TopologyGenerator:
                 lo, hi = link_key(a, b)
                 self.graph.add_link(Link(provider=lo, customer=hi, rel=RelType.P2P))
 
-    def _provider_candidates(self, role: Role) -> List[Tuple[Role, float]]:
-        """Provider-tier mix per customer role (tier, weight)."""
-        if role is Role.LARGE_TRANSIT:
-            return [(Role.CLIQUE, 1.0)]
-        if role is Role.MID_TRANSIT:
-            return [(Role.LARGE_TRANSIT, 0.65), (Role.CLIQUE, 0.35)]
-        if role is Role.SMALL_TRANSIT:
-            return [
-                (Role.MID_TRANSIT, 0.56),
-                (Role.LARGE_TRANSIT, 0.36),
-                (Role.CLIQUE, 0.08),
-            ]
-        if role is Role.HYPERGIANT:
-            return [(Role.CLIQUE, 0.6), (Role.LARGE_TRANSIT, 0.4)]
-        # Stubs buy transit everywhere, including directly from Tier-1s
-        # (the S-T1 class of Figure 2 is mostly P2C for that reason;
-        # real Tier-1s hold by far the largest direct customer bases,
-        # which is also what makes transit degree a usable rank signal).
-        return [
-            (Role.CLIQUE, 0.18),
-            (Role.LARGE_TRANSIT, 0.25),
-            (Role.MID_TRANSIT, 0.31),
-            (Role.SMALL_TRANSIT, 0.26),
-        ]
-
     def _pick_provider(self, customer: int, provider_role: Role) -> Optional[int]:
         """Pick a provider of the given tier with regional preference
         and preferential attachment, avoiding duplicates/self."""
-        cfg = self.topo_cfg
         customer_region = self.graph.node(customer).region
         assert customer_region is not None
-        region_row = cfg.provider_region_matrix[customer_region]
-        region = weighted_choice(
-            self._rng_links,
-            list(Region),
-            [region_row[r] for r in Region],
-        )
+        region = _REGIONS[
+            draw_from_cdf(self._rng_links, self._region_cdfs[customer_region])
+        ]
         # The tier mixes never offer a customer its own role, so the
         # precomputed pools need no per-call self-exclusion.
         customer_role = self.graph.node(customer).role
@@ -573,21 +584,22 @@ class TopologyGenerator:
             + self._by_role[Role.HYPERGIANT]
             + self._by_role[Role.STUB]
         )
-        counts = np.arange(1, 4)
-        probs = np.asarray(cfg.provider_count_probs)
-        probs = probs / probs.sum()
+        count_cdf = weights_to_cdf(cfg.provider_count_probs)
+        if len(count_cdf) != len(_PROVIDER_COUNTS):
+            raise ValueError(
+                f"provider_count_probs needs {len(_PROVIDER_COUNTS)} "
+                f"probabilities, got {len(count_cdf)}"
+            )
         for customer in order:
             role = self.graph.node(customer).role
-            n_providers = int(self._rng_links.choice(counts, p=probs))
+            n_providers = _PROVIDER_COUNTS[
+                draw_from_cdf(self._rng_links, count_cdf)
+            ]
             if role in (Role.LARGE_TRANSIT, Role.MID_TRANSIT):
                 n_providers = max(2, n_providers)
-            tier_mix = self._provider_candidates(role)
+            tiers, tier_cdf = _PROVIDER_TIERS[role]
             for _ in range(n_providers):
-                tier = weighted_choice(
-                    self._rng_links,
-                    [t for t, _ in tier_mix],
-                    [w for _, w in tier_mix],
-                )
+                tier = tiers[draw_from_cdf(self._rng_links, tier_cdf)]
                 provider = self._pick_provider(customer, tier)
                 if provider is None:
                     continue

@@ -20,6 +20,7 @@ streams.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Optional, Sequence, TypeVar
 
 import numpy as np
@@ -62,6 +63,43 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def weights_to_cdf(weights: Sequence[float]) -> np.ndarray:
+    """The cumulative distribution :func:`draw_from_cdf` reads.
+
+    Built exactly as :meth:`numpy.random.Generator.choice` builds it
+    from ``p=w / w.sum()`` — normalise, ``cumsum``, divide by the last
+    entry — so a cdf built once draws what ``choice`` would draw on
+    every call.
+
+    Raises
+    ------
+    ValueError
+        If a weight is negative, or the weights sum to zero or to a
+        non-finite value.
+    """
+    w = np.asarray(weights, dtype=float)
+    if (w < 0).any():
+        raise ValueError("weights must be non-negative")
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weights must not sum to zero")
+    if not math.isfinite(total):
+        raise ValueError("weights must be finite")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_from_cdf(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """Index drawn from a :func:`weights_to_cdf` distribution.
+
+    Consumes one ``rng.random()`` and returns the index
+    ``Generator.choice(len(cdf), p=...)`` returns for it: the stream
+    and the generator's state afterwards are the same.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def weighted_choice(
     rng: np.random.Generator,
     items: Sequence[T],
@@ -69,26 +107,25 @@ def weighted_choice(
 ) -> T:
     """Pick one element of ``items``, optionally weighted.
 
-    A thin wrapper around :meth:`numpy.random.Generator.choice` that
-    works for arbitrary (non-numpy) item types and normalises weights.
+    Works for arbitrary (non-numpy) item types.  Unweighted picks draw
+    one ``rng.integers``; weighted picks build the weights' cdf and
+    draw from it (:func:`weights_to_cdf`, :func:`draw_from_cdf`) —
+    the index and stream of ``Generator.choice(len(items), p=w /
+    w.sum())``, without its per-call validation.  Callers that draw
+    repeatedly from fixed weights keep the cdf and call
+    :func:`draw_from_cdf` directly.
 
     Raises
     ------
     ValueError
-        If ``items`` is empty or weights are all zero / negative.
+        If ``items`` is empty, ``weights`` has another length, or the
+        weights are negative, sum to zero or are not finite.
     """
     if not items:
         raise ValueError("cannot choose from an empty sequence")
     if weights is None:
         index = int(rng.integers(0, len(items)))
         return items[index]
-    w = np.asarray(weights, dtype=float)
-    if len(w) != len(items):
-        raise ValueError(f"got {len(items)} items but {len(w)} weights")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not sum to zero")
-    index = int(rng.choice(len(items), p=w / total))
-    return items[index]
+    if len(weights) != len(items):
+        raise ValueError(f"got {len(items)} items but {len(weights)} weights")
+    return items[draw_from_cdf(rng, weights_to_cdf(weights))]

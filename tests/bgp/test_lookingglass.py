@@ -6,9 +6,14 @@ import json
 import pytest
 
 from repro import ScenarioConfig, build_scenario
+from repro.bgp import propagation
+from repro.bgp.collectors import measurement_setup
 from repro.bgp.communities import Meaning
 from repro.bgp.lookingglass import LookingGlass
+from repro.bgp.propagation import compute_origin_routes, plane_of
 from repro.service.query import casestudy_payload
+from repro.topology.generator import generate_topology
+from repro.topology.graph import RelType
 
 
 @pytest.fixture
@@ -71,7 +76,57 @@ class TestPartialTransitDetection:
 
 
 # ---------------------------------------------------------------------------
-# pinned §6.1 answers on generated scenarios
+# block rows against the per-origin computation
+# ---------------------------------------------------------------------------
+
+#: Origins per propagation block in the block test: small enough that
+#: every session spans several blocks.
+_TEST_BLOCK = 7
+
+
+def _per_origin_reference(glass, asn, neighbor):
+    """``routes_received`` computed one origin at a time, each through
+    :func:`compute_origin_routes` (a block of one)."""
+    link = glass.topology.graph.link(asn, neighbor)
+    exports_all = link.rel is RelType.P2C and link.provider == neighbor
+    received = []
+    for origin in sorted(glass._exportable_origins(neighbor, exports_all)):
+        routes = compute_origin_routes(glass.adjacency, origin)
+        entry = glass._received_route(asn, neighbor, routes, link)
+        if entry is not None:
+            received.append(entry)
+    return received
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_block_rows_match_per_origin_routes(seed, monkeypatch):
+    config = ScenarioConfig.small(seed=seed)
+    topology = generate_topology(config)
+    _, communities, _ = measurement_setup(topology, config)
+    glass = LookingGlass(topology, communities)
+    plane = plane_of(glass.adjacency)
+    monkeypatch.setattr(propagation, "CELLS", _TEST_BLOCK * plane.n)
+    assert plane.block_size == _TEST_BLOCK
+
+    member = topology.cogent_asn
+    graph = topology.graph
+    # Every session of the clique member, plus one of its customers'
+    # session with it, where the member exports its whole table.
+    sessions = [(member, neighbor)
+                for neighbor in sorted(graph.neighbors_of(member))]
+    sessions.append((min(graph.customers_of(member)), member))
+    partial_last_block = 0
+    for asn, neighbor in sessions:
+        link = graph.link(asn, neighbor)
+        exports_all = link.rel is RelType.P2C and link.provider == neighbor
+        n_origins = len(glass._exportable_origins(neighbor, exports_all))
+        if n_origins > _TEST_BLOCK and n_origins % _TEST_BLOCK:
+            partial_last_block += 1
+        received = glass.routes_received(asn, neighbor)
+        assert received, (asn, neighbor)
+        assert received == _per_origin_reference(glass, asn, neighbor), (
+            asn, neighbor)
+    assert partial_last_block, "no session ends in a partial block"
 # ---------------------------------------------------------------------------
 
 #: sha256 of ``casestudy_payload(scenario.case_study())`` (sorted-key

@@ -151,6 +151,43 @@ def test_call_graph_entries_serve_the_lint(tmp_path, capsys):
     assert result.analysis["misses"] == 0
 
 
+@pytest.mark.parametrize("init_before", [False, True],
+                         ids=["init-added", "init-removed"])
+def test_parent_init_change_renames_cached_modules(tmp_path, capsys,
+                                                   init_before):
+    # A module's dotted name depends on which parent directories hold
+    # __init__.py, not on its bytes: adding or removing one between a
+    # cold and a warm run must not serve the old names.
+    outer = tmp_path / "outer"
+    shutil.copytree(FIXTURES / "flowpkg", outer / "flowpkg")
+    marker = outer / "__init__.py"
+    if init_before:
+        marker.write_text("", encoding="utf-8")
+    root = tmp_path / "c"
+    cold = run_lint([outer], LintConfig(), whole_program=True,
+                    summary_cache=SummaryCache(root))
+    assert lint_main(["--call-graph=", str(outer),
+                      "--analysis-cache", str(root)]) == 0
+    cold_edges = capsys.readouterr().out
+    if init_before:
+        marker.unlink()
+    else:
+        marker.write_text("", encoding="utf-8")
+
+    uncached = run_lint([outer], LintConfig(), whole_program=True)
+    warm = run_lint([outer], LintConfig(), whole_program=True,
+                    summary_cache=SummaryCache(root))
+    assert _outcome(warm) == _outcome(uncached)
+    assert uncached.findings != cold.findings  # the rename shows
+    assert lint_main(["--call-graph=", str(outer),
+                      "--no-analysis-cache"]) == 0
+    uncached_edges = capsys.readouterr().out
+    assert lint_main(["--call-graph=", str(outer),
+                      "--analysis-cache", str(root)]) == 0
+    assert capsys.readouterr().out == uncached_edges
+    assert uncached_edges != cold_edges
+
+
 def test_syntax_error_files_stay_uncached(tmp_path):
     (tmp_path / "good.py").write_text("def f():\n    return 1\n",
                                       encoding="utf-8")

@@ -1,5 +1,8 @@
 """Tests for the synthetic topology generator (structural invariants)."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,33 @@ from repro import build_scenario
 from repro.config import ScenarioConfig, config_from_canonical
 from repro.topology.generator import generate_topology
 from repro.topology.graph import RelType, Role
+
+
+def topology_sha256(topology) -> str:
+    """sha256 over the sorted links (provider, customer, rel, partial
+    transit, hybrid secondary) and node attributes (region, role, org,
+    business type) of a generated topology."""
+    links = sorted(
+        (link.provider, link.customer, link.rel.value, link.partial_transit,
+         None if link.hybrid_secondary is None
+         else link.hybrid_secondary.value)
+        for link in topology.graph.links()
+    )
+    nodes = sorted(
+        (node.asn, node.region.value, node.role.value, node.org_id,
+         node.business_type)
+        for node in topology.graph.nodes()
+    )
+    return hashlib.sha256(json.dumps([links, nodes]).encode()).hexdigest()
+
+
+#: :func:`topology_sha256` of ``generate_topology(ScenarioConfig.small(
+#: seed))``: the generator's draw stream, pinned.
+TOPOLOGY_SHA256 = {
+    3: "46128f7df2b455b2d72745eb8f2e59ac57fea3ad2e9932a1fbfe8c7279159205",
+    5: "1f680f4481918560576d098d7a608e4702d76b8bc8bb23ba9568c0ebc5d59159",
+    11: "1ddd9cac1f8ef91bbea7ee503d002cd876df467007d76025473a469243b95151",
+}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +138,11 @@ class TestRegistries:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("seed", sorted(TOPOLOGY_SHA256))
+    def test_matches_pinned_digest(self, seed):
+        topology = generate_topology(ScenarioConfig.small(seed=seed))
+        assert topology_sha256(topology) == TOPOLOGY_SHA256[seed]
+
     def test_same_seed_same_topology(self):
         a = generate_topology(ScenarioConfig.small(seed=11))
         b = generate_topology(ScenarioConfig.small(seed=11))

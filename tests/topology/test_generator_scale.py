@@ -6,7 +6,8 @@ a fast generator that drifts per-run would silently detach the paper's
 numbers from their seeds.  Three layers:
 
 * determinism at 10k (tier-1) and 100k (marked ``slow``): same seed →
-  identical node set, identical edge set, flag for flag;
+  identical node set, identical edge set, flag for flag; the 10k build
+  also matches a pinned digest;
 * distribution sanity at 10k: region shares, heavy-tailed transit
   degrees, stub homing counts;
 * the 16-bit ASN spill: above ``_SCALE_THRESHOLD`` the per-region
@@ -33,6 +34,12 @@ from repro.topology.generator import (
 )
 from repro.topology.graph import Role
 from repro.topology.regions import Region
+from tests.topology.test_generator import topology_sha256
+
+#: :func:`topology_sha256` of the seed-7 10k-AS build.
+TOPOLOGY_10K_SHA256 = (
+    "c8392244a6074e4bb810fa456fee825a6d6c491ab4de360ce1a7b8d7eaadf1ad"
+)
 
 
 def _config(n_ases: int, seed: int = 7) -> ScenarioConfig:
@@ -107,6 +114,9 @@ class TestDistributionSanity:
         mean_stub_degree = sum(stub_degrees) / len(stub_degrees)
         assert 1.0 < mean_stub_degree < 8.0
         assert max(degree.values()) > 50 * mean_stub_degree
+
+    def test_matches_pinned_digest(self, topo_10k):
+        assert topology_sha256(topo_10k) == TOPOLOGY_10K_SHA256
 
     def test_asns_unique_and_routable(self, topo_10k):
         asns = topo_10k.graph.asns()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import child_rng, make_rng, weighted_choice
+from repro.utils.rng import (
+    child_rng,
+    draw_from_cdf,
+    make_rng,
+    weighted_choice,
+    weights_to_cdf,
+)
 
 
 class TestMakeRng:
@@ -72,6 +78,11 @@ class TestWeightedChoice:
         with pytest.raises(ValueError):
             weighted_choice(make_rng(0), ["a", "b"], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError):
+            weighted_choice(make_rng(0), ["a", "b"], [1.0, bad])
+
     @given(st.integers(min_value=0, max_value=10**6))
     def test_choice_is_member(self, seed):
         rng = make_rng(seed)
@@ -84,3 +95,36 @@ class TestWeightedChoice:
         for _ in range(4000):
             counts[weighted_choice(rng, ["a", "b"], [3.0, 1.0])] += 1
         assert 0.65 < counts["a"] / 4000 < 0.85
+
+
+class TestStreamIdentity:
+    """Weighted draws return what ``Generator.choice(len(w), p=w /
+    w.sum())`` returns on a twin generator, and leave the stream where
+    it leaves it."""
+
+    @staticmethod
+    def _weights(maker, n):
+        """``n`` seeded weights of one random magnitude, ~30% zeros."""
+        w = maker.random(n) * 10.0 ** int(maker.integers(-4, 5))
+        w[maker.random(n) < 0.3] = 0.0
+        if w.sum() == 0:
+            w[int(maker.integers(0, n))] = 1.0
+        return w
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_match_generator_choice(self, seed):
+        maker = make_rng(seed)
+        for trial in range(200):
+            n = 1 + trial % 11  # one-element lists included
+            w = self._weights(maker, n)
+            stream = int(maker.integers(0, 2**32))
+            twin, wrapped, helper = (make_rng(stream) for _ in range(3))
+            cdf = weights_to_cdf(w)
+            for _ in range(20):
+                expected = int(twin.choice(n, p=w / w.sum()))
+                assert weighted_choice(wrapped, list(range(n)),
+                                       w.tolist()) == expected
+                assert draw_from_cdf(helper, cdf) == expected
+            after = twin.random()
+            assert wrapped.random() == after
+            assert helper.random() == after

@@ -18,7 +18,7 @@ Every command accepts ``--ases``, ``--vps``, ``--seed`` and
 ``--churn-rounds`` to size the synthetic Internet (defaults are scaled
 down from the paper-scale scenario so the CLI answers in seconds),
 plus the execution-policy knobs ``--workers N`` (propagation worker
-processes; 0 = serial, -1 = CPU count), ``--cache`` / ``--no-cache``
+processes; 0 = serial, -1 = usable cores), ``--cache`` / ``--no-cache``
 (reuse scenario artifacts from the content-addressed cache under
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
 """
@@ -53,7 +53,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
                         help="extra collection rounds with link churn")
     parser.add_argument("--workers", type=int, default=0,
                         help="propagation worker processes "
-                             "(0 = serial, -1 = CPU count; default 0)")
+                             "(0 = serial, -1 = usable cores; default 0)")
     parser.add_argument("--cache", dest="cache", action="store_true",
                         default=False,
                         help="reuse scenario artifacts from the cache")
@@ -83,7 +83,7 @@ def _cache_from(args: argparse.Namespace):
 
 def _build(args: argparse.Namespace) -> Scenario:
     # One shared normalisation for every command (and `repro serve`):
-    # 0 = serial, -1/None = CPU count, positive counts literal.
+    # 0 = serial, -1/None = usable cores, positive counts literal.
     workers = resolve_workers(args.workers)
     print(
         f"building scenario (ases={args.ases}, vps={args.vps}, "
@@ -461,7 +461,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         DEFAULT_MIX,
         parse_mix,
         prepare_plan,
-        publish_result,
         run_loadgen,
     )
 
@@ -491,11 +490,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     result = run_loadgen(
         plan, concurrency=args.concurrency, duration_s=args.duration
     )
-    payload = result.as_dict()
-    if args.out:
-        path = publish_result(args.out, args.name, result)
-        print(f"loadgen: report merged into {path}", file=sys.stderr)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
     return 0 if result.total_requests > 0 and result.errors == 0 else 1
 
 
@@ -623,7 +618,7 @@ def make_parser() -> argparse.ArgumentParser:
                               "(LRU eviction; default 4)")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="propagation worker processes per build "
-                              "(0 = serial, -1 = CPU count; default 0)")
+                              "(0 = serial, -1 = usable cores; default 0)")
     p_serve.add_argument("--serve-workers", type=int, default=1,
                          help="HTTP worker processes (pre-fork "
                               "supervisor; >1 requires --cache; "
@@ -641,7 +636,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_loadgen = sub.add_parser(
         "loadgen",
         help="drive a running service with a closed-loop benchmark "
-             "and publish BENCH_service.json",
+             "and print its JSON result",
     )
     p_loadgen.add_argument("--host", default="127.0.0.1",
                            help="service address (default 127.0.0.1)")
@@ -670,12 +665,6 @@ def make_parser() -> argparse.ArgumentParser:
                            help="override the preset's vantage-point count")
     p_loadgen.add_argument("--loadgen-seed", type=int, default=0,
                            help="seed for the request streams (default 0)")
-    p_loadgen.add_argument("--name", default="service_loadgen",
-                           help="benchmark key in the report "
-                                "(default service_loadgen)")
-    p_loadgen.add_argument("--out", default=None,
-                           help="directory to merge BENCH_service.json "
-                                "into (default: don't write)")
     p_loadgen.set_defaults(func=cmd_loadgen)
 
     return parser

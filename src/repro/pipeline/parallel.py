@@ -17,7 +17,7 @@ the output stream *indistinguishable* from the serial code:
 
 ``workers=0`` falls back to plain in-process iteration (no executor,
 no pickling), which is also the default everywhere; ``workers=None`` or
-a negative count auto-sizes to the machine's CPU count.
+a negative count auto-sizes to the cores the process may run on.
 
 One worker pool serves every collection round of the process: the
 converged round, the churn rounds and any later build with the same
@@ -50,10 +50,14 @@ def resolve_workers(workers: Optional[int]) -> int:
 
     ``0`` means serial, positive counts up to :data:`MAX_WORKERS` are
     taken literally, and ``None`` or negative values auto-size to the
-    CPU count.  Larger counts raise ``ValueError``.
+    cores this process may run on (its CPU affinity, or the CPU count
+    where affinity is unknown).  Larger counts raise ``ValueError``.
     """
     if workers is None or workers < 0:
-        return max(1, os.cpu_count() or 1)
+        try:
+            return max(1, len(os.sched_getaffinity(0)))
+        except AttributeError:  # no affinity API on this platform
+            return max(1, os.cpu_count() or 1)
     if workers > MAX_WORKERS:
         raise ValueError(
             f"worker count {workers} is absurd (maximum {MAX_WORKERS})"
@@ -108,7 +112,7 @@ class ParallelPropagator:
         The read-only adjacency index routes are computed over.
     workers:
         ``0`` (default) for the serial fallback, a positive count for
-        that many worker processes, ``None``/negative for CPU count.
+        that many worker processes, ``None``/negative for the usable cores.
     """
 
     def __init__(

@@ -191,7 +191,7 @@ class Scenario:
     def corpus_stats(self) -> Dict[str, object]:
         """Corpus counters, intern-table sizes, and columnar memory
         footprint in the shared service JSON shape (``repro corpus
-        stats``, ``BENCH_substrate.json``)."""
+        stats``)."""
         # Deferred: repro.service.query imports this module.
         from repro.service.query import corpus_stats_payload
 
@@ -323,7 +323,7 @@ def build_scenario(
     """Run the full pipeline for ``config`` (default: paper scale).
 
     ``workers`` shards the propagation fan-out across that many worker
-    processes (0 = serial, negative/None = CPU count).  ``cache``
+    processes (0 = serial, negative/None = usable cores).  ``cache``
     enables the content-addressed artifact cache: ``True`` for the
     default root (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), a path,
     or an :class:`~repro.pipeline.cache.ArtifactCache` instance.  On a

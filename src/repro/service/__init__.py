@@ -27,7 +27,7 @@ The subsystem is stdlib-only (``asyncio`` + hand-rolled HTTP/1.1 over
   ``repro serve --serve-workers N`` (SO_REUSEPORT fan-out, crash
   restarts with backoff, signal-propagated drain);
 * :mod:`repro.service.loadgen` — the deterministic closed-loop load
-  generator behind ``repro loadgen`` and ``BENCH_service.json``.
+  generator behind ``repro loadgen``.
 
 Run it from the CLI (``repro serve --port 8787``) or embed it::
 

@@ -1,18 +1,15 @@
 """Closed-loop async load generator for the repro query service.
 
 ``repro loadgen`` (or :func:`run_loadgen` programmatically) drives a
-running service the way the substrate benchmarks drive the pipeline:
-deterministically, with machine-readable output.  ``concurrency`` tasks
-each hold one keep-alive connection and issue requests back-to-back
-(closed loop: a task's next request starts when its previous response
-finishes), drawing endpoints from a weighted mix with a per-task
-:func:`~repro.utils.rng.child_rng` stream — two runs with equal
-parameters issue the same request sequence.
+running service deterministically, with machine-readable output.
+``concurrency`` tasks each hold one keep-alive connection and issue
+requests back-to-back (closed loop: a task's next request starts when
+its previous response finishes), drawing endpoints from a weighted mix
+with a per-task :func:`~repro.utils.rng.child_rng` stream — two runs
+with equal parameters issue the same request sequence.
 
-The result records throughput plus per-endpoint p50/p99/max latency and
-merges into ``BENCH_service.json`` (same schema and atomic-merge
-machinery as ``BENCH_substrate.json``), so serving performance gets a
-per-PR trajectory in CI next to the substrate numbers.
+The result records throughput plus per-endpoint p50/p99/max latency;
+``repro loadgen`` prints it as JSON.
 
 The **prepare** phase is synchronous and runs before timing starts: it
 admits the target scenario through ``POST /v1/scenarios`` and harvests
@@ -25,7 +22,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -33,7 +29,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.service.client import ServiceClient
-from repro.utils.benchreport import merge_bench_report
 from repro.utils.rng import child_rng, weighted_choice
 
 #: Endpoints the mix may reference.
@@ -41,9 +36,6 @@ ENDPOINTS = ("rel", "batch", "neighbors", "healthz")
 
 #: Default endpoint mix (weights, not percentages).
 DEFAULT_MIX: Dict[str, float] = {"rel": 4.0, "batch": 1.0, "neighbors": 2.0}
-
-#: Report file the loadgen publishes into.
-REPORT_FILENAME = "BENCH_service.json"
 
 
 def parse_mix(text: str) -> Dict[str, float]:
@@ -89,7 +81,7 @@ class LoadgenPlan:
 
 @dataclass
 class LoadgenResult:
-    """One loadgen run's measurements (the ``BENCH_service.json`` unit)."""
+    """One loadgen run's measurements."""
 
     duration_s: float
     concurrency: int
@@ -334,12 +326,3 @@ def run_loadgen(
     )
     return _summarise(samples, counters, elapsed_s, plan, concurrency)
 
-
-def publish_result(
-    out_dir: str, name: str, result: LoadgenResult,
-    extra: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Merge one run into ``<out_dir>/BENCH_service.json``."""
-    path = os.path.join(out_dir, REPORT_FILENAME)
-    merge_bench_report(path, {name: result.as_dict()}, extra=extra)
-    return path

@@ -308,9 +308,8 @@ def casestudy_payload(result: CaseStudyResult) -> Dict[str, Any]:
 def corpus_stats_payload(corpus: "PathCorpus") -> Dict[str, Any]:
     """Corpus counters, intern-table sizes, and memory footprint.
 
-    One serialisation shared by ``repro corpus stats``, the substrate
-    benchmarks' ``BENCH_substrate.json``, and service consumers — so a
-    corpus is always described by the same JSON shape.
+    One serialisation shared by ``repro corpus stats`` and service
+    consumers — so a corpus is always described by the same JSON shape.
     """
     index = corpus.columnar_index()
     return {

@@ -72,6 +72,11 @@ class TestRunImpact:
             assert 0.0 <= impact.polluted.accuracy <= 1.0
             assert impact.new_fake_links >= 0
             assert impact.clean.n_real <= impact.clean.n_links
+        # Pollution must move at least one algorithm.
+        assert any(
+            impact.accuracy_delta < 0 or impact.new_fake_links > 0
+            for impact in by_algorithm.values()
+        ), "pollution left every algorithm untouched"
 
     def test_bias_drift_covers_both_groupings(self, report):
         assert [drift.grouping for drift in report.bias] == [

@@ -125,7 +125,7 @@ def test_cache_path_json(tmp_path, capsys):
 # shared worker-count normalisation
 # ---------------------------------------------------------------------------
 
-def test_resolve_workers_contract():
+def test_resolve_workers_contract(monkeypatch):
     assert resolve_workers(0) == 0            # serial
     assert resolve_workers(3) == 3            # literal
     assert resolve_workers(-1) >= 1           # CPU count
@@ -134,6 +134,17 @@ def test_resolve_workers_contract():
     for absurd in (MAX_WORKERS + 1, 100000):
         with pytest.raises(ValueError, match="absurd"):
             resolve_workers(absurd)
+    # Auto-sizing counts the cores this process may run on, not the
+    # host's.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_workers(-1) == resolve_workers(None) == 2
+    # Platforms without an affinity API fall back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_workers(-1) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers(-1) == 1
 
 
 @pytest.mark.parametrize("command", [
@@ -189,6 +200,28 @@ def test_serve_subprocess_smoke():
     finally:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
+
+
+# ---------------------------------------------------------------------------
+# repro loadgen
+# ---------------------------------------------------------------------------
+
+def test_loadgen_cli_prints_json_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.service import ReproService, serve_in_thread
+
+    monkeypatch.chdir(tmp_path)
+    with serve_in_thread(ReproService(pool_size=1)) as live:
+        rc = cli.main([
+            "loadgen", "--port", str(live.port),
+            "--duration", "0.5", "--concurrency", "2",
+        ])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["total_requests"] > 0
+    assert result["errors"] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

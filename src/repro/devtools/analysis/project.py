@@ -2,10 +2,11 @@
 
 :class:`ModuleEntries` is the one place a module's entry is produced:
 served from the cache on a hit (no parse, no rule walk, no tokenize),
-otherwise parsed, walked by the selected module rules, scanned for noqa
-markers and summarised, then stored once.  The engine's per-file loop
-and ``--call-graph`` (through :func:`build_project`) both use it, so
-they share every entry.
+otherwise parsed, listed once by :func:`walk_module` (the module rules
+and the summariser share that list), walked by the selected module
+rules, scanned for noqa markers and summarised, then stored once.  The
+engine's per-file loop and ``--call-graph`` (through
+:func:`build_project`) both use it, so they share every entry.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from repro.devtools.analysis.cache import (
 from repro.devtools.analysis.graph import ProjectGraph
 from repro.devtools.analysis.summaries import module_name_for, summarize_module
 from repro.devtools.engine import check_module
-from repro.devtools.registry import scoped_rule_ids
+from repro.devtools.registry import scoped_rule_ids, walk_module
+from repro.devtools.rules.determinism import _numpy_aliases
 from repro.devtools.suppressions import SuppressionIndex
 
 
@@ -55,12 +57,17 @@ class ModuleEntries:
                 return ModuleEntry.from_document(document, relpath)
         if tree is None:
             tree = ast.parse(source, filename=relpath)
-        findings = check_module(relpath, source, tree, self.config,
+        # The one walk of a miss: the module rules and the summariser
+        # share its node list and the facts drawn from it.
+        nodes = walk_module(tree)
+        numpy_aliases = _numpy_aliases(nodes)
+        findings = check_module(relpath, source, tree, nodes,
+                                numpy_aliases, self.config,
                                 self.module_ids)
         suppressions = SuppressionIndex.from_source(source)
         summary = (summarize_module(relpath, tree,
                                     tuple(self.config.perf_hot_names),
-                                    module)
+                                    module, nodes, numpy_aliases)
                    if self.summarize else None)
         entry = ModuleEntry(summary, findings, suppressions)
         if self.cache is not None:

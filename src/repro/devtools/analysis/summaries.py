@@ -28,9 +28,14 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.devtools.registry import attr_name, call_name, dotted_name
+from repro.devtools.registry import (
+    attr_name,
+    call_name,
+    dotted_name,
+    walk_module,
+)
 # Shared with the per-file determinism rules so both layers agree on
 # what counts as a nondeterminism source.
 from repro.devtools.rules.determinism import (
@@ -179,8 +184,9 @@ class _FunctionRecord:
         }
 
 
-def _executor_kinds(tree: ast.Module) -> Dict[str, str]:
-    """Names/attr-chains bound to executors -> ``thread``/``process``."""
+def _executor_kinds(nodes: List[ast.AST]) -> Dict[str, str]:
+    """Names/attr-chains bound to executors -> ``thread``/``process``,
+    from a module's node list."""
     kinds: Dict[str, str] = {}
 
     def classify(value: ast.AST) -> Optional[str]:
@@ -193,7 +199,7 @@ def _executor_kinds(tree: ast.Module) -> Dict[str, str]:
             return "thread"
         return None
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             kind = classify(node.value)
             if kind is None:
@@ -234,7 +240,8 @@ def _module_globals(tree: ast.Module) -> List[str]:
 
 class _Summarizer(ast.NodeVisitor):
     def __init__(self, module: str, is_package: bool, tree: ast.Module,
-                 hot_names: Tuple[str, ...]):
+                 hot_names: Tuple[str, ...], nodes: List[ast.AST],
+                 numpy_aliases: Tuple[Set[str], Set[str]]):
         self.module = module
         self.is_package = is_package
         self.hot_names = frozenset(hot_names)
@@ -243,8 +250,8 @@ class _Summarizer(ast.NodeVisitor):
         self.classes: List[str] = []
         self.globals = _module_globals(tree)
         self.functions: List[_FunctionRecord] = []
-        self._np_modules, self._np_random = _numpy_aliases(tree)
-        self._pools = _executor_kinds(tree)
+        self._np_modules, self._np_random = numpy_aliases
+        self._pools = _executor_kinds(nodes)
         self._scope: List[Tuple[str, str]] = []   # (kind, name)
         self._fn_stack: List[_FunctionRecord] = []
         self._lock_stack: List[str] = []          # all lock-guard withs
@@ -565,15 +572,25 @@ class _Summarizer(ast.NodeVisitor):
 
 def summarize_module(relpath: str, tree: ast.Module,
                      hot_names: Tuple[str, ...],
-                     module: Optional[Tuple[str, bool]] = None
-                     ) -> Dict[str, Any]:
+                     module: Optional[Tuple[str, bool]] = None,
+                     nodes: Optional[List[ast.AST]] = None,
+                     numpy_aliases: Optional[Tuple[Set[str], Set[str]]]
+                     = None) -> Dict[str, Any]:
     """The analysis summary of one parsed module (see module docstring).
 
-    ``module`` is :func:`module_name_for`'s answer for ``relpath``; it
-    is derived when not given.
+    ``module`` is :func:`module_name_for`'s answer for ``relpath``,
+    ``nodes`` :func:`~repro.devtools.registry.walk_module`'s list for
+    ``tree`` and ``numpy_aliases`` the module's numpy aliases; the lint
+    passes the ones its module rules used, and each is derived when not
+    given.
     """
     module, is_package = module or module_name_for(Path(relpath))
-    visitor = _Summarizer(module, is_package, tree, hot_names)
+    if nodes is None:
+        nodes = walk_module(tree)
+    if numpy_aliases is None:
+        numpy_aliases = _numpy_aliases(nodes)
+    visitor = _Summarizer(module, is_package, tree, hot_names, nodes,
+                          numpy_aliases)
     visitor.visit(tree)
     return {
         "analysis_version": ANALYSIS_VERSION,

@@ -3,10 +3,11 @@
 One :func:`run_lint` call is the whole pipeline::
 
     discover files -> per module, its cache entry or: parse ->
-    annotate parents -> walk once, dispatching nodes to interested
-    rules -> read noqa markers (-> summarise) -> apply noqa
-    suppressions (tracking use) -> [program pass] -> report unused
-    suppressions -> partition against the baseline -> LintResult
+    list the nodes once (parent links + module-wide facts, shared with
+    the summariser) -> dispatch walk to interested rules -> read noqa
+    markers (-> summarise) -> apply noqa suppressions (tracking use)
+    -> [program pass] -> report unused suppressions -> partition
+    against the baseline -> LintResult
 
 The engine itself obeys the contracts it enforces: no wall-clock, no
 unsorted iteration anywhere near output, and a result that is a pure
@@ -21,7 +22,8 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.devtools.baseline import Baseline
 from repro.devtools.findings import Finding, sorted_findings
@@ -101,6 +103,13 @@ class ModuleContext:
     source: str
     tree: ast.Module
     config: LintConfig
+    #: Every node of ``tree`` in ``ast.walk`` order (see
+    #: :func:`~repro.devtools.registry.walk_module`): the one source of
+    #: module-wide facts for ``begin_module``.
+    nodes: List[ast.AST]
+    #: ``(numpy module aliases, numpy.random aliases)`` of the module,
+    #: computed once and shared with the summariser.
+    numpy_aliases: Tuple[Set[str], Set[str]]
     findings: List[Finding] = field(default_factory=list)
 
     def report(self, rule: Union[Rule, str], node: ast.AST,
@@ -222,22 +231,22 @@ def _relpath(path: Path) -> str:
     return rel.as_posix()
 
 
-def _annotate_parents(tree: ast.Module) -> None:
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            child._lint_parent = parent  # type: ignore[attr-defined]
-
-
 def check_module(relpath: str, source: str, tree: ast.Module,
+                 nodes: List[ast.AST],
+                 numpy_aliases: Tuple[Set[str], Set[str]],
                  config: LintConfig,
                  module_ids: Sequence[str]) -> List[Finding]:
     """The raw (unsuppressed) findings of the module rules
-    ``module_ids`` on one parsed file, in walk order."""
+    ``module_ids`` on one parsed file, in walk order.
+
+    ``nodes`` is :func:`~repro.devtools.registry.walk_module`'s list for
+    ``tree`` and ``numpy_aliases`` the module's numpy import aliases.
+    """
     registry = all_rules()
-    _annotate_parents(tree)
     rules = [registry[rule_id]() for rule_id in module_ids]
     ctx = ModuleContext(relpath=relpath, source=source, tree=tree,
-                        config=config)
+                        config=config, nodes=nodes,
+                        numpy_aliases=numpy_aliases)
     for rule in rules:
         rule.begin_module(ctx)
     Walker(rules, ctx).visit(tree)

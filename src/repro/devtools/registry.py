@@ -6,7 +6,8 @@ types it wants to see (``interests``).  The engine instantiates every
 registered rule once per file, walks the module tree exactly once, and
 dispatches each node to the rules interested in its type — rules never
 re-walk the tree themselves, which keeps linting a large package
-single-pass.
+single-pass.  Module-wide facts a rule needs before the dispatch walk
+come from ``ctx.nodes``, the node list :func:`walk_module` built.
 
 Registration is import-time: decorating a class with :func:`register`
 adds it to the global table, and :mod:`repro.devtools.rules` imports
@@ -37,7 +38,8 @@ class Rule:
     interests: Tuple[type, ...] = ()
 
     def begin_module(self, ctx) -> None:
-        """Called once before the walk; collect module-level facts."""
+        """Called once before the walk; collect module-level facts
+        from ``ctx.nodes`` (never by walking ``ctx.tree`` again)."""
 
     def visit(self, node: ast.AST, ctx, walker) -> None:
         """Called for every node whose type is in ``interests``."""
@@ -143,8 +145,34 @@ def attr_name(node: ast.Call) -> Optional[str]:
     return None
 
 
+def walk_module(tree: ast.AST) -> List[ast.AST]:
+    """Every node of ``tree`` in :func:`ast.walk` order, in one pass.
+
+    Sets the parent link :func:`parent_of` reads on each child.  The
+    list is the module-wide fact pass: rules (``ctx.nodes``) and the
+    summariser filter it instead of walking the tree again.
+    """
+    nodes: List[ast.AST] = [tree]
+    append = nodes.append
+    node_type = ast.AST
+    # Appending while iterating visits the nodes breadth-first, which is
+    # exactly ast.walk's order (its deque pops from the left).
+    for parent in nodes:
+        for name in parent._fields:
+            value = getattr(parent, name, None)
+            if isinstance(value, node_type):
+                value._lint_parent = parent  # type: ignore[attr-defined]
+                append(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, node_type):
+                        item._lint_parent = parent  # type: ignore
+                        append(item)
+    return nodes
+
+
 def parent_of(node: ast.AST) -> Optional[ast.AST]:
-    """The parent link annotated by the engine (None at module root)."""
+    """The parent link set by :func:`walk_module` (None at the root)."""
     return getattr(node, "_lint_parent", None)
 
 

@@ -10,7 +10,7 @@ content addresses.
 from __future__ import annotations
 
 import ast
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.devtools.registry import Rule, attr_name, call_name, register
 
@@ -23,11 +23,12 @@ _NP_GLOBAL_FNS = frozenset({
 })
 
 
-def _numpy_aliases(tree: ast.Module) -> tuple:
-    """(module aliases, numpy.random aliases) bound in this module."""
+def _numpy_aliases(nodes: List[ast.AST]) -> Tuple[Set[str], Set[str]]:
+    """(module aliases, numpy.random aliases) bound in a module, from
+    its :func:`~repro.devtools.registry.walk_module` node list."""
     numpy_names: Set[str] = set()
     random_names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "numpy":
@@ -63,7 +64,7 @@ class UnseededRandomRule(Rule):
 
     def begin_module(self, ctx) -> None:
         self._exempt = ctx.relpath_matches(ctx.config.det001_exempt)
-        self._np_names, self._np_random_names = _numpy_aliases(ctx.tree)
+        self._np_names, self._np_random_names = ctx.numpy_aliases
 
     def visit(self, node: ast.AST, ctx, walker) -> None:
         if self._exempt:

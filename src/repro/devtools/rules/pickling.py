@@ -11,13 +11,23 @@ reason (see :mod:`repro.pipeline.parallel`).
 from __future__ import annotations
 
 import ast
-from typing import Set
+from typing import List, Optional, Set
 
-from repro.devtools.registry import Rule, attr_name, call_name, register
+from repro.devtools.registry import (
+    Rule,
+    attr_name,
+    call_name,
+    dotted_name,
+    parent_of,
+    register,
+)
+
+_FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _process_pool_names(tree: ast.Module) -> Set[str]:
-    """Names bound to a ``ProcessPoolExecutor(...)`` in this module."""
+def _process_pool_names(nodes: List[ast.AST]) -> Set[str]:
+    """Names and attribute chains (``self._pool``) bound to a
+    ``ProcessPoolExecutor(...)`` in a module, from its node list."""
     names: Set[str] = set()
 
     def creates_pool(value: ast.AST) -> bool:
@@ -29,36 +39,39 @@ def _process_pool_names(tree: ast.Module) -> Set[str]:
             or callee.endswith(".ProcessPoolExecutor")
         )
 
-    for node in ast.walk(tree):
+    def bind(target: Optional[ast.AST]) -> None:
+        name = dotted_name(target)  # None for tuples, subscripts, None
+        if name is not None:
+            names.add(name)
+
+    for node in nodes:
         if isinstance(node, ast.Assign) and creates_pool(node.value):
             for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
+                bind(target)
         elif isinstance(node, ast.withitem) and creates_pool(
             node.context_expr
         ):
-            if isinstance(node.optional_vars, ast.Name):
-                names.add(node.optional_vars.id)
+            bind(node.optional_vars)
     return names
 
 
-def _nested_function_names(tree: ast.Module) -> Set[str]:
-    """Names of functions defined inside another function."""
+def _nested_function_names(nodes: List[ast.AST]) -> Set[str]:
+    """Names of functions defined inside another function.
+
+    A def is nested when any ancestor is a def; a class in between does
+    not matter (methods of a class defined in a function are nested
+    too), and module-level class methods are not.
+    """
     nested: Set[str] = set()
-
-    def walk(node: ast.AST, inside_function: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if inside_function:
-                    nested.add(child.name)
-                walk(child, True)
-            elif isinstance(child, ast.ClassDef):
-                # Methods are attribute-accessed, never bare names.
-                walk(child, inside_function)
-            else:
-                walk(child, inside_function)
-
-    walk(tree, False)
+    for node in nodes:
+        if not isinstance(node, _FUNCTION_TYPES):
+            continue
+        parent = parent_of(node)
+        while parent is not None:
+            if isinstance(parent, _FUNCTION_TYPES):
+                nested.add(node.name)
+                break
+            parent = parent_of(parent)
     return nested
 
 
@@ -78,8 +91,8 @@ class NonPicklableSubmissionRule(Rule):
     interests = (ast.Call,)
 
     def begin_module(self, ctx) -> None:
-        self._pools = _process_pool_names(ctx.tree)
-        self._nested = _nested_function_names(ctx.tree)
+        self._pools = _process_pool_names(ctx.nodes)
+        self._nested = _nested_function_names(ctx.nodes)
 
     def visit(self, node: ast.AST, ctx, walker) -> None:
         attribute = attr_name(node)
@@ -87,7 +100,7 @@ class NonPicklableSubmissionRule(Rule):
             return
         receiver = node.func.value  # the `pool` in pool.submit(...)
         is_pool = (
-            (isinstance(receiver, ast.Name) and receiver.id in self._pools)
+            dotted_name(receiver) in self._pools
             or (isinstance(receiver, ast.Call)
                 and (call_name(receiver) or "").endswith(
                     "ProcessPoolExecutor"))

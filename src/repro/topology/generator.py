@@ -124,6 +124,46 @@ _OVERFLOW_BLOCKS_32: Dict[Region, Tuple[int, int]] = {
 }
 
 
+
+class _OpenSlots:
+    """Which positions of one region's ``_by_region`` list are open.
+
+    A Fenwick tree of 0/1 counts: closing a position and finding the
+    k-th open one each cost O(log n), so an organisation lead picks its
+    same-region siblings without copying the region's open list.
+    """
+
+    __slots__ = ("size", "count", "_tree", "_top")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.count = size
+        # Every position open: node i covers (i - lowbit(i), i].
+        self._tree = [i & -i for i in range(size + 1)]
+        self._top = 1 << (size.bit_length() - 1) if size else 0
+
+    def close(self, position: int) -> None:
+        self.count -= 1
+        tree = self._tree
+        index = position + 1
+        while index <= self.size:
+            tree[index] -= 1
+            index += index & -index
+
+    def nth_open(self, k: int) -> int:
+        """The position of the k-th (0-based) open slot."""
+        tree = self._tree
+        index = 0
+        step = self._top
+        while step:
+            probe = index + step
+            if probe <= self.size and tree[probe] <= k:
+                index = probe
+                k -= tree[probe]
+            step >>= 1
+        return index
+
+
 @dataclass
 class Topology:
     """Everything the generator produces for one scenario."""
@@ -473,14 +513,12 @@ class TopologyGenerator:
         cfg = self.topo_cfg
         asns = self.graph.asns()
         unassigned = set(asns)
-        # Per-region unassigned views in ``_by_region`` order: dict keys
-        # keep insertion order across removals, so the same-region
-        # candidate list below matches the legacy per-lead scan of the
-        # whole region (filtered by ``unassigned``) exactly, without
-        # re-walking assigned ASes on every lead.
-        open_by_region: Dict[Region, Dict[int, None]] = {
-            r: dict.fromkeys(self._by_region[r]) for r in Region
-        }
+        # Open (unassigned) ASes per region, by position in ``_by_region``:
+        # a lead's pick ``i`` is the i-th open AS of its region, in region
+        # order, once the lead and the earlier picks are closed.
+        open_slots = {r: _OpenSlots(len(self._by_region[r])) for r in Region}
+        position = {asn: i for r in Region
+                    for i, asn in enumerate(self._by_region[r])}
         org_counter = 0
         # Multi-AS organisations first: pick a lead AS, then pull in
         # 1..max_siblings-1 further ASes, preferably of the same region.
@@ -492,13 +530,16 @@ class TopologyGenerator:
                 continue
             region = self.graph.node(lead).region
             n_extra = int(self._rng_orgs.integers(1, cfg.max_siblings_per_org))
-            same_region = [a for a in open_by_region[region] if a != lead]
+            region_asns = self._by_region[region]
+            slots = open_slots[region]
+            slots.close(position[lead])
             members = [lead]
             for _ in range(n_extra):
-                if not same_region:
+                if not slots.count:
                     break
-                pick = same_region.pop(int(self._rng_orgs.integers(0, len(same_region))))
-                members.append(pick)
+                pick = slots.nth_open(int(self._rng_orgs.integers(0, slots.count)))
+                slots.close(pick)
+                members.append(region_asns[pick])
             org_id = f"ORG-{org_counter:05d}"
             org_counter += 1
             org = Organisation(
@@ -510,7 +551,6 @@ class TopologyGenerator:
             self.orgs.add_org(org)
             for member in members:
                 unassigned.discard(member)
-                open_by_region[region].pop(member, None)
                 self.graph.node(member).org_id = org_id
         # Everything else is a single-AS organisation.
         for asn in sorted(unassigned):

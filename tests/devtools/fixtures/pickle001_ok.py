@@ -13,3 +13,13 @@ def run(items):
         # Threads share the interpreter: closures are fine here.
         thread_futures = [threads.submit(lambda i=i: i) for i in items]
     return process_futures, thread_futures
+
+
+class Runner:
+    """An attribute-bound pool given a module-level worker."""
+
+    def __init__(self):
+        self._pool = ProcessPoolExecutor(max_workers=2)
+
+    def run(self):
+        return self._pool.submit(helper, 1)

@@ -304,3 +304,43 @@ def test_malformed_entry_is_a_miss_not_a_crash(tmp_path, edit):
     assert again.analysis["stores"] == 1
     assert _outcome(again) == _outcome(cold)
 
+
+
+def test_one_walk_per_miss_and_none_per_hit(tmp_path, monkeypatch):
+    # A miss lists its nodes once for the module rules and the
+    # summariser together; a hit lists nothing, and nothing in
+    # repro.devtools falls back to ast.walk.
+    from repro.devtools import registry
+
+    real_walk_module = registry.walk_module
+    real_ast_walk = ast.walk
+    calls = {"walk_module": 0, "devtools_ast_walk": 0}
+
+    def counting_walk_module(tree):
+        calls["walk_module"] += 1
+        return real_walk_module(tree)
+
+    def counting_ast_walk(node):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("repro.devtools"):
+            calls["devtools_ast_walk"] += 1
+        return real_ast_walk(node)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.devtools")
+                and getattr(module, "walk_module", None)
+                is real_walk_module):
+            monkeypatch.setattr(module, "walk_module", counting_walk_module)
+    monkeypatch.setattr(ast, "walk", counting_ast_walk)
+    package = FIXTURES / "flowpkg"
+
+    cold = run_lint([package], LintConfig(), whole_program=True,
+                    summary_cache=SummaryCache(tmp_path / "c"))
+    assert cold.analysis["misses"] == cold.files_checked == 4
+    assert calls == {"walk_module": 4, "devtools_ast_walk": 0}
+    calls.update(walk_module=0)
+    warm = run_lint([package], LintConfig(), whole_program=True,
+                    summary_cache=SummaryCache(tmp_path / "c"))
+    assert warm.analysis["hits"] == 4
+    assert calls == {"walk_module": 0, "devtools_ast_walk": 0}
+    assert _outcome(warm) == _outcome(cold)

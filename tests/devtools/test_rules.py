@@ -16,7 +16,7 @@ CASES = {
     "DET003": ("det003_bad.py", 3, "det003_ok.py"),
     "ASYNC001": ("async001_bad.py", 3, "async001_ok.py"),
     "ASYNC002": ("async002_bad.py", 1, "async002_ok.py"),
-    "PICKLE001": ("pickle001_bad.py", 2, "pickle001_ok.py"),
+    "PICKLE001": ("pickle001_bad.py", 3, "pickle001_ok.py"),
     "DEP001": ("dep001_bad.py", 2, "dep001_ok.py"),
     "API001": ("api001_bad.py", 2, "api001_ok.py"),
 }

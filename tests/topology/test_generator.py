@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import build_scenario
 from repro.config import ScenarioConfig, config_from_canonical
-from repro.topology.generator import generate_topology
+from repro.topology.generator import _OpenSlots, generate_topology
 from repro.topology.graph import RelType, Role
 
 
@@ -181,6 +181,26 @@ class TestDeterminism:
             other = build_scenario(config)
             assert shape(other.topology) == shape(base.topology)
             assert other.inferred_links() == base.inferred_links()
+
+
+class TestOpenSlots:
+    """The organisation pass's open-position index against a list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(0, 70), data=st.data())
+    def test_matches_popping_from_a_list(self, size, data):
+        slots = _OpenSlots(size)
+        model = list(range(size))
+        while model:
+            if data.draw(st.booleans()):
+                position = data.draw(st.sampled_from(model))
+                model.remove(position)
+                slots.close(position)
+            else:
+                k = data.draw(st.integers(0, len(model) - 1))
+                assert slots.nth_open(k) == model[k]
+                slots.close(model.pop(k))
+            assert slots.count == len(model)
 
 
 class TestConfigValidation:

@@ -30,6 +30,12 @@ repeated parent gathers, community survival as a cumulative sum of
 stripper flags), which the corpus ingests without building per-route
 objects.  ``tests/bgp/reference_collector.py`` keeps the scalar per-VP
 reduction as the test oracle.
+
+A collector hears nothing from outside the vantage points' provider
+closure, so :meth:`RouteReducer.collect_blocks` propagates ``within``
+that closure, computed on each round's (possibly churned) plane: the VP
+rows are exactly the full-plane rows, and the rest of each row is never
+filled in.  The attack round reduces full rows.
 """
 
 from __future__ import annotations
@@ -268,12 +274,20 @@ class RouteReducer:
     def collect_blocks(
         self, plane: PropagationPlane, origins: Sequence[int]
     ) -> Iterator[CorpusColumns]:
-        """Propagate ``origins`` block by block and reduce each block."""
+        """Propagate ``origins`` block by block and reduce each block.
+
+        Blocks propagate only over the vantage points' closure on this
+        plane (``within`` of :meth:`PropagationPlane.propagate`): the
+        VP rows come out as on full rows, at a fraction of the cells.
+        """
         self.check_plane(plane)
         ids = plane.ids(origins)
+        within = plane.upcone(self.vp_ids)
         size = plane.block_size
         for lo in range(0, len(ids), size):
-            yield self.reduce(plane.propagate(ids[lo : lo + size]))
+            yield self.reduce(
+                plane.propagate(ids[lo : lo + size], within=within)
+            )
 
 
 class RouteCollector:

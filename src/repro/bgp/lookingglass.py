@@ -102,32 +102,37 @@ class LookingGlass:
     def _received_route(
         self, asn: int, neighbor: int, routes: RouteArrays, link
     ) -> Optional[ReceivedRoute]:
-        if not routes.has_route(neighbor):
+        # The neighbour's id is resolved once; the path is walked and
+        # its hops' classes are read by id.
+        plane = routes.plane
+        i = plane.id_or_none(neighbor)
+        if i is None or routes.pref_arr[i] < 0:
             return None
-        if not self._neighbor_would_export(neighbor, routes, link):
+        if not self._neighbor_would_export(neighbor, i, routes, link):
             return None
-        path = routes.path_from(neighbor)
-        assert path is not None
+        hops = routes.path_ids(i)
+        path = tuple(plane.asns[hops].tolist())
         if asn in path:
             return None  # loop prevention: asn would reject its own ASN
         communities = self._communities_as_received(
-            asn, neighbor, path, routes, link
+            asn, neighbor, path, routes.pref_arr[hops].tolist(), link
         )
         return ReceivedRoute(
             origin=routes.origin, path=path, communities=communities
         )
 
     def _neighbor_would_export(
-        self, neighbor: int, routes: RouteArrays, link
+        self, neighbor: int, i: int, routes: RouteArrays, link
     ) -> bool:
-        """Export policy of the neighbour towards ``asn``."""
+        """Export policy of the neighbour (plane id ``i``) towards
+        ``asn``."""
         if link.rel is RelType.P2C and link.provider == neighbor:
             # Neighbour is the provider: exports everything it uses.
             return True
-        pref = routes.pref[neighbor]
-        if pref is RouteClass.SELF:
+        pref = int(routes.pref_arr[i])
+        if pref == RouteClass.SELF:
             return True
-        if pref is RouteClass.CUSTOMER and not routes.is_restricted(neighbor):
+        if pref == RouteClass.CUSTOMER and not routes.restricted_arr[i]:
             return True
         return False
 
@@ -136,18 +141,18 @@ class LookingGlass:
         asn: int,
         neighbor: int,
         path: Tuple[int, ...],
-        routes: RouteArrays,
+        classes: List[int],
         link,
     ) -> Tuple[Community, ...]:
-        """Tags present when the route lands in ``asn``'s Adj-RIB-In."""
+        """Tags present when the route lands in ``asn``'s Adj-RIB-In;
+        ``classes`` holds each path hop's route class."""
         tags: List[Community] = []
         # Informational ingress tags along the path, subject to the same
         # stripping rule collectors face — except here nothing between
         # the neighbour and us can strip (it is a direct session), so the
         # neighbour's own tag is always present.
-        for i in range(len(path) - 1):
-            tagger = path[i]
-            meaning = _CLASS_TO_MEANING.get(routes.pref[tagger])
+        for tagger, route_class in zip(path[:-1], classes):
+            meaning = _CLASS_TO_MEANING.get(route_class)
             if meaning is None:
                 continue
             tags.append(self.communities.codebook(tagger).encode(meaning))

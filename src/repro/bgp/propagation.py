@@ -45,6 +45,15 @@ of one, and the looking glass and routing tables read it through
 ``origin``.  Collection reduces whole blocks
 (:class:`~repro.bgp.collectors.RouteReducer`).
 
+Collection reads only the vantage points' rows, so it propagates
+``within`` their closure (:meth:`PropagationPlane.upcone`: the VPs and
+every AS above them over provider links).  Stage 1 runs in full; stages
+2 and 3 then drop receivers that are neither in the closure nor a
+stage-1 holder.  That member set is closed upward and holds every
+peer-route and customer-route source, so each VP's route and path come
+out exactly as on the full row.  The looking glass, routing tables and
+the attack pass keep full rows.
+
 ``tests/bgp/reference_engine.py`` holds a plain dict BFS of the same
 semantics; the differential suite in
 ``tests/bgp/test_propagation_differential.py`` checks the plane
@@ -81,9 +90,13 @@ _NO_ROUTE = -1
 
 #: State cells per column of one :meth:`PropagationPlane.propagate`
 #: block (origins x ASes).  Measured on a 2-core host, one converged
-#: collection round at 2,500 ASes took 4.1 s at 2**12 cells, 2.1 s at
-#: 2**14 and 1.6-1.7 s from 2**15 to 2**17; at 240 ASes, 25 ms at 2**14
-#: and 23 ms from 2**15 up.  Larger blocks only add transient memory.
+#: collection round at 2,500 ASes on full rows took 4.1 s at 2**12
+#: cells, 2.1 s at 2**14 and 1.6-1.7 s from 2**15 to 2**17.  Within the
+#: vantage points' closure, as collection now propagates, it took 3.5 s
+#: at 2**12, 1.4 s at 2**14, 1.1 s at 2**15 and 0.8 s at 2**17 (full
+#: rows: 1.9 s at 2**15 in the same session); with less work per row
+#: the per-block Python cost weighs more.  The looking glass and routing
+#: tables propagate full rows at the same block size.
 CELLS = 2 ** 15
 
 #: Block keys are int32.
@@ -217,11 +230,28 @@ class PropagationPlane:
         receivers = indices[positions] + np.repeat(frontier - ids, counts)
         return positions, senders, receivers
 
+    def upcone(self, ids: np.ndarray) -> np.ndarray:
+        """Bool column over plane ids: ``ids`` and every AS above them
+        over customer-to-provider edges (partial-transit ones included;
+        sibling and peering links are not followed)."""
+        member = np.zeros(self.n, dtype=bool)
+        frontier = np.unique(np.asarray(ids, dtype=np.int64))
+        member[frontier] = True
+        while frontier.size:
+            starts = self.prov_indptr[frontier]
+            above = self.prov_indices[
+                _concat_ranges(starts, self.prov_indptr[frontier + 1] - starts)
+            ]
+            frontier = np.unique(above[~member[above]])
+            member[frontier] = True
+        return member
+
     # ------------------------------------------------------------------
     def propagate(
         self,
         origin_ids: np.ndarray,
         attack: Optional[Tuple[int, int, np.ndarray]] = None,
+        within: Optional[np.ndarray] = None,
     ) -> "RouteBlock":
         """Run the three-stage decision process for a block of origins.
 
@@ -242,7 +272,20 @@ class PropagationPlane:
         set.  The ``src_arr`` provenance column of the result marks which
         source each route descends from.  With ``attack=None`` every pass
         is bit-identical to the honest single-source computation.
+
+        ``within`` (a bool column over plane ids, closed upward over
+        provider links — :meth:`upcone` of the vantage points) restricts
+        stages 2 and 3 to the ASes a collector can hear: a row's
+        members are ``within`` plus every AS holding a route after
+        stage 1 (restricted holders included), and receivers outside
+        them are dropped.  A member without a stage-1 route lies in
+        ``within``, so its providers are members; every peer-route or
+        customer-route source is a stage-1 holder.  So each member's
+        route — and every parent walk from one — equals the full
+        row's; the others stay unrouted.  Honest passes only.
         """
+        if within is not None and attack is not None:
+            raise ValueError("the attack pass keeps full rows")
         n = self.n
         origin_ids = np.asarray(origin_ids, dtype=np.int32)
         rows = len(origin_ids)
@@ -322,6 +365,11 @@ class PropagationPlane:
                     pending.setdefault(level + 1, []).append(nxt)
             level += 1
 
+        # A row's members are ``within`` plus its stage-1 holders; the
+        # holders already hold a route and are never receivers, so the
+        # receiver filter needs only ``within``.
+        member = None if within is None else np.tile(within, rows)
+
         # ---- stage 2: peer routes (one offer pass) -------------------
         exporters = np.flatnonzero(
             (pref == _SELF) | ((pref == _CUSTOMER) & ~restricted)
@@ -330,6 +378,8 @@ class PropagationPlane:
             self.peer_indptr, self.peer_indices, exporters
         )
         keep = pref[receivers] == _NO_ROUTE
+        if member is not None:
+            keep &= member[receivers]
         if src is not None:
             keep &= ~(blocked[receivers] & (src[senders] == 1))
         receivers, senders = receivers[keep], senders[keep]
@@ -375,6 +425,8 @@ class PropagationPlane:
                         self.cust_indptr, self.cust_indices, senders_now
                     )
                     keep = pref[customers] == _NO_ROUTE
+                    if member is not None:
+                        keep &= member[customers]
                     if src is not None:
                         keep &= ~(blocked[customers] & (src[senders] == 1))
                     customers, senders = customers[keep], senders[keep]
@@ -473,23 +525,25 @@ class RouteArrays:
         """Dense ids of every AS holding a route (ascending)."""
         return np.flatnonzero(self.pref_arr != _NO_ROUTE)
 
+    def path_ids(self, i: int) -> List[int]:
+        """Plane ids on the path from the routed plane id ``i`` to the
+        origin (inclusive)."""
+        parent = self.parent_arr
+        ids = [i]
+        current = int(parent[i])
+        while current >= 0:
+            ids.append(current)
+            if len(ids) > self.plane.n:
+                raise RuntimeError("parent-pointer loop in route arrays")
+            current = int(parent[current])
+        return ids
+
     def path_from(self, asn: int) -> Optional[Tuple[int, ...]]:
         """AS path from ``asn`` to the origin (inclusive), or ``None``."""
         i = self.plane.id_or_none(asn)
         if i is None or self.pref_arr[i] == _NO_ROUTE:
             return None
-        asns = self.plane.asns
-        parent = self.parent_arr
-        path: List[int] = [int(asns[i])]
-        current = i
-        while True:
-            current = int(parent[current])
-            if current < 0:
-                break
-            path.append(int(asns[current]))
-            if len(path) > self.plane.n + 1:
-                raise RuntimeError("parent-pointer loop in route arrays")
-        return tuple(path)
+        return tuple(self.plane.asns[self.path_ids(i)].tolist())
 
 
 @dataclass

@@ -333,22 +333,6 @@ class PathCorpus:
         Appendix C features #4/#5 build on this."""
         return frozenset(self.columnar_index().origins_via(key))
 
-    def communities_of_route(self, index: int) -> Tuple[Community, ...]:
-        return self._ensure_communities().get(index, ())
-
-    def routes_with_communities(self) -> Iterator[CollectedRoute]:
-        """Only the routes that still carry at least one community."""
-        self._materialise()
-        communities = self._ensure_communities()
-        for index in sorted(communities):
-            path = self._paths[index]
-            yield CollectedRoute(
-                vp=path[0],
-                origin=path[-1],
-                path=path,
-                communities=communities[index],
-            )
-
     def stats(self) -> Dict[str, int]:
         index = self.columnar_index()
         n_with_communities = self.columns().n_community_routes()

@@ -145,28 +145,46 @@ def attr_name(node: ast.Call) -> Optional[str]:
     return None
 
 
+#: Node types CPython's parser shares as process-wide singletons (one
+#: ``Load``, one ``Add``, ...): a parent link on one would name the
+#: last tree walked and keep that tree alive.  Concrete types, so the
+#: walk tests membership by ``type()`` instead of a slower
+#: ``isinstance`` against the abstract bases.
+_SHARED_NODES = frozenset(
+    kind
+    for base in (ast.expr_context, ast.boolop, ast.operator, ast.unaryop,
+                 ast.cmpop)
+    for kind in base.__subclasses__()
+)
+
+
 def walk_module(tree: ast.AST) -> List[ast.AST]:
     """Every node of ``tree`` in :func:`ast.walk` order, in one pass.
 
-    Sets the parent link :func:`parent_of` reads on each child.  The
-    list is the module-wide fact pass: rules (``ctx.nodes``) and the
-    summariser filter it instead of walking the tree again.
+    Sets the parent link :func:`parent_of` reads on each child, except
+    on the shared context and operator singletons (:data:`_SHARED_NODES`
+    — listed, but parentless).  The list is the module-wide fact pass:
+    rules (``ctx.nodes``) and the summariser filter it instead of
+    walking the tree again.
     """
     nodes: List[ast.AST] = [tree]
     append = nodes.append
     node_type = ast.AST
+    shared = _SHARED_NODES
     # Appending while iterating visits the nodes breadth-first, which is
     # exactly ast.walk's order (its deque pops from the left).
     for parent in nodes:
         for name in parent._fields:
             value = getattr(parent, name, None)
             if isinstance(value, node_type):
-                value._lint_parent = parent  # type: ignore[attr-defined]
+                if type(value) not in shared:
+                    value._lint_parent = parent  # type: ignore[attr-defined]
                 append(value)
             elif isinstance(value, list):
                 for item in value:
                     if isinstance(item, node_type):
-                        item._lint_parent = parent  # type: ignore
+                        if type(item) not in shared:
+                            item._lint_parent = parent  # type: ignore
                         append(item)
     return nodes
 

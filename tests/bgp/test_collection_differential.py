@@ -16,6 +16,12 @@ that this is the same function as the per-origin scalar path:
    adjacencies, at block sizes 1, 2 and a non-divisor of the AS count.
    A whole :class:`RouteCollector` round merged over churn must equal
    the oracle's routes ingested one by one.
+3. **Restricted plane** — propagating ``within`` the vantage points'
+   provider closure (what collection does) leaves every VP's route
+   exactly as on the full plane — route class, parent-walked path and
+   partial-transit flag — for every origin, on the same matrix
+   (converged and churned, partial-transit links, an absent VP) and on
+   a hand-checkable 13-AS tree.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from repro.bgp.communities import CommunityRegistry
 from repro.bgp.policy import AdjacencyIndex
 from repro.bgp.propagation import compute_origin_routes, plane_of
 from repro.datasets.paths import PathCorpus
+from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role
+from repro.topology.regions import Region
 from tests.bgp.reference_collector import routes_for_origin
 from tests.bgp.test_propagation_differential import (
     DIFFERENTIAL_SEEDS,
@@ -207,3 +215,130 @@ def test_collector_round_with_churn_matches_oracle(seed):
         assert np.array_equal(
             dict(corpus.columns().section_items())[name], array
         ), name
+
+
+# ---------------------------------------------------------------------------
+# layer 3: the restricted plane keeps the vantage points' rows
+# ---------------------------------------------------------------------------
+
+def vp_view(block, vp_asns):
+    """Per row, each VP's (route class, path, partial-transit flag)."""
+    view = []
+    for b in range(len(block)):
+        row = block.row(b)
+        view.append([
+            (
+                row.pref[asn] if row.has_route(asn) else None,
+                row.path_from(asn),
+                row.is_restricted(asn),
+            )
+            for asn in vp_asns
+        ])
+    return view
+
+
+def assert_vp_rows_kept(adjacency, vp_asns, sizes=(1, 5)):
+    """Restricted blocks equal full blocks at the VPs, for every origin;
+    returns (full, restricted) routed-cell counts."""
+    plane = plane_of(adjacency)
+    present = [plane.id_or_none(asn) for asn in vp_asns]
+    within = plane.upcone([i for i in present if i is not None])
+    ids = plane.ids(adjacency.asns)
+    cells = [0, 0]
+    for size in sizes:
+        for lo in range(0, len(ids), size):
+            full = plane.propagate(ids[lo : lo + size])
+            cut = plane.propagate(ids[lo : lo + size], within=within)
+            assert vp_view(cut, vp_asns) == vp_view(full, vp_asns), (
+                f"origins {adjacency.asns[lo : lo + size]}, block {size}"
+            )
+            cells[0] += int((full.pref_arr >= 0).sum())
+            cells[1] += int((cut.pref_arr >= 0).sum())
+    return cells
+
+
+@pytest.mark.parametrize("seed", COLLECTION_SEEDS)
+@pytest.mark.parametrize("view", ["converged", "churned"])
+def test_restricted_plane_keeps_vp_rows(seed, view):
+    graph, vps, _, _ = collection_setup(seed)
+    adjacency = (
+        AdjacencyIndex(graph) if view == "converged" else churned(graph, seed)
+    )
+    vp_asns = [vp.asn for vp in vps]
+    assert ABSENT_VP in vp_asns
+    assert_vp_rows_kept(adjacency, vp_asns)
+
+
+def test_restricted_plane_keeps_scarce_vp_rows():
+    """With few VPs most of each row lies outside the closure."""
+    full = cut = partial = 0
+    for seed in COLLECTION_SEEDS:
+        graph = random_policy_graph(seed)
+        partial += any(link.partial_transit for link in graph.links())
+        asns = sorted(graph.asns())
+        cells = assert_vp_rows_kept(
+            AdjacencyIndex(graph), [asns[0], asns[-1], ABSENT_VP]
+        )
+        full, cut = full + cells[0], cut + cells[1]
+    assert cut < full / 2
+    assert partial >= len(COLLECTION_SEEDS) // 2
+
+
+def test_attack_pass_keeps_full_rows(tiny_graph):
+    plane = plane_of(AdjacencyIndex(tiny_graph))
+    within = np.ones(plane.n, dtype=bool)
+    with pytest.raises(ValueError, match="full rows"):
+        plane.propagate(
+            plane.ids([300]),
+            attack=(200, 0, np.zeros(plane.n, dtype=bool)),
+            within=within,
+        )
+
+
+def bgpsim_tree() -> ASGraph:
+    """The 13-AS tree of the NOMS-24 ``bgpsim`` fixtures: AS1 on top,
+    providers 2-5 below it (2-3 and 4-5 peer), two stubs under each."""
+    graph = ASGraph()
+    for asn in range(1, 14):
+        role = Role.STUB if asn > 5 else Role.MID_TRANSIT
+        graph.add_as(ASNode(asn=asn, region=Region.ARIN, role=role))
+    for provider, customers in (
+        (1, (2, 3, 4, 5)), (2, (6, 7)), (3, (8, 9)), (4, (10, 11)),
+        (5, (12, 13)),
+    ):
+        for customer in customers:
+            graph.add_link(
+                Link(provider=provider, customer=customer, rel=RelType.P2C)
+            )
+    for a, b in ((2, 3), (4, 5)):
+        graph.add_link(Link(provider=a, customer=b, rel=RelType.P2P))
+    return graph
+
+
+def test_restricted_plane_on_the_bgpsim_tree():
+    adjacency = AdjacencyIndex(bgpsim_tree())
+    vp_asns = [6, 9]
+    assert_vp_rows_kept(adjacency, vp_asns, sizes=(1, 13))
+    plane = plane_of(adjacency)
+    within = plane.upcone(plane.ids(vp_asns))
+    assert plane.asns[within].tolist() == [1, 2, 3, 6, 9]
+
+    def routed(origin):
+        row = plane.propagate(plane.ids([origin]), within=within).row(0)
+        return {
+            int(asn): row.path_from(int(asn))
+            for asn in plane.asns[row.routed_ids()]
+        }
+
+    # Origin 13 climbs 5 -> 1; AS4's peer route and the stubs under
+    # 4 and 5 lie outside the closure and stay unrouted.
+    assert routed(13) == {
+        1: (1, 5, 13), 2: (2, 1, 5, 13), 3: (3, 1, 5, 13), 5: (5, 13),
+        6: (6, 2, 1, 5, 13), 9: (9, 3, 1, 5, 13), 13: (13,),
+    }
+    # Origin 7: AS3 prefers its peer route from AS2, so AS9 hears the
+    # route through the 2-3 peering rather than through AS1.
+    assert routed(7) == {
+        1: (1, 2, 7), 2: (2, 7), 3: (3, 2, 7), 6: (6, 2, 7),
+        7: (7,), 9: (9, 3, 2, 7),
+    }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets.paths import CollectedRoute, PathCorpus, filter_by_vps
+from tests.corpus_views import routes_with_communities
 
 
 def _route(path, communities=()):
@@ -57,7 +58,7 @@ class TestIndexing:
         assert corpus.vantage_points == frozenset({1, 5})
 
     def test_communities_preserved(self, corpus):
-        with_comms = list(corpus.routes_with_communities())
+        with_comms = routes_with_communities(corpus)
         assert len(with_comms) == 1
         assert with_comms[0].communities == ((5, 100),)
 

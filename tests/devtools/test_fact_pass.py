@@ -8,10 +8,13 @@ module, plus hand cases for nested-function detection.
 """
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
+from repro.devtools import LintConfig, run_lint
 from repro.devtools.analysis.summaries import _executor_kinds
 from repro.devtools.registry import parent_of, walk_module
 from repro.devtools.rules.determinism import _numpy_aliases
@@ -156,3 +159,41 @@ def test_attribute_bound_pools_are_recorded():
     ))
     assert _process_pool_names(nodes) == {"self._pool", "self.scoped",
                                           "pool"}
+
+
+#: Uses a context, a binary, a boolean, a unary and a comparison
+#: operator singleton; ``_SECOND`` uses only ``Load``.
+_FIRST = "x = a + b\nif not x and y:\n    z = -x < 3\n"
+_SECOND = "print(1)\n"
+
+
+def _shared_singletons(source: str):
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, SHARED_NODES)]
+
+
+def test_shared_singletons_get_no_parent(tmp_path):
+    singletons = _shared_singletons(_FIRST)
+    # The reference pre-pass above still links them: start clean.
+    for node in singletons:
+        node.__dict__.pop("_lint_parent", None)
+    for name, source in (("first.py", _FIRST), ("second.py", _SECOND)):
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    run_lint([tmp_path], LintConfig(), whole_program=True)
+    assert {type(node).__name__ for node in singletons} >= {
+        "Load", "Store", "Add", "And", "Not", "USub", "Lt",
+    }
+    for node in singletons + [ast.Load()]:
+        assert parent_of(node) is None, type(node).__name__
+
+
+def test_walked_trees_are_not_kept_alive():
+    first = ast.parse(_FIRST)
+    nodes = walk_module(first)
+    # Still listed, so ctx.nodes and the findings keep their shape.
+    assert sum(isinstance(node, SHARED_NODES) for node in nodes) >= 7
+    ref = weakref.ref(first)
+    del first, nodes
+    walk_module(ast.parse(_SECOND))
+    gc.collect()
+    assert ref() is None

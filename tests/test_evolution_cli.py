@@ -13,6 +13,7 @@ from repro.evolution import (
     TemporalValidation,
 )
 from repro.topology.graph import RelType
+from tests.corpus_views import routes_with_communities
 
 
 def _evo_config() -> ScenarioConfig:
@@ -98,11 +99,11 @@ class TestBgpdumpFormat:
         loaded = read_path_corpus(path)
         original = {
             (r.vp, r.origin, r.path): r.communities
-            for r in scenario.corpus.routes_with_communities()
+            for r in routes_with_communities(scenario.corpus)
         }
         reloaded = {
             (r.vp, r.origin, r.path): r.communities
-            for r in loaded.routes_with_communities()
+            for r in routes_with_communities(loaded)
         }
         assert original == reloaded
 

@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.datasets.paths import PathCorpus
-from repro.topology.graph import LinkKey
+from repro.topology.graph import LinkKey, link_key
 from repro.validation.cleaning import CleanedValidation
 
 HARD_CATEGORIES: Tuple[str, ...] = (
@@ -154,42 +156,29 @@ class HardLinkClassifier:
     def _stub_links_with_clique_context(self) -> Set[LinkKey]:
         """Stub links preceded (somewhere) by two consecutive clique
         ASes — the context that makes them easy."""
-        seen: Set[LinkKey] = set()
-        for path in self.corpus.paths():
-            clique_pair_at = None
-            for i in range(len(path) - 1):
-                if path[i] in self.clique and path[i + 1] in self.clique:
-                    clique_pair_at = i
-                    break
-            if clique_pair_at is None:
-                continue
-            for j in range(clique_pair_at + 1, len(path) - 1):
-                a, b = path[j], path[j + 1]
-                seen.add((a, b) if a < b else (b, a))
-        return seen
+        return {
+            link_key(a, b)
+            for a, b in self.corpus.descending_seed_pairs(self.clique)
+        }
 
     def _direction_conflicts(self) -> Set[LinkKey]:
         """Links used in both directions by naive top-down reading.
 
-        For each path, everything after the maximum-transit-degree AS
+        For each path, everything from the maximum-transit-degree AS on
         is read as descending; a link read descending in both
         directions across paths is a conflict.
         """
-        transit_degrees = self.corpus.transit_degrees()
-        down_votes: Dict[LinkKey, Set[bool]] = {}
-        for path in self.corpus.paths():
-            if len(path) < 2:
-                continue
-            apex = max(
-                range(len(path)),
-                key=lambda i: (transit_degrees.get(path[i], 0), -i),
-            )
-            for j in range(apex, len(path) - 1):
-                a, b = path[j], path[j + 1]
-                key = (a, b) if a < b else (b, a)
-                down_votes.setdefault(key, set()).add(a == key[0])
-        return {key for key, directions in down_votes.items()
-                if len(directions) > 1}
+        index = self.corpus.columnar_index()
+        occ_pos, occ_route, pair_a, _ = index._pair_arrays()
+        _, link_lo, link_hi, occ_link = index._link_arrays()
+        apex = index.route_apexes(index.transit_degree_array())[occ_route]
+        down = occ_pos >= apex
+        links = occ_link[down]
+        forward = pair_a[down] == link_lo[links]
+        read = np.zeros((index.n_links, 2), dtype=bool)
+        read[links, forward.astype(np.int64)] = True
+        both = np.flatnonzero(read.all(axis=1))
+        return set(zip(link_lo[both].tolist(), link_hi[both].tolist()))
 
 
 def hard_link_report(

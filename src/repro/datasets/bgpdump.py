@@ -17,25 +17,51 @@ and the surviving communities as space-separated ``asn:value`` pairs.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Union
+
+import numpy as np
 
 from repro.bgp.communities import Community
 from repro.datasets.paths import CollectedRoute, PathCorpus
 
 _HEADER = "# repro path corpus v1"
+_BLOCK_ROUTES = 1 << 14
 
 
 def write_path_corpus(corpus: PathCorpus, path: Union[str, Path]) -> int:
-    """Serialise every route; returns the number of lines written."""
-    lines: List[str] = [_HEADER]
-    for route in corpus.routes():
-        path_part = " ".join(str(asn) for asn in route.path)
-        community_part = " ".join(
-            f"{asn}:{value}" for asn, value in route.communities
-        )
-        lines.append(f"{path_part}|{community_part}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-    return len(lines) - 1
+    """Serialise every route, one line at a time; returns the number of
+    lines written."""
+    cols = corpus.columns()
+    n_routes = cols.n_routes
+    # The community rows are sorted by route: route r's rows are
+    # tag_bounds[r]:tag_bounds[r + 1].
+    tag_bounds = np.searchsorted(cols.comm_route, np.arange(n_routes + 1))
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(_HEADER + "\n")
+        # Python lists for one block of routes at a time, so the
+        # memory held stays flat in the corpus size.
+        for first in range(0, n_routes, _BLOCK_ROUTES):
+            block = slice(first, min(first + _BLOCK_ROUTES, n_routes) + 1)
+            offsets = cols.offsets[block]
+            bounds = tag_bounds[block]
+            hops = cols.hops[offsets[0] : offsets[-1]].tolist()
+            tags = [
+                f"{owner}:{value}"
+                for owner, value in zip(
+                    cols.comm_owner[bounds[0] : bounds[-1]].tolist(),
+                    cols.comm_value[bounds[0] : bounds[-1]].tolist(),
+                )
+            ]
+            offsets = (offsets - offsets[0]).tolist()
+            bounds = (bounds - bounds[0]).tolist()
+            for route in range(len(offsets) - 1):
+                handle.write(
+                    " ".join(map(str, hops[offsets[route] : offsets[route + 1]]))
+                    + "|"
+                    + " ".join(tags[bounds[route] : bounds[route + 1]])
+                    + "\n"
+                )
+    return n_routes
 
 
 def read_path_corpus(path: Union[str, Path]) -> PathCorpus:

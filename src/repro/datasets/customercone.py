@@ -21,8 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
+from repro.pipeline.columnar import _concat_ranges
 from repro.topology.graph import RelType
 
 
@@ -77,21 +80,56 @@ def ppdc_cones(
     incident to the vantage point) contributes no observation — the
     Figure 8 variant that removes the collector-peer bias.
     """
-    vps = corpus.vantage_points
-    cones: Dict[int, Set[int]] = {}
-    for path in corpus.paths():
-        for i in range(1, len(path) - 1):
-            upstream, asn = path[i - 1], path[i]
-            if ignore_vp_incident and i == 1 and upstream in vps:
-                continue
-            rel = rels.rel_of(upstream, asn)
-            if rel is None or rel is RelType.S2S:
-                continue
-            if rel is RelType.P2P or (
-                rel is RelType.P2C and rels.provider_of(upstream, asn) == upstream
-            ):
-                cones.setdefault(asn, set()).update(path[i + 1 :])
-    return cones
+    index = corpus.columnar_index()
+    occ_pos, occ_route, pair_a, pair_b = index._pair_arrays()
+    _, link_lo, _, occ_link = index._link_arrays()
+    offsets = corpus.columns().offsets
+    ends = offsets[1:][occ_route]
+    # Transit positions: the pair's downstream AS is not the origin.
+    keep = occ_pos + 2 < ends
+    if ignore_vp_incident:
+        # The first pair's upstream AS is the vantage point itself.
+        keep &= occ_pos != offsets[:-1][occ_route]
+    # One relationship lookup per distinct directed pair.
+    kept = np.flatnonzero(keep)
+    backward = pair_a[kept] != link_lo[occ_link[kept]]
+    _, first, slot_of = np.unique(
+        2 * occ_link[kept].astype(np.int64) + backward,
+        return_index=True,
+        return_inverse=True,
+    )
+    pairs = kept[first]
+    observed = np.array(
+        [
+            _enters_from_above(rels, upstream, asn)
+            for upstream, asn in zip(
+                pair_a[pairs].tolist(), pair_b[pairs].tolist()
+            )
+        ],
+        dtype=bool,
+    )
+    hits = kept[observed[slot_of]]
+    # Everything after the downstream AS is inside its cone.
+    counts = ends[hits] - occ_pos[hits] - 2
+    hops = corpus.columns().hops
+    members = hops[_concat_ranges(occ_pos[hits] + 2, counts)].astype(np.int64)
+    cone_of = np.repeat(pair_b[hits].astype(np.int64), counts)
+    packed = np.unique((cone_of << 32) | members)
+    owners, starts = np.unique(packed >> 32, return_index=True)
+    bounds = np.append(starts, len(packed)).tolist()
+    member_of = (packed & 0xFFFFFFFF).tolist()
+    return {
+        owner: set(member_of[bounds[i] : bounds[i + 1]])
+        for i, owner in enumerate(owners.tolist())
+    }
+
+
+def _enters_from_above(rels: RelationshipSet, upstream: int, asn: int) -> bool:
+    """Whether ``upstream`` is inferred a provider or peer of ``asn``."""
+    rel = rels.rel_of(upstream, asn)
+    return rel is RelType.P2P or (
+        rel is RelType.P2C and rels.provider_of(upstream, asn) == upstream
+    )
 
 
 def ppdc_sizes(

@@ -67,10 +67,9 @@ class PathCorpus:
     """All collected routes plus the indices the paper's pipeline needs.
 
     Routes are stored as the corpus columns they were ingested as, one
-    part per ingest, concatenated on first read.  Python-side views
-    (path tuples, the community dict, the VP set) and every derived
-    index are built lazily from the columns and dropped when routes are
-    added.
+    part per ingest, concatenated on first read.  That is the only
+    layout: the VP set and every derived index are built lazily from
+    the columns and dropped when routes are added.
     """
 
     def __init__(self) -> None:
@@ -79,8 +78,6 @@ class PathCorpus:
         #: Dedup keys of the stored paths (``None`` until the first
         #: ingest into a corpus wrapped around existing columns).
         self._seen: Optional[Set[bytes]] = set()
-        self._paths: Optional[List[Path]] = None
-        self._communities: Optional[Dict[int, Tuple[Community, ...]]] = None
         self._vp_set: Optional[Set[int]] = None
         self._index: Optional["ColumnarIndices"] = None
         self._memo: Dict[str, Any] = {}
@@ -92,10 +89,8 @@ class PathCorpus:
     def from_columns(cls, columns: "CorpusColumns") -> "PathCorpus":
         """Wrap pre-built (possibly memory-mapped) corpus columns.
 
-        Paths, communities and the dedup set materialise lazily, only
-        when a consumer actually iterates routes or adds more — the
-        inference hot path never does, so a warm cache load stays
-        near-zero-copy.
+        The dedup set is only rebuilt if routes are added later, so a
+        warm cache load stays near-zero-copy.
         """
         corpus = cls()
         corpus._parts = [columns]
@@ -154,29 +149,10 @@ class PathCorpus:
         return self.ingest_columns(columns)
 
     def _invalidate(self) -> None:
-        self._paths = None
-        self._communities = None
         self._vp_set = None
         self._index = None
         if self._memo:
             self._memo = {}
-
-    def _materialise(self) -> None:
-        """Build the path tuples from the columns."""
-        if self._paths is not None:
-            return
-        cols = self.columns()
-        hops = cols.hops.tolist()
-        offsets = cols.offsets.tolist()
-        self._paths = [
-            tuple(hops[offsets[i] : offsets[i + 1]])
-            for i in range(len(offsets) - 1)
-        ]
-
-    def _ensure_communities(self) -> Dict[int, Tuple[Community, ...]]:
-        if self._communities is None:
-            self._communities = self.columns().communities_dict()
-        return self._communities
 
     # ------------------------------------------------------------------
     # columnar machinery
@@ -234,22 +210,6 @@ class PathCorpus:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._n_routes
-
-    def paths(self) -> Iterator[Path]:
-        self._materialise()
-        return iter(self._paths)
-
-    def routes(self) -> Iterator[CollectedRoute]:
-        """Re-materialise :class:`CollectedRoute` objects."""
-        self._materialise()
-        communities = self._ensure_communities()
-        for index, path in enumerate(self._paths):
-            yield CollectedRoute(
-                vp=path[0],
-                origin=path[-1],
-                path=path,
-                communities=communities.get(index, ()),
-            )
 
     @property
     def vantage_points(self) -> FrozenSet[int]:

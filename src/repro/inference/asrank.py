@@ -65,14 +65,6 @@ class ASRank(InferenceAlgorithm):
         #: announcements never gained clique context.
         self.degree_gap_ratio = degree_gap_ratio
         self.degree_gap_min = degree_gap_min
-        #: A first-hop neighbour supplying at least this fraction of a
-        #: VP's table is considered the VP's transit provider; sessions
-        #: below it seed descending suffixes.  Disabled (0.0) by
-        #: default: a backup provider session that carries almost no
-        #: best paths gets misclassified as a peer, and every path
-        #: through it then cascades into wrong P2C inferences — the
-        #: cure is far worse than the missing-evidence disease.
-        self.provider_table_fraction = 0.0
         #: Populated by :meth:`infer` for downstream consumers
         #: (ProbLink, TopoScope, the case study).
         self.clique_: List[int] = []
@@ -113,51 +105,11 @@ class ASRank(InferenceAlgorithm):
         for pair in corpus.descending_seed_pairs(clique):
             mark(pair)
         # Fixpoint: descending evidence flows through triplets.
-        def drain() -> None:
-            while worklist:
-                a, b = worklist.pop()
-                for c in continuations.get((a, b), ()):
-                    mark((b, c))
-
-        drain()
-        # Vantage-point first-hop seeds: for a path [w, x, ...] the
-        # collector can classify the w-x session by how much of w's
-        # table arrives via x — a provider supplies a large share, a
-        # peer or customer supplies only its customer cone.  If x is
-        # *not* w's provider, then x exported the rest of the path
-        # sideways or upwards, which under Gao-Rexford is only legal for
-        # customer routes: the entire suffix from x onwards descends.
-        if self.provider_table_fraction > 0:
-            non_provider_first_hops = self._non_provider_first_hops(corpus)
-            for path in corpus.paths():
-                if len(path) < 3:
-                    continue
-                if (path[0], path[1]) in non_provider_first_hops:
-                    for j in range(1, len(path) - 1):
-                        mark((path[j], path[j + 1]))
-            drain()
+        while worklist:
+            a, b = worklist.pop()
+            for c in continuations.get((a, b), ()):
+                mark((b, c))
         return descending
-
-    def _non_provider_first_hops(
-        self, corpus: PathCorpus
-    ) -> Set[Tuple[int, int]]:
-        """(vp, neighbour) sessions where the neighbour is clearly not
-        the VP's transit provider (it supplies only a small fraction of
-        the VP's table)."""
-        per_vp_totals: Dict[int, int] = {}
-        per_hop_counts: Dict[Tuple[int, int], int] = {}
-        for path in corpus.paths():
-            if len(path) < 2:
-                continue
-            vp = path[0]
-            per_vp_totals[vp] = per_vp_totals.get(vp, 0) + 1
-            hop = (vp, path[1])
-            per_hop_counts[hop] = per_hop_counts.get(hop, 0) + 1
-        return {
-            hop
-            for hop, count in per_hop_counts.items()
-            if count < self.provider_table_fraction * per_vp_totals[hop[0]]
-        }
 
     # ------------------------------------------------------------------
     def _assemble(

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.customercone import recursive_customer_cones
 from repro.datasets.paths import PathCorpus
@@ -176,23 +178,26 @@ class ComplexRelationshipDetector:
     # ------------------------------------------------------------------
     def _direction_votes(
         self, corpus: PathCorpus
-    ) -> Dict[LinkKey, Tuple[Set[int], Set[int]]]:
-        """Per link: VPs whose paths used it left-to-right vs
-        right-to-left (canonical key order)."""
-        votes: Dict[LinkKey, Tuple[Set[int], Set[int]]] = {}
-        for path in corpus.paths():
-            vp = path[0]
-            for left, right in zip(path, path[1:]):
-                key = (left, right) if left < right else (right, left)
-                forward = left == key[0]
-                slot = votes.setdefault(key, (set(), set()))
-                (slot[0] if forward else slot[1]).add(vp)
-        return votes
+    ) -> Dict[LinkKey, Tuple[int, int]]:
+        """Per link: how many distinct VPs' paths used it left-to-right
+        vs right-to-left (canonical key order)."""
+        index = corpus.columnar_index()
+        _, occ_route, pair_a, _ = index._pair_arrays()
+        _, link_lo, _, occ_link = index._link_arrays()
+        backward = (pair_a != link_lo[occ_link]).astype(np.int64)
+        slots = 2 * occ_link.astype(np.int64) + backward
+        vps = corpus.columns().vp_column()[occ_route].astype(np.int64)
+        # Distinct (link, direction, vp) triples, counted per slot the
+        # way the link visibility counts are.
+        distinct = np.unique((slots << 32) | vps)
+        counts = np.bincount(distinct >> 32, minlength=2 * index.n_links)
+        pairs = map(tuple, counts.reshape(-1, 2).tolist())
+        return dict(zip(index.link_keys_list(), pairs))
 
     def _hybrid_verdict(
         self,
         key: LinkKey,
-        direction_votes: Dict[LinkKey, Tuple[Set[int], Set[int]]],
+        direction_votes: Dict[LinkKey, Tuple[int, int]],
         validation: Optional[ValidationData],
     ) -> Optional[ComplexLink]:
         """Flag links with PoP-dependent behaviour.
@@ -214,17 +219,16 @@ class ComplexRelationshipDetector:
                     evidence="conflicting validation labels",
                 )
         if self.base.rel_of(*key) is RelType.P2C:
-            forward, backward = direction_votes.get(key, (set(), set()))
-            smaller = min(len(forward), len(backward))
-            larger = max(len(forward), len(backward))
+            forward, backward = direction_votes.get(key, (0, 0))
+            smaller = min(forward, backward)
+            larger = max(forward, backward)
             if smaller >= self.min_visibility and smaller >= 0.35 * larger:
                 return ComplexLink(
                     key=key,
                     kind="hybrid",
                     provider=self.base.provider_of(*key),
                     evidence=(
-                        f"two-sided usage: {len(forward)} vs "
-                        f"{len(backward)} VPs"
+                        f"two-sided usage: {forward} vs {backward} VPs"
                     ),
                 )
         return None

@@ -16,12 +16,11 @@ refinement bought (and where it bought nothing).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import numpy as np
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
 from repro.inference.base import InferenceAlgorithm
-from repro.topology.graph import LinkKey, link_key
 
 
 class GaoInference(InferenceAlgorithm):
@@ -36,37 +35,36 @@ class GaoInference(InferenceAlgorithm):
 
     def infer(self, corpus: PathCorpus) -> RelationshipSet:
         degrees = corpus.node_degrees()
-        #: (a, b) -> votes that a is the provider of b.
-        provider_votes: Dict[Tuple[int, int], int] = {}
-        top_link_votes: Dict[LinkKey, int] = {}
-        for path in corpus.paths():
-            if len(path) < 2:
-                continue
-            top_index = max(
-                range(len(path)), key=lambda i: (degrees.get(path[i], 0), -i)
-            )
-            for i in range(len(path) - 1):
-                left, right = path[i], path[i + 1]
-                if i + 1 <= top_index:
-                    # ascending: the right-hand AS provides transit.
-                    pair = (right, left)
-                else:
-                    pair = (left, right)
-                provider_votes[pair] = provider_votes.get(pair, 0) + 1
-            if 0 < top_index < len(path):
-                # The link that first touches the top AS is a peering
-                # candidate when its endpoints are of comparable size.
-                key = link_key(path[top_index - 1], path[top_index])
-                top_link_votes[key] = top_link_votes.get(key, 0) + 1
+        index = corpus.columnar_index()
+        occ_pos, occ_route, pair_a, pair_b = index._pair_arrays()
+        _, link_lo, link_hi, occ_link = index._link_arrays()
+        # Each pair's route apex: its first hop of highest degree.
+        top = index.route_apexes(index.node_degree_array())[occ_route]
+        # Pairs before the top AS ascend: the right-hand AS provides
+        # transit; the rest descend.
+        providers = np.where(occ_pos < top, pair_b, pair_a)
+        n_links = index.n_links
+        # Per link: votes that its lower / higher AS is the provider.
+        votes_lo = np.bincount(
+            occ_link[providers == link_lo[occ_link]], minlength=n_links
+        )
+        votes_hi = np.bincount(
+            occ_link[providers == link_hi[occ_link]], minlength=n_links
+        )
+        # The link that first touches the top AS is a peering candidate
+        # when its endpoints are of comparable size.
+        top_link = np.zeros(n_links, dtype=bool)
+        top_link[occ_link[occ_pos + 1 == top]] = True
         rels = RelationshipSet()
-        for key in corpus.visible_links():
-            a, b = key
-            votes_ab = provider_votes.get((a, b), 0)
-            votes_ba = provider_votes.get((b, a), 0)
+        for (a, b), votes_ab, votes_ba, often_top in zip(
+            corpus.visible_links(),
+            votes_lo.tolist(),
+            votes_hi.tolist(),
+            top_link.tolist(),
+        ):
             deg_a, deg_b = degrees.get(a, 0), degrees.get(b, 0)
             small, large = sorted((deg_a, deg_b))
             comparable = large <= self.peer_degree_ratio * max(1, small)
-            often_top = top_link_votes.get(key, 0) > 0
             if comparable and often_top and min(votes_ab, votes_ba) > 0:
                 rels.set_p2p(a, b)
             elif votes_ab > votes_ba:

@@ -79,8 +79,7 @@ human-readable exports.  The corpus — by far the largest artifact —
 uses the compact binary section format of
 :mod:`repro.pipeline.columnar` instead and is **memory-mapped** on warm
 reads: a warm ``build_scenario`` adopts the on-disk columns directly
-and never materialises per-route Python tuples unless a consumer
-iterates routes.
+and never materialises per-route Python tuples.
 """
 
 from __future__ import annotations

@@ -228,25 +228,6 @@ class CorpusColumns:
             return 0
         return int(len(np.unique(self.comm_route)))
 
-    def communities_dict(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-        """Rebuild the ``route index -> community tuple`` mapping."""
-        out: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        routes = self.comm_route.tolist()
-        owners = self.comm_owner.tolist()
-        values = self.comm_value.tolist()
-        bucket: List[Tuple[int, int]] = []
-        current: Optional[int] = None
-        for route, owner, value in zip(routes, owners, values):
-            if route != current:
-                if bucket:
-                    out[current] = tuple(bucket)
-                bucket = []
-                current = route
-            bucket.append((owner, value))
-        if bucket:
-            out[current] = tuple(bucket)
-        return out
-
     def section_items(self) -> List[Tuple[str, np.ndarray]]:
         """Sections in canonical artifact order with canonical dtypes."""
         raw = {
@@ -403,6 +384,31 @@ class ColumnarIndices:
             self._degrees = (transit.astype(np.int64), node.astype(np.int64))
         return self._degrees
 
+    def route_apexes(self, as_score: np.ndarray) -> np.ndarray:
+        """Per route: the hop position of its first hop with the highest
+        ``as_score`` (aligned to the sorted visible-AS table), or -1 for
+        a single-hop route.
+
+        The per-path ``max(range(len(path)), key=lambda i: (score, -i))``
+        of a top-down path reading, for every route at once.
+        """
+        cols = self.columns
+        lengths = cols.lengths()
+        apex = np.full(cols.n_routes, -1, dtype=np.int64)
+        routes = np.flatnonzero(lengths >= 2)
+        if len(routes) == 0:
+            return apex
+        counts = lengths[routes]
+        positions = _concat_ranges(cols.offsets[:-1][routes], counts)
+        score = as_score[self.as_index_of(cols.hops[positions])]
+        seg_starts = np.cumsum(counts) - counts
+        best = np.maximum.reduceat(score, seg_starts)
+        hits = np.flatnonzero(score == np.repeat(best, counts))
+        # Every route holds a hit, so the first hit at or after a
+        # route's start is that route's first best hop.
+        apex[routes] = positions[hits[np.searchsorted(hits, seg_starts)]]
+        return apex
+
     def _mid_positions(self) -> np.ndarray:
         """Hop positions that are neither first nor last in their route."""
         cols = self.columns
@@ -551,6 +557,10 @@ class ColumnarIndices:
     def transit_degree_array(self) -> np.ndarray:
         """Transit degree aligned to the sorted visible-AS table."""
         return self._degree_arrays()[0]
+
+    def node_degree_array(self) -> np.ndarray:
+        """Node degree aligned to the sorted visible-AS table."""
+        return self._degree_arrays()[1]
 
     def triplet_tuples(self) -> List[Tuple[int, int, int]]:
         tri_p1, tri_b = self._triplet_arrays()

@@ -31,6 +31,7 @@ from repro.config import AdversarialConfig, ScenarioConfig
 from repro.datasets.paths import PathCorpus
 from repro.topology.generator import generate_topology
 from repro.utils.rng import make_rng
+from tests import corpus_views
 from tests.bgp import reference_engine
 from tests.bgp.reference_collector import AttackTreeView, routes_for_origin
 
@@ -164,7 +165,7 @@ class TestCollectedPollution:
             columns = reducer.reduce(
                 joint, suffix=event.suffix, tag_override=tag_override
             )
-            return list(PathCorpus.from_columns(columns).routes())
+            return corpus_views.routes(PathCorpus.from_columns(columns))
         view = AttackTreeView(joint, event.suffix, tag_override)
         return routes_for_origin(view, vps, communities, strippers=set())
 
@@ -300,7 +301,7 @@ class TestEventPlanning:
             vps, communities, strippers,
         )
         corpus = PathCorpus()
-        for route in clean.routes():
+        for route in corpus_views.routes(clean):
             corpus.add_route(route)
         collector = RouteCollector(
             small_topology, vps, communities, strippers

@@ -38,6 +38,7 @@ from repro.bgp.propagation import compute_origin_routes, plane_of
 from repro.datasets.paths import PathCorpus
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role
 from repro.topology.regions import Region
+from tests import corpus_views
 from tests.bgp.reference_collector import routes_for_origin
 from tests.bgp.test_propagation_differential import (
     DIFFERENTIAL_SEEDS,
@@ -100,7 +101,7 @@ def block_routes(adjacency, origins, reducer, size):
     routes = []
     for lo in range(0, len(ids), size):
         columns = reducer.reduce(plane.propagate(ids[lo : lo + size]))
-        routes.extend(PathCorpus.from_columns(columns).routes())
+        routes.extend(corpus_views.routes(PathCorpus.from_columns(columns)))
     return routes
 
 
@@ -210,7 +211,7 @@ def test_collector_round_with_churn_matches_oracle(seed):
         ):
             reference.add_route(route)
     assert len(corpus) == len(reference)
-    assert list(corpus.routes()) == list(reference.routes())
+    assert corpus_views.routes(corpus) == corpus_views.routes(reference)
     for name, array in reference.columns().section_items():
         assert np.array_equal(
             dict(corpus.columns().section_items())[name], array

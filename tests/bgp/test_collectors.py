@@ -13,6 +13,7 @@ from repro.bgp.communities import CommunityRegistry, Meaning
 from repro.config import ScenarioConfig
 from repro.topology.graph import Role
 from repro.utils.rng import make_rng
+from tests import corpus_views
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ class TestCollection:
     def test_full_feed_exports_everything(self, tiny_topology, registry):
         vps = [VantagePoint(asn=200, full_feed=True)]
         corpus = _collector(tiny_topology, registry, vps).collect()
-        origins = {route.origin for route in corpus.routes()}
+        origins = {route.origin for route in corpus_views.routes(corpus)}
         # 200 reaches everything except the partial-transit island
         # (35/350 routes never reach 20's side).
         assert 100 in origins
@@ -64,21 +65,21 @@ class TestCollection:
     ):
         vps = [VantagePoint(asn=30, full_feed=False)]
         corpus = _collector(tiny_topology, registry, vps).collect()
-        origins = {route.origin for route in corpus.routes()}
+        origins = {route.origin for route in corpus_views.routes(corpus)}
         # 30's customer cone plus itself: 100, 300, 61, 70, 30.
         assert origins == {30, 100, 300, 61, 70}
 
     def test_paths_start_at_vp(self, tiny_topology, registry):
         vps = [VantagePoint(asn=200, full_feed=True)]
         corpus = _collector(tiny_topology, registry, vps).collect()
-        for route in corpus.routes():
+        for route in corpus_views.routes(corpus):
             assert route.path[0] == 200
             assert route.path[-1] == route.origin
 
     def test_communities_tag_relationships(self, tiny_topology, registry):
         vps = [VantagePoint(asn=40, full_feed=True)]
         corpus = _collector(tiny_topology, registry, vps).collect()
-        by_origin = {route.origin: route for route in corpus.routes()}
+        by_origin = {route.origin: route for route in corpus_views.routes(corpus)}
         # 40 learns 100 from peer 30: 40's own tag must be peer-meaning.
         route = by_origin[100]
         own_tag = registry.codebook(40).encode(Meaning.LEARNED_FROM_PEER)
@@ -91,7 +92,7 @@ class TestCollection:
         corpus = _collector(
             tiny_topology, registry, vps, strippers={40}
         ).collect()
-        by_origin = {route.origin: route for route in corpus.routes()}
+        by_origin = {route.origin: route for route in corpus_views.routes(corpus)}
         taggers = {community[0] for community in by_origin[100].communities}
         assert 200 in taggers  # the VP's own tag always survives
         assert 30 not in taggers
@@ -99,7 +100,7 @@ class TestCollection:
     def test_no_strippers_tags_survive(self, tiny_topology, registry):
         vps = [VantagePoint(asn=200, full_feed=True)]
         corpus = _collector(tiny_topology, registry, vps).collect()
-        by_origin = {route.origin: route for route in corpus.routes()}
+        by_origin = {route.origin: route for route in corpus_views.routes(corpus)}
         taggers = {community[0] for community in by_origin[100].communities}
         assert taggers == {200, 40, 30}
 

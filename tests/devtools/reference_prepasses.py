@@ -14,13 +14,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional, Set
 
-from repro.devtools.registry import call_name, dotted_name
+from repro.devtools.registry import _SHARED_NODES, call_name, dotted_name
 
 
 def _annotate_parents(tree: ast.Module) -> None:
     for parent in ast.walk(tree):
         for child in ast.iter_child_nodes(parent):
-            child._lint_parent = parent  # type: ignore[attr-defined]
+            if type(child) not in _SHARED_NODES:
+                child._lint_parent = parent  # type: ignore[attr-defined]
 
 
 def _numpy_aliases(tree: ast.Module) -> tuple:

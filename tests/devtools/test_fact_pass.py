@@ -60,8 +60,6 @@ def test_node_list_and_parents_match_the_reference(corpus):
         expected_index = {id(node): i for i, node in enumerate(expected)}
         for got, want in zip(nodes, expected):
             assert type(got) is type(want), path
-            if isinstance(got, SHARED_NODES):
-                continue
             got_parent = parent_of(got)
             want_parent = getattr(want, "_lint_parent", None)
             assert (got_parent is None) == (want_parent is None), path
@@ -174,9 +172,6 @@ def _shared_singletons(source: str):
 
 def test_shared_singletons_get_no_parent(tmp_path):
     singletons = _shared_singletons(_FIRST)
-    # The reference pre-pass above still links them: start clean.
-    for node in singletons:
-        node.__dict__.pop("_lint_parent", None)
     for name, source in (("first.py", _FIRST), ("second.py", _SECOND)):
         (tmp_path / name).write_text(source, encoding="utf-8")
     run_lint([tmp_path], LintConfig(), whole_program=True)

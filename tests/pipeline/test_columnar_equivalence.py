@@ -27,6 +27,7 @@ from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
 from repro.pipeline.cache import ArtifactCache
 from repro.topology.generator import generate_topology
+from tests import corpus_views
 from tests.pipeline.reference_corpus import ReferenceIndex
 
 SEEDS = (3, 5, 11)
@@ -76,7 +77,7 @@ def corpora(request):
     config = _config(request.param)
     topology = generate_topology(config)
     corpus, _, _, _ = collect_corpus(topology, config)
-    reference = ReferenceIndex.of(corpus.paths())
+    reference = ReferenceIndex.of(corpus_views.paths(corpus))
     assert len(reference.paths) == len(corpus)
     return request.param, config, corpus, reference
 
@@ -142,8 +143,8 @@ def test_filter_by_vps_matches_route_filter(corpora):
     _, _, corpus, _ = corpora
     group = set(sorted(corpus.vantage_points)[::2])
     sub = filter_by_vps(corpus, group)
-    assert list(sub.routes()) == [
-        route for route in corpus.routes() if route.vp in group
+    assert corpus_views.routes(sub) == [
+        route for route in corpus_views.routes(corpus) if route.vp in group
     ]
 
 

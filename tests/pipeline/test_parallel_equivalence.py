@@ -30,6 +30,7 @@ from repro.datasets.paths import PathCorpus
 from repro.pipeline import parallel
 from repro.pipeline.columnar import write_corpus_columns
 from repro.topology.generator import generate_topology
+from tests import corpus_views
 from tests.bgp.reference_collector import routes_for_origin
 
 #: Three seeds, per the acceptance criteria; kept small so the whole
@@ -108,7 +109,7 @@ class TestCollectRoutes:
             vps, communities, strippers,
         )
         assert expected
-        assert list(PathCorpus.from_columns(columns).routes()) == expected
+        assert corpus_views.routes(PathCorpus.from_columns(columns)) == expected
 
 
 class TestSharedPool:

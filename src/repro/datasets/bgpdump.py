@@ -65,32 +65,38 @@ def write_path_corpus(corpus: PathCorpus, path: Union[str, Path]) -> int:
 
 
 def read_path_corpus(path: Union[str, Path]) -> PathCorpus:
-    """Parse a corpus file back into a fully-indexed :class:`PathCorpus`."""
-    routes: List[CollectedRoute] = []
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="ascii").splitlines(), 1
-    ):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "|" not in line:
-            raise ValueError(f"{path}:{line_no}: missing '|' separator: {raw!r}")
-        path_part, community_part = line.split("|", 1)
-        as_path = tuple(int(token) for token in path_part.split())
-        if not as_path:
-            raise ValueError(f"{path}:{line_no}: empty AS path")
-        communities: List[Community] = []
-        for token in community_part.split():
-            owner_s, value_s = token.split(":", 1)
-            communities.append((int(owner_s), int(value_s)))
-        routes.append(
-            CollectedRoute(
-                vp=as_path[0],
-                origin=as_path[-1],
-                path=as_path,
-                communities=tuple(communities),
-            )
-        )
+    """Parse a corpus file back into a fully-indexed :class:`PathCorpus`,
+    one line at a time, adding routes in blocks of ``_BLOCK_ROUTES``."""
     corpus = PathCorpus()
-    corpus.add_routes(routes)
+    block: List[CollectedRoute] = []
+    with open(path, encoding="ascii") as handle:
+        for line_no, text in enumerate(handle, 1):
+            raw = text.rstrip("\n")
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "|" not in line:
+                raise ValueError(
+                    f"{path}:{line_no}: missing '|' separator: {raw!r}"
+                )
+            path_part, community_part = line.split("|", 1)
+            as_path = tuple(map(int, path_part.split()))
+            if not as_path:
+                raise ValueError(f"{path}:{line_no}: empty AS path")
+            communities: List[Community] = []
+            for token in community_part.split():
+                owner_s, value_s = token.split(":", 1)
+                communities.append((int(owner_s), int(value_s)))
+            block.append(
+                CollectedRoute(
+                    vp=as_path[0],
+                    origin=as_path[-1],
+                    path=as_path,
+                    communities=tuple(communities),
+                )
+            )
+            if len(block) == _BLOCK_ROUTES:
+                corpus.add_routes(block)
+                block = []
+    corpus.add_routes(block)
     return corpus

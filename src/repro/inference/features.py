@@ -2,8 +2,8 @@
 
 Two consumers:
 
-* the probabilistic/ensemble classifiers (ProbLink, TopoScope) use the
-  discretised features via :class:`LinkFeatureExtractor.discrete`;
+* ProbLink's naive Bayes uses the discretised features via
+  :meth:`LinkFeatureExtractor.discrete_all`;
 * the Appendix C benchmark extracts the paper's twelve candidate
   metrics for identifying further groups of "hard links"
   (:meth:`LinkFeatureExtractor.appendix_c`).
@@ -62,7 +62,7 @@ def _apply_bucket(
 
 @dataclass(frozen=True)
 class DiscreteFeatures:
-    """The categorical feature vector used by the Bayes classifiers."""
+    """The categorical feature vector of ProbLink's naive Bayes."""
 
     visibility_bucket: int
     degree_ratio_bucket: int

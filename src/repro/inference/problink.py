@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
 from repro.inference.asrank import ASRank
@@ -32,6 +34,12 @@ from repro.topology.ixp import IXPRegistry
 #: The two classes ProbLink distinguishes (siblings are out of scope,
 #: as in the published algorithm).
 _CLASSES = (RelType.P2C, RelType.P2P)
+
+#: The Laplace denominator's pseudo-vocabulary: each field's conditional
+#: is smoothed as if the field took this many values.  It is one fixed
+#: constant, not each field's own value count (two to about ten);
+#: changing it changes every posterior.
+_PSEUDO_VOCABULARY = 16
 
 
 class ProbLink(InferenceAlgorithm):
@@ -66,58 +74,88 @@ class ProbLink(InferenceAlgorithm):
         extractor = LinkFeatureExtractor(corpus, clique, ixps=self.ixps)
         features = extractor.discrete_all()
         degrees = corpus.transit_degrees()
-        clique_set = set(clique)
 
-        labels: Dict[LinkKey, RelType] = {}
-        for key in corpus.visible_links():
-            rel = initial_rels.rel_of(*key)
-            labels[key] = RelType.P2P if rel is RelType.P2P else RelType.P2C
+        # Links share few feature vectors (about 300 for 33k links at
+        # 2.5k ASes): the model is fitted from and evaluated on the
+        # distinct vectors, and each link reads its vector's result
+        # through ``inverse``.  Labels are indices into _CLASSES.
+        links = corpus.visible_links()
+        distinct: Dict[DiscreteFeatures, int] = {}
+        inverse = np.fromiter(
+            (distinct.setdefault(features[key], len(distinct)) for key in links),
+            dtype=np.int64,
+            count=len(links),
+        )
+        vectors = list(distinct)
+        labels = np.fromiter(
+            (initial_rels.rel_of(*key) is RelType.P2P for key in links),
+            dtype=np.int64,
+            count=len(links),
+        )
+        # The clique mesh is pinned to P2P: those links keep their
+        # initial label.
+        lo, hi = corpus.columnar_index().link_endpoint_arrays()
+        clique_ids = np.array(clique, dtype=np.uint32)
+        free = ~(np.isin(lo, clique_ids) & np.isin(hi, clique_ids))
 
-        n_links = len(labels)
+        posteriors: List[float] = []
         for iteration in range(self.max_iterations):
-            model = self._fit(labels, features)
-            changed = 0
-            for key, feats in features.items():
-                if key[0] in clique_set and key[1] in clique_set:
-                    continue  # the clique mesh is pinned to P2P
-                best, posterior_p2p = self._classify(model, feats)
-                self.posterior_p2p_[key] = posterior_p2p
-                if best is not labels[key]:
-                    labels[key] = best
-                    changed += 1
+            model = self._fit(labels, inverse, vectors)
+            decided = [self._classify(model, feats) for feats in vectors]
+            posteriors = [posterior for _, posterior in decided]
+            best = np.array(
+                [cls is RelType.P2P for cls, _ in decided], dtype=np.int64
+            )[inverse]
+            changed = int(np.count_nonzero(free & (best != labels)))
+            labels = np.where(free, best, labels)
             self.iterations_run_ = iteration + 1
-            if changed <= n_links * self.convergence_fraction:
+            if changed <= len(links) * self.convergence_fraction:
                 break
+        if posteriors:
+            for key, vector, is_free in zip(
+                links, inverse.tolist(), free.tolist()
+            ):
+                if is_free:
+                    self.posterior_p2p_[key] = posteriors[vector]
 
-        return self._assemble(labels, initial_rels, degrees)
+        return self._assemble(
+            {key: _CLASSES[cls] for key, cls in zip(links, labels.tolist())},
+            initial_rels,
+            degrees,
+        )
 
     # ------------------------------------------------------------------
     def _fit(
         self,
-        labels: Dict[LinkKey, RelType],
-        features: Dict[LinkKey, DiscreteFeatures],
+        labels: np.ndarray,
+        inverse: np.ndarray,
+        vectors: List[DiscreteFeatures],
     ) -> Dict:
         """Estimate priors and per-feature conditionals with Laplace
-        smoothing from the current labelling."""
-        priors = {cls: self.smoothing for cls in _CLASSES}
-        n_fields = len(DiscreteFeatures.FIELD_NAMES)
+        smoothing from the current labelling (class indices per link,
+        ``inverse`` mapping each link to its vector in ``vectors``)."""
+        n_vectors = len(vectors)
+        counts = np.bincount(
+            labels * n_vectors + inverse, minlength=2 * n_vectors
+        ).reshape(2, n_vectors)
+        priors: Dict[RelType, float] = {}
         conditionals: List[Dict[Tuple[RelType, int], float]] = [
-            {} for _ in range(n_fields)
+            {} for _ in DiscreteFeatures.FIELD_NAMES
         ]
-        for key, cls in labels.items():
-            priors[cls] += 1
-            values = features[key].as_tuple()
-            for field_index, value in enumerate(values):
-                slot = (cls, value)
-                table = conditionals[field_index]
-                table[slot] = table.get(slot, 0.0) + 1.0
+        for cls, row in zip(_CLASSES, counts.tolist()):
+            priors[cls] = self.smoothing + sum(row)
+            for feats, count in zip(vectors, row):
+                if not count:
+                    continue
+                for table, value in zip(conditionals, feats.as_tuple()):
+                    slot = (cls, value)
+                    table[slot] = table.get(slot, 0.0) + count
         total = sum(priors.values())
         log_priors = {cls: math.log(priors[cls] / total) for cls in _CLASSES}
-        class_totals = {cls: priors[cls] for cls in _CLASSES}
         return {
             "log_priors": log_priors,
             "conditionals": conditionals,
-            "class_totals": class_totals,
+            "class_totals": priors,
         }
 
     def _classify(
@@ -134,7 +172,8 @@ class ProbLink(InferenceAlgorithm):
                     (cls, value), 0.0
                 )
                 score += math.log(
-                    (count + self.smoothing) / (class_total + self.smoothing * 16)
+                    (count + self.smoothing)
+                    / (class_total + self.smoothing * _PSEUDO_VOCABULARY)
                 )
             scores[cls] = score
         max_score = max(scores.values())

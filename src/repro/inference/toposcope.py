@@ -11,34 +11,32 @@ naive aggregation lets well-placed VPs dominate.  The published system
    classifier over link features,
 5. additionally predicts *hidden links* that no VP observed.
 
-This implementation keeps stages 1-4 faithfully at the algorithmic
-level (ASRank as the base inferrer, a naive-Bayes arbiter trained on
-the confident majority votes).  Stage 5 exists as
-:meth:`TopoScope.predict_hidden_links`, a lightweight variant that
-proposes unobserved peerings from shared-IXP co-membership — enough to
-exercise the paper's note that TopoScope predicts links "that, despite
-not being visible, might exist".
+This implementation keeps stages 1-3 faithfully at the algorithmic
+level (ASRank as the base inferrer).  Stage 4 has nothing to resolve
+here: every visible link lies on a route from some VP, the base
+inference labels every link of its group's sub-corpus, so every link
+gets at least one group vote, and split votes keep the full-view
+label.  Stage 5 exists as :meth:`TopoScope.predict_hidden_links`, a
+lightweight variant that proposes unobserved peerings from shared-IXP
+co-membership — enough to exercise the paper's note that TopoScope
+predicts links "that, despite not being visible, might exist".
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus, filter_by_vps
 from repro.inference.asrank import ASRank
 from repro.inference.base import InferenceAlgorithm
-from repro.inference.features import DiscreteFeatures, LinkFeatureExtractor
 from repro.topology.graph import LinkKey, RelType, link_key
 from repro.topology.ixp import IXPRegistry
 from repro.utils.rng import child_rng
 
-_CLASSES = (RelType.P2C, RelType.P2P)
-
 
 class TopoScope(InferenceAlgorithm):
-    """VP-bootstrapping ensemble with a Bayes arbiter."""
+    """VP-bootstrapping ensemble over per-group ASRank votes."""
 
     name = "toposcope"
 
@@ -48,7 +46,6 @@ class TopoScope(InferenceAlgorithm):
         agreement_threshold: float = 0.75,
         ixps: Optional[IXPRegistry] = None,
         seed: int = 20,
-        smoothing: float = 0.5,
     ) -> None:
         if n_groups is not None and n_groups < 2:
             raise ValueError("TopoScope needs at least two VP groups")
@@ -59,7 +56,6 @@ class TopoScope(InferenceAlgorithm):
         self.agreement_threshold = agreement_threshold
         self.ixps = ixps
         self.seed = seed
-        self.smoothing = smoothing
         self.clique_: List[int] = []
         self.vote_share_: Dict[LinkKey, float] = {}
 
@@ -70,7 +66,7 @@ class TopoScope(InferenceAlgorithm):
         self.clique_ = list(full_asrank.clique_)
 
         votes = self._group_votes(corpus)
-        confident, uncertain = self._reconcile(corpus, votes)
+        confident = self._reconcile(corpus, votes)
 
         # Start from the full-view base inference; strong cross-group
         # majorities override it (that is the de-fragmentation payoff),
@@ -81,17 +77,6 @@ class TopoScope(InferenceAlgorithm):
             base = full_rels.rel_of(*key)
             labels[key] = RelType.P2P if base is RelType.P2P else RelType.P2C
         labels.update(confident)
-
-        # Arbiter: links no group could judge at all (never visible in a
-        # sub-corpus with context) go to a Bayes classifier trained on
-        # the confident majority votes.
-        no_vote = [key for key in uncertain if not votes.get(key)]
-        if no_vote:
-            extractor = LinkFeatureExtractor(corpus, self.clique_, ixps=self.ixps)
-            features = {key: extractor.discrete(key) for key in labels}
-            model = self._fit(confident, features)
-            for key in no_vote:
-                labels[key] = self._classify(model, features[key])
 
         return self._assemble(labels, full_rels, corpus)
 
@@ -124,15 +109,11 @@ class TopoScope(InferenceAlgorithm):
 
     def _reconcile(
         self, corpus: PathCorpus, votes: Dict[LinkKey, List[RelType]]
-    ) -> Tuple[Dict[LinkKey, RelType], List[LinkKey]]:
+    ) -> Dict[LinkKey, RelType]:
         """Stage 3: strong majorities become confident labels."""
         confident: Dict[LinkKey, RelType] = {}
-        uncertain: List[LinkKey] = []
         for key in corpus.visible_links():
-            link_votes = votes.get(key, [])
-            if not link_votes:
-                uncertain.append(key)
-                continue
+            link_votes = votes[key]
             n_p2p = sum(1 for v in link_votes if v is RelType.P2P)
             share = max(n_p2p, len(link_votes) - n_p2p) / len(link_votes)
             majority = (
@@ -141,51 +122,7 @@ class TopoScope(InferenceAlgorithm):
             self.vote_share_[key] = share
             if share >= self.agreement_threshold and len(link_votes) >= 2:
                 confident[key] = majority
-            else:
-                uncertain.append(key)
-        return confident, uncertain
-
-    # ------------------------------------------------------------------
-    def _fit(
-        self,
-        confident: Dict[LinkKey, RelType],
-        features: Dict[LinkKey, DiscreteFeatures],
-    ) -> Dict:
-        priors = {cls: self.smoothing for cls in _CLASSES}
-        n_fields = len(DiscreteFeatures.FIELD_NAMES)
-        conditionals: List[Dict[Tuple[RelType, int], float]] = [
-            {} for _ in range(n_fields)
-        ]
-        for key, cls in confident.items():
-            priors[cls] += 1
-            for field_index, value in enumerate(features[key].as_tuple()):
-                slot = (cls, value)
-                table = conditionals[field_index]
-                table[slot] = table.get(slot, 0.0) + 1.0
-        total = sum(priors.values())
-        return {
-            "log_priors": {
-                cls: math.log(priors[cls] / total) for cls in _CLASSES
-            },
-            "conditionals": conditionals,
-            "class_totals": priors,
-        }
-
-    def _classify(self, model: Dict, feats: DiscreteFeatures) -> RelType:
-        best_cls = RelType.P2C
-        best_score = -math.inf
-        for cls in _CLASSES:
-            score = model["log_priors"][cls]
-            class_total = model["class_totals"][cls]
-            for field_index, value in enumerate(feats.as_tuple()):
-                count = model["conditionals"][field_index].get((cls, value), 0.0)
-                score += math.log(
-                    (count + self.smoothing) / (class_total + self.smoothing * 16)
-                )
-            if score > best_score:
-                best_score = score
-                best_cls = cls
-        return best_cls
+        return confident
 
     def _assemble(
         self,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets.paths import filter_by_vps
 from repro.inference.gao import GaoInference, infer_gao
 from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
@@ -86,6 +87,25 @@ class TestTopoScope:
         alg, _ = toposcope
         assert alg.vote_share_
         assert all(0.5 <= share <= 1.0 for share in alg.vote_share_.values())
+
+    @pytest.mark.parametrize(
+        "n_vps, n_groups", [(None, None), (10, 8), (10, 16)]
+    )
+    def test_every_visible_link_gets_a_group_vote(
+        self, measured, n_vps, n_groups
+    ):
+        """Every visible link lies on a route from some VP, and the base
+        inference labels every link of that VP's group sub-corpus — so
+        no link is left without a vote, however scarce the VPs (here
+        also 8 and 16 groups over 10 VPs, some groups empty)."""
+        _, corpus = measured
+        if n_vps is not None:
+            vps = sorted(corpus.vantage_points)[:n_vps]
+            corpus = filter_by_vps(corpus, set(vps))
+        alg = TopoScope(n_groups=n_groups)
+        votes = alg._group_votes(corpus)
+        assert all(votes.get(key) for key in corpus.visible_links())
+        assert len(alg.infer(corpus)) == len(corpus.visible_links())
 
     def test_needs_two_groups(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro import ScenarioConfig
 from repro.cli import main, make_parser
+from repro.datasets import bgpdump
 from repro.datasets.bgpdump import read_path_corpus, write_path_corpus
 from repro.evolution import (
     EvolutionConfig,
@@ -112,6 +113,39 @@ class TestBgpdumpFormat:
         bad.write_text("1 2 3\n")  # no separator
         with pytest.raises(ValueError):
             read_path_corpus(bad)
+
+    @pytest.mark.parametrize("block_routes", [7, 1 << 14])
+    def test_read_then_write_is_byte_equal(
+        self, scenario, tmp_path, monkeypatch, block_routes
+    ):
+        """Reading in blocks (7 routes: many boundaries) and writing
+        back gives the file's bytes, with repeated routes that straddle
+        block boundaries stored once."""
+        monkeypatch.setattr(bgpdump, "_BLOCK_ROUTES", block_routes)
+        original = tmp_path / "paths.txt"
+        write_path_corpus(scenario.corpus, original)
+        again = tmp_path / "again.txt"
+        write_path_corpus(read_path_corpus(original), again)
+        assert again.read_bytes() == original.read_bytes()
+        lines = original.read_text().splitlines(keepends=True)
+        doubled = tmp_path / "doubled.txt"
+        doubled.write_text("".join(lines + lines[1:12] + ["\n"]))
+        write_path_corpus(read_path_corpus(doubled), again)
+        assert again.read_bytes() == original.read_bytes()
+
+    def test_bad_line_after_several_blocks(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(bgpdump, "_BLOCK_ROUTES", 7)
+        path = tmp_path / "paths.txt"
+        write_path_corpus(scenario.corpus, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(40, "64500 64501\n")
+        path.write_text("".join(lines))
+        with pytest.raises(
+            ValueError, match=r":41: missing '\|' separator: '64500 64501'$"
+        ):
+            read_path_corpus(path)
 
 
 class TestCli:

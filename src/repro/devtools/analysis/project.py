@@ -2,11 +2,11 @@
 
 :class:`ModuleEntries` is the one place a module's entry is produced:
 served from the cache on a hit (no parse, no rule walk, no tokenize),
-otherwise parsed, listed once by :func:`walk_module` (the module rules
-and the summariser share that list), walked by the selected module
-rules, scanned for noqa markers and summarised, then stored once.  The
-engine's per-file loop and ``--call-graph`` (through
-:func:`build_project`) both use it, so they share every entry.
+otherwise parsed, listed once by :func:`walk_module`, walked once by
+the selected module rules and the summariser together, scanned for noqa
+markers, then stored once.  The engine's per-file loop and
+``--call-graph`` (through :func:`build_project`) both use it, so they
+share every entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ from repro.devtools.analysis.cache import (
     summary_key,
 )
 from repro.devtools.analysis.graph import ProjectGraph
-from repro.devtools.analysis.summaries import module_name_for, summarize_module
+# perfbench's traced run wraps this module's ``summarize_module``.
+from repro.devtools.analysis.summaries import (
+    _Summarizer,
+    module_name_for,
+    summarize_module,
+)
 from repro.devtools.engine import check_module
 from repro.devtools.registry import scoped_rule_ids, walk_module
 from repro.devtools.rules.determinism import _numpy_aliases
@@ -58,18 +63,19 @@ class ModuleEntries:
         if tree is None:
             tree = ast.parse(source, filename=relpath)
         # The one walk of a miss: the module rules and the summariser
-        # share its node list and the facts drawn from it.
+        # share its node list, the facts drawn from it and the walk.
         nodes = walk_module(tree)
         numpy_aliases = _numpy_aliases(nodes)
-        findings = check_module(relpath, source, tree, nodes,
-                                numpy_aliases, self.config,
-                                self.module_ids)
+        summarizer = (_Summarizer(relpath, tree,
+                                  tuple(self.config.perf_hot_names),
+                                  module, nodes, numpy_aliases)
+                      if self.summarize else None)
+        findings = check_module(relpath, tree, nodes, numpy_aliases,
+                                self.config, self.module_ids,
+                                [summarizer] if summarizer else [])
         suppressions = SuppressionIndex.from_source(source)
-        summary = (summarize_module(relpath, tree,
-                                    tuple(self.config.perf_hot_names),
-                                    module, nodes, numpy_aliases)
-                   if self.summarize else None)
-        entry = ModuleEntry(summary, findings, suppressions)
+        entry = ModuleEntry(summarizer.summary() if summarizer else None,
+                            findings, suppressions)
         if self.cache is not None:
             self.cache.put(key, entry.document())
         return entry

@@ -28,33 +28,34 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.devtools.engine import Walker
 from repro.devtools.registry import (
     attr_name,
     call_name,
     dotted_name,
+    parent_of,
     walk_module,
 )
-# Shared with the per-file determinism rules so both layers agree on
-# what counts as a nondeterminism source.
+# Shared with the per-file rules so both layers agree on what counts
+# as a nondeterminism source and on which names hold which executor.
 from repro.devtools.rules.determinism import (
-    _CLOCK_SUFFIXES,
-    _NP_GLOBAL_FNS,
+    _clock_call,
     _numpy_aliases,
+    _numpy_rng_call,
     _unordered_core,
+)
+from repro.devtools.rules.pickling import (
+    _FUNCTION_TYPES,
+    _executor_bindings,
+    _executor_kind,
+    _pool_kind,
 )
 
 #: The module cache's entry layout version.  Edits to extraction or to
 #: any rule need no bump: the cache key's code digest covers them.
 ANALYSIS_VERSION = 2
-
-#: Unseeded numpy bit generators: ``np.random.PCG64()`` without a seed
-#: draws OS entropy exactly like ``default_rng()`` — and is invisible
-#: to the per-file DET001 rule, which is why FLOW101 tracks it.
-_UNSEEDED_BIT_GENERATORS = frozenset(
-    {"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
-)
 
 #: Method calls that mutate their receiver in place.
 _MUTATING_METHODS = frozenset({
@@ -118,6 +119,22 @@ def _lockish(expr: ast.AST) -> Optional[str]:
     if name is not None and _LOCK_NAME_MARKER in name.lower():
         return name
     return None
+
+
+def _held_locks(node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    """``(with statement, lock description)`` for every lock the
+    ``with``/``async with`` blocks around ``node`` hold, innermost first
+    (within one statement, last item first), along the parent links of
+    :func:`walk_module` and across defs: a def in a ``with lock:`` body
+    runs under it."""
+    parent = parent_of(node)
+    while parent is not None:
+        if isinstance(parent, (ast.With, ast.AsyncWith)):
+            for item in reversed(parent.items):
+                desc = _lockish(item.context_expr)
+                if desc:
+                    yield parent, desc
+        parent = parent_of(parent)
 
 
 def _iter_components(expr: ast.AST) -> Tuple[Optional[str], List[str]]:
@@ -184,39 +201,6 @@ class _FunctionRecord:
         }
 
 
-def _executor_kinds(nodes: List[ast.AST]) -> Dict[str, str]:
-    """Names/attr-chains bound to executors -> ``thread``/``process``,
-    from a module's node list."""
-    kinds: Dict[str, str] = {}
-
-    def classify(value: ast.AST) -> Optional[str]:
-        if not isinstance(value, ast.Call):
-            return None
-        callee = call_name(value) or ""
-        if callee.endswith("ProcessPoolExecutor"):
-            return "process"
-        if callee.endswith("ThreadPoolExecutor"):
-            return "thread"
-        return None
-
-    for node in nodes:
-        if isinstance(node, ast.Assign):
-            kind = classify(node.value)
-            if kind is None:
-                continue
-            for target in node.targets:
-                name = dotted_name(target)
-                if name:
-                    kinds[name] = kind
-        elif isinstance(node, ast.withitem):
-            kind = classify(node.context_expr)
-            if kind is not None and node.optional_vars is not None:
-                name = dotted_name(node.optional_vars)
-                if name:
-                    kinds[name] = kind
-    return kinds
-
-
 def _module_globals(tree: ast.Module) -> List[str]:
     """Top-level names bound by assignment (module state candidates)."""
     names: List[str] = []
@@ -238,52 +222,89 @@ def _module_globals(tree: ast.Module) -> List[str]:
     return sorted(set(names))
 
 
-class _Summarizer(ast.NodeVisitor):
-    def __init__(self, module: str, is_package: bool, tree: ast.Module,
-                 hot_names: Tuple[str, ...], nodes: List[ast.AST],
+class _Summarizer:
+    """One module's summary, built as an unregistered participant of
+    the :class:`~repro.devtools.engine.Walker`'s walk: with the module
+    rules on a lint's cache miss, alone in :func:`summarize_module`.
+
+    The enclosing def's record, the qualname and the class come from
+    ``walker.scope_stack`` (a lambda's facts go to its enclosing def);
+    lock guards come from the parent links :func:`walk_module` set.
+    """
+
+    interests = (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                 ast.AsyncFunctionDef, ast.ClassDef, ast.Global, ast.Await,
+                 ast.Return, ast.For, ast.AsyncFor, ast.ListComp,
+                 ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Assign,
+                 ast.AugAssign, ast.Delete, ast.Call)
+
+    def __init__(self, relpath: str, tree: ast.Module,
+                 hot_names: Tuple[str, ...], module: Tuple[str, bool],
+                 nodes: List[ast.AST],
                  numpy_aliases: Tuple[Set[str], Set[str]]):
-        self.module = module
-        self.is_package = is_package
+        self.relpath = relpath
+        self.module, self.is_package = module
         self.hot_names = frozenset(hot_names)
         self.imports: Dict[str, str] = {}
         self.defs: List[str] = []
         self.classes: List[str] = []
         self.globals = _module_globals(tree)
         self.functions: List[_FunctionRecord] = []
-        self._np_modules, self._np_random = numpy_aliases
-        self._pools = _executor_kinds(nodes)
-        self._scope: List[Tuple[str, str]] = []   # (kind, name)
-        self._fn_stack: List[_FunctionRecord] = []
-        self._lock_stack: List[str] = []          # all lock-guard withs
-        self._sync_lock_stack: List[str] = []     # sync (non-async) only
+        self._numpy_aliases = numpy_aliases
+        self._pools = _executor_bindings(nodes)
+        #: def node -> its record, for the defs on the scope stack.
+        self._records: Dict[ast.AST, _FunctionRecord] = {}
         #: Generator expressions feeding ``np.fromiter(...)`` — that is
         #: the sanctioned array-construction pass, not a scalar loop.
         self._fromiter_genexps: set = set()
+        self._handlers = {kind: getattr(self, f"visit_{kind.__name__}")
+                          for kind in self.interests}
 
-    # -- naming helpers -------------------------------------------------
-    def _qualname(self, name: str) -> str:
-        return ".".join([n for _, n in self._scope] + [name])
+    def visit(self, node: ast.AST, ctx, walker) -> None:
+        self._handlers[type(node)](node, walker.scope_stack)
 
-    def _current_class(self) -> Optional[str]:
-        for kind, name in reversed(self._scope):
-            if kind == "class":
-                return name
+    def summary(self) -> Dict[str, Any]:
+        return {
+            "analysis_version": ANALYSIS_VERSION,
+            "module": self.module,
+            "path": self.relpath,
+            "imports": dict(sorted(self.imports.items())),
+            "defs": self.defs,
+            "classes": self.classes,
+            "module_globals": self.globals,
+            "functions": [record.as_dict() for record in self.functions],
+        }
+
+    # -- scope queries --------------------------------------------------
+    def _fn(self, scopes: List[ast.AST]) -> Optional[_FunctionRecord]:
+        """The record of the innermost enclosing def."""
+        for scope in reversed(scopes):
+            if isinstance(scope, _FUNCTION_TYPES):
+                return self._records[scope]
         return None
 
-    def _fn(self) -> Optional[_FunctionRecord]:
-        return self._fn_stack[-1] if self._fn_stack else None
+    @staticmethod
+    def _qualname(scopes: List[ast.AST], name: str) -> str:
+        return ".".join([scope.name for scope in scopes
+                         if not isinstance(scope, ast.Lambda)] + [name])
+
+    @staticmethod
+    def _current_class(scopes: List[ast.AST]) -> Optional[str]:
+        for scope in reversed(scopes):
+            if isinstance(scope, ast.ClassDef):
+                return scope.name
+        return None
 
     # -- imports --------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
+    def visit_Import(self, node: ast.Import, scopes) -> None:
         for alias in node.names:
             if alias.asname:
                 self.imports[alias.asname] = alias.name
             else:
                 root = alias.name.split(".")[0]
                 self.imports.setdefault(root, root)
-        self.generic_visit(node)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+    def visit_ImportFrom(self, node: ast.ImportFrom, scopes) -> None:
         if node.level > 0:
             base = _resolve_relative(self.module, self.is_package,
                                      node.level, node.module)
@@ -294,67 +315,39 @@ class _Summarizer(ast.NodeVisitor):
                 continue
             target = f"{base}.{alias.name}" if base else alias.name
             self.imports[alias.asname or alias.name] = target
-        self.generic_visit(node)
 
     # -- scopes ---------------------------------------------------------
-    def _visit_function(self, node, is_async: bool) -> None:
-        record = _FunctionRecord(self._qualname(node.name), node.lineno,
-                                 is_async)
+    def visit_FunctionDef(self, node, scopes) -> None:
+        record = _FunctionRecord(self._qualname(scopes, node.name),
+                                 node.lineno,
+                                 isinstance(node, ast.AsyncFunctionDef))
         self.defs.append(record.qualname)
         self.functions.append(record)
-        self._scope.append(("function", node.name))
-        self._fn_stack.append(record)
-        self.generic_visit(node)
-        self._fn_stack.pop()
-        self._scope.pop()
+        self._records[node] = record
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node, is_async=False)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node, is_async=True)
+    def visit_ClassDef(self, node: ast.ClassDef, scopes) -> None:
+        self.classes.append(self._qualname(scopes, node.name))
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.classes.append(self._qualname(node.name))
-        self._scope.append(("class", node.name))
-        self.generic_visit(node)
-        self._scope.pop()
-
-    def visit_Global(self, node: ast.Global) -> None:
-        fn = self._fn()
+    def visit_Global(self, node: ast.Global, scopes) -> None:
+        fn = self._fn(scopes)
         if fn is not None:
             fn.global_decls.update(node.names)
-        self.generic_visit(node)
 
-    # -- locks / awaits -------------------------------------------------
-    def _visit_with(self, node, is_async: bool) -> None:
-        locks = [desc for item in node.items
-                 for desc in [_lockish(item.context_expr)] if desc]
-        for desc in locks:
-            self._lock_stack.append(desc)
-            if not is_async:
-                self._sync_lock_stack.append(desc)
-        self.generic_visit(node)
-        for desc in locks:
-            self._lock_stack.pop()
-            if not is_async:
-                self._sync_lock_stack.pop()
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with(node, is_async=False)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with(node, is_async=True)
-
-    def visit_Await(self, node: ast.Await) -> None:
-        fn = self._fn()
-        if fn is not None and self._sync_lock_stack:
-            fn.lock_awaits.append([node.lineno, self._sync_lock_stack[-1]])
-        self.generic_visit(node)
+    # -- awaits under a synchronous lock --------------------------------
+    def visit_Await(self, node: ast.Await, scopes) -> None:
+        fn = self._fn(scopes)
+        if fn is None:
+            return
+        for statement, desc in _held_locks(node):
+            if isinstance(statement, ast.With):
+                fn.lock_awaits.append([node.lineno, desc])
+                return
 
     # -- returns (unordered-iteration escape) ---------------------------
-    def visit_Return(self, node: ast.Return) -> None:
-        fn = self._fn()
+    def visit_Return(self, node: ast.Return, scopes) -> None:
+        fn = self._fn(scopes)
         if fn is not None and node.value is not None:
             core = _unordered_core(node.value)
             if core is not None:
@@ -366,11 +359,10 @@ class _Summarizer(ast.NodeVisitor):
                 fn.sources.append(
                     ["unordered", f"returns {desc} iteration order",
                      node.lineno])
-        self.generic_visit(node)
 
     # -- loops ----------------------------------------------------------
-    def _record_loop(self, iterable: ast.AST, lineno: int) -> None:
-        fn = self._fn()
+    def _record_loop(self, fn: Optional[_FunctionRecord],
+                     iterable: ast.AST, lineno: int) -> None:
         if fn is None:
             return
         target = _range_len_target(iterable)
@@ -381,31 +373,24 @@ class _Summarizer(ast.NodeVisitor):
         if desc and any(part.lower() in self.hot_names for part in parts):
             fn.loops.append([desc, lineno, "hot"])
 
-    def visit_For(self, node: ast.For) -> None:
-        self._record_loop(node.iter, node.lineno)
-        self.generic_visit(node)
+    def visit_For(self, node, scopes) -> None:
+        self._record_loop(self._fn(scopes), node.iter, node.lineno)
 
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._record_loop(node.iter, node.lineno)
-        self.generic_visit(node)
+    visit_AsyncFor = visit_For
 
-    def _visit_comprehension(self, node) -> None:
+    def visit_ListComp(self, node, scopes) -> None:
         if id(node) not in self._fromiter_genexps:
-            self._record_loop(node.generators[0].iter, node.lineno)
-        self.generic_visit(node)
+            self._record_loop(self._fn(scopes), node.generators[0].iter,
+                              node.lineno)
 
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
+    visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_ListComp
 
     # -- mutations ------------------------------------------------------
-    def _state_key(self, target: ast.AST,
-                   rebinding: bool) -> Optional[str]:
+    def _state_key(self, target: ast.AST, rebinding: bool,
+                   fn: _FunctionRecord, scopes) -> Optional[str]:
         """``global:NAME`` / ``self:Class.attr`` for a mutation target."""
-        fn = self._fn()
         if isinstance(target, ast.Name):
-            if fn is not None and target.id in fn.global_decls:
+            if target.id in fn.global_decls:
                 return f"global:{target.id}"
             if not rebinding and target.id in self.globals:
                 # In-place mutation (subscript/method) of a module
@@ -415,65 +400,54 @@ class _Summarizer(ast.NodeVisitor):
         if (isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"):
-            cls = self._current_class()
+            cls = self._current_class(scopes)
             if cls is None:
                 return None
-            leaf = (fn.qualname.rsplit(".", 1)[-1]
-                    if fn is not None else "")
+            leaf = fn.qualname.rsplit(".", 1)[-1]
             if rebinding and leaf in _CONSTRUCTION_METHODS:
                 return None
             return f"self:{cls}.{target.attr}"
         return None
 
-    def _record_mutation(self, key: Optional[str], lineno: int) -> None:
-        fn = self._fn()
-        if fn is None or key is None:
+    def _record_mutation(self, node: ast.AST, target: ast.AST,
+                         rebinding: bool, scopes) -> None:
+        """Record ``node``'s write to ``target`` when it is module or
+        instance state."""
+        fn = self._fn(scopes)
+        if fn is None:
             return
-        guarded = 1 if self._lock_stack else 0
-        fn.mutations.append([key, lineno, guarded])
+        key = self._state_key(target, rebinding, fn, scopes)
+        if key is not None:
+            guarded = 1 if next(_held_locks(node), None) else 0
+            fn.mutations.append([key, node.lineno, guarded])
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Subscript):
-                self._record_mutation(
-                    self._state_key(target.value, rebinding=False),
-                    node.lineno)
-            else:
-                self._record_mutation(
-                    self._state_key(target, rebinding=True), node.lineno)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        target = node.target
+    def _record_store(self, node: ast.AST, target: ast.AST,
+                      scopes) -> None:
+        """A store to ``target``: a subscript mutates its value in
+        place, anything else is rebound."""
         if isinstance(target, ast.Subscript):
-            key = self._state_key(target.value, rebinding=False)
+            self._record_mutation(node, target.value, False, scopes)
         else:
-            key = self._state_key(target, rebinding=True)
-        self._record_mutation(key, node.lineno)
-        self.generic_visit(node)
+            self._record_mutation(node, target, True, scopes)
 
-    def visit_Delete(self, node: ast.Delete) -> None:
+    def visit_Assign(self, node: ast.Assign, scopes) -> None:
+        for target in node.targets:
+            self._record_store(node, target, scopes)
+
+    def visit_AugAssign(self, node: ast.AugAssign, scopes) -> None:
+        self._record_store(node, node.target, scopes)
+
+    def visit_Delete(self, node: ast.Delete, scopes) -> None:
         for target in node.targets:
             if isinstance(target, ast.Subscript):
-                self._record_mutation(
-                    self._state_key(target.value, rebinding=False),
-                    node.lineno)
-        self.generic_visit(node)
+                self._record_store(node, target, scopes)
 
     # -- calls ----------------------------------------------------------
     def _classify_rng(self, name: str, nargs: int) -> Optional[str]:
-        parts = name.split(".")
-        fn = None
-        if (len(parts) == 3 and parts[0] in self._np_modules
-                and parts[1] == "random"):
-            fn = parts[2]
-        elif len(parts) == 2 and parts[0] in self._np_random:
-            fn = parts[1]
-        if fn in _NP_GLOBAL_FNS:
+        kind = _numpy_rng_call(name, nargs, self._numpy_aliases)
+        if kind == "global":
             return f"{name} (numpy global RNG)"
-        if fn == "default_rng" and nargs == 0:
-            return f"{name}() without a seed"
-        if fn in _UNSEEDED_BIT_GENERATORS and nargs == 0:
+        if kind is not None:
             return f"{name}() without a seed"
         # stdlib random through the import alias map
         expanded = self._expand(name)
@@ -485,11 +459,8 @@ class _Summarizer(ast.NodeVisitor):
         # The alias map turns `from time import time` into `time.time`,
         # so (unlike the per-file DET003 bare-name heuristic) a local
         # helper that happens to be called `time` is not a source.
-        expanded = self._expand(name)
-        for candidate in (name, expanded):
-            if any(candidate == suffix or candidate.endswith("." + suffix)
-                   for suffix in _CLOCK_SUFFIXES):
-                return name
+        if _clock_call(name) or _clock_call(self._expand(name)):
+            return name
         return None
 
     def _expand(self, name: str) -> str:
@@ -499,8 +470,8 @@ class _Summarizer(ast.NodeVisitor):
             return name
         return ".".join([target] + parts[1:])
 
-    def visit_Call(self, node: ast.Call) -> None:
-        fn = self._fn()
+    def visit_Call(self, node: ast.Call, scopes) -> None:
+        fn = self._fn(scopes)
         name = call_name(node)
         if fn is not None and name is not None:
             nargs = len(node.args) + len(node.keywords)
@@ -515,12 +486,13 @@ class _Summarizer(ast.NodeVisitor):
                         ["clock", f"{clock}(...)", node.lineno])
         if fn is not None:
             self._record_executor_ref(node, name, fn)
-            self._record_method_mutation(node, fn)
+            if attr_name(node) in _MUTATING_METHODS:
+                self._record_mutation(node, node.func.value,  # type: ignore
+                                      False, scopes)
         if name is not None and name.endswith("fromiter"):
             for arg in node.args:
                 if isinstance(arg, ast.GeneratorExp):
                     self._fromiter_genexps.add(id(arg))
-        self.generic_visit(node)
 
     def _record_executor_ref(self, node: ast.Call, name: Optional[str],
                              fn: _FunctionRecord) -> None:
@@ -535,16 +507,8 @@ class _Summarizer(ast.NodeVisitor):
             return
         attribute = attr_name(node)
         if attribute in {"submit", "map"} and node.args:
-            receiver = dotted_name(node.func.value)  # type: ignore
-            kind = None
-            if receiver in self._pools:
-                kind = self._pools[receiver]
-            elif isinstance(node.func.value, ast.Call):  # type: ignore
-                inline = call_name(node.func.value) or ""  # type: ignore
-                if inline.endswith("ProcessPoolExecutor"):
-                    kind = "process"
-                elif inline.endswith("ThreadPoolExecutor"):
-                    kind = "thread"
+            kind = _pool_kind(node.func.value,  # type: ignore[union-attr]
+                              self._pools)
             if kind is not None:
                 callee = dotted_name(node.args[0])
                 if callee:
@@ -552,7 +516,7 @@ class _Summarizer(ast.NodeVisitor):
             return
         # ProcessPoolExecutor(initializer=fn): sanctioned per-worker
         # priming — recorded with its own kind so CONC003 can skip it.
-        if name is not None and name.endswith("ProcessPoolExecutor"):
+        if _executor_kind(node) == "process":
             for keyword in node.keywords:
                 if keyword.arg == "initializer":
                     callee = dotted_name(keyword.value)
@@ -560,45 +524,16 @@ class _Summarizer(ast.NodeVisitor):
                         fn.executor_refs.append(
                             ["process_init", callee, node.lineno])
 
-    def _record_method_mutation(self, node: ast.Call,
-                                fn: _FunctionRecord) -> None:
-        attribute = attr_name(node)
-        if attribute not in _MUTATING_METHODS:
-            return
-        receiver = node.func.value  # type: ignore[union-attr]
-        key = self._state_key(receiver, rebinding=False)
-        self._record_mutation(key, node.lineno)
-
 
 def summarize_module(relpath: str, tree: ast.Module,
-                     hot_names: Tuple[str, ...],
-                     module: Optional[Tuple[str, bool]] = None,
-                     nodes: Optional[List[ast.AST]] = None,
-                     numpy_aliases: Optional[Tuple[Set[str], Set[str]]]
-                     = None) -> Dict[str, Any]:
-    """The analysis summary of one parsed module (see module docstring).
-
-    ``module`` is :func:`module_name_for`'s answer for ``relpath``,
-    ``nodes`` :func:`~repro.devtools.registry.walk_module`'s list for
-    ``tree`` and ``numpy_aliases`` the module's numpy aliases; the lint
-    passes the ones its module rules used, and each is derived when not
-    given.
-    """
-    module, is_package = module or module_name_for(Path(relpath))
-    if nodes is None:
-        nodes = walk_module(tree)
-    if numpy_aliases is None:
-        numpy_aliases = _numpy_aliases(nodes)
-    visitor = _Summarizer(module, is_package, tree, hot_names, nodes,
-                          numpy_aliases)
-    visitor.visit(tree)
-    return {
-        "analysis_version": ANALYSIS_VERSION,
-        "module": module,
-        "path": relpath,
-        "imports": dict(sorted(visitor.imports.items())),
-        "defs": visitor.defs,
-        "classes": visitor.classes,
-        "module_globals": visitor.globals,
-        "functions": [record.as_dict() for record in visitor.functions],
-    }
+                     hot_names: Tuple[str, ...]) -> Dict[str, Any]:
+    """The analysis summary of one parsed module (see module docstring)
+    from a walk with the summariser alone.  A lint summarises inside
+    its rule walk instead (:class:`~repro.devtools.analysis.project.
+    ModuleEntries`)."""
+    nodes = walk_module(tree)
+    summarizer = _Summarizer(relpath, tree, hot_names,
+                             module_name_for(Path(relpath)), nodes,
+                             _numpy_aliases(nodes))
+    Walker([summarizer]).visit(tree)
+    return summarizer.summary()

@@ -3,11 +3,11 @@
 One :func:`run_lint` call is the whole pipeline::
 
     discover files -> per module, its cache entry or: parse ->
-    list the nodes once (parent links + module-wide facts, shared with
-    the summariser) -> dispatch walk to interested rules -> read noqa
-    markers (-> summarise) -> apply noqa suppressions (tracking use)
-    -> [program pass] -> report unused suppressions -> partition
-    against the baseline -> LintResult
+    list the nodes once (parent links + module-wide facts) -> one
+    dispatch walk to the interested rules (and the summariser) -> read
+    noqa markers -> apply noqa suppressions (tracking use) ->
+    [program pass] -> report unused suppressions -> partition against
+    the baseline -> LintResult
 
 The engine itself obeys the contracts it enforces: no wall-clock, no
 unsorted iteration anywhere near output, and a result that is a pure
@@ -22,8 +22,8 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.devtools.baseline import Baseline
 from repro.devtools.findings import Finding, sorted_findings
@@ -100,7 +100,6 @@ class ModuleContext:
     """Per-file state shared by every rule during one walk."""
 
     relpath: str
-    source: str
     tree: ast.Module
     config: LintConfig
     #: Every node of ``tree`` in ``ast.walk`` order (see
@@ -112,14 +111,12 @@ class ModuleContext:
     numpy_aliases: Tuple[Set[str], Set[str]]
     findings: List[Finding] = field(default_factory=list)
 
-    def report(self, rule: Union[Rule, str], node: ast.AST,
-               message: str) -> None:
-        rule_id = rule if isinstance(rule, str) else rule.id
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(
             path=self.relpath,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
-            rule_id=rule_id,
+            rule_id=rule.id,
             message=message,
         ))
 
@@ -128,18 +125,25 @@ class ModuleContext:
 
 
 class Walker(ast.NodeVisitor):
-    """Single tree walk with typed dispatch and a lexical scope stack."""
+    """Single tree walk with typed dispatch and a lexical scope stack.
+
+    Each participant (a module rule, or the summariser) gets the nodes
+    of its ``interests`` types through ``visit(node, ctx, walker)``, in
+    walk order, while ``scope_stack`` holds their enclosing scopes.
+    """
 
     _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                     ast.ClassDef)
 
-    def __init__(self, rules: Sequence[Rule], ctx: ModuleContext):
+    def __init__(self, participants: Sequence[Any],
+                 ctx: Optional[ModuleContext] = None):
         self.ctx = ctx
         self.scope_stack: List[ast.AST] = []
-        self._dispatch: Dict[type, List[Rule]] = {}
-        for rule in rules:
-            for node_type in rule.interests:
-                self._dispatch.setdefault(node_type, []).append(rule)
+        self._dispatch: Dict[type, List[Any]] = {}
+        for participant in participants:
+            for node_type in participant.interests:
+                self._dispatch.setdefault(node_type, []).append(
+                    participant)
 
     # -- scope queries used by rules -----------------------------------
     def current_function(self) -> Optional[ast.AST]:
@@ -231,27 +235,26 @@ def _relpath(path: Path) -> str:
     return rel.as_posix()
 
 
-def check_module(relpath: str, source: str, tree: ast.Module,
+def check_module(relpath: str, tree: ast.Module,
                  nodes: List[ast.AST],
                  numpy_aliases: Tuple[Set[str], Set[str]],
                  config: LintConfig,
-                 module_ids: Sequence[str]) -> List[Finding]:
+                 module_ids: Sequence[str],
+                 participants: Sequence[Any] = ()) -> List[Finding]:
     """The raw (unsuppressed) findings of the module rules
     ``module_ids`` on one parsed file, in walk order.
 
     ``nodes`` is :func:`~repro.devtools.registry.walk_module`'s list for
     ``tree`` and ``numpy_aliases`` the module's numpy import aliases.
+    ``participants`` (the summariser) join the rules' one walk.
     """
     registry = all_rules()
     rules = [registry[rule_id]() for rule_id in module_ids]
-    ctx = ModuleContext(relpath=relpath, source=source, tree=tree,
-                        config=config, nodes=nodes,
-                        numpy_aliases=numpy_aliases)
+    ctx = ModuleContext(relpath=relpath, tree=tree, config=config,
+                        nodes=nodes, numpy_aliases=numpy_aliases)
     for rule in rules:
         rule.begin_module(ctx)
-    Walker(rules, ctx).visit(tree)
-    for rule in rules:
-        rule.end_module(ctx)
+    Walker([*rules, *participants], ctx).visit(tree)
     return ctx.findings
 
 

@@ -44,9 +44,6 @@ class Rule:
     def visit(self, node: ast.AST, ctx, walker) -> None:
         """Called for every node whose type is in ``interests``."""
 
-    def end_module(self, ctx) -> None:
-        """Called once after the walk; emit whole-module findings."""
-
 
 class ProgramRule(Rule):
     """Base class for whole-program (interprocedural) rules.
@@ -61,7 +58,6 @@ class ProgramRule(Rule):
     """
 
     scope = "program"
-    interests: Tuple[type, ...] = ()
 
     def check_program(self, project, config) -> list:
         """Return a list of Findings for the whole project."""

@@ -46,6 +46,42 @@ def _numpy_aliases(nodes: List[ast.AST]) -> Tuple[Set[str], Set[str]]:
     return numpy_names, random_names
 
 
+#: Unseeded numpy bit generators: ``np.random.PCG64()`` without a seed
+#: draws OS entropy exactly like ``default_rng()`` — DET001 leaves
+#: them to FLOW101, which tracks them into fingerprint sinks.
+_UNSEEDED_BIT_GENERATORS = frozenset(
+    {"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
+)
+
+
+def _numpy_rng_call(name: str, nargs: int,
+                    numpy_aliases: Tuple[Set[str], Set[str]]
+                    ) -> Optional[str]:
+    """``"global"`` (legacy global-state ``np.random.<fn>``),
+    ``"default_rng"`` or ``"bit_generator"`` (either without a seed) for
+    a call of dotted ``name`` with ``nargs`` arguments, else ``None``.
+
+    ``np.random.<fn>`` goes through a numpy module alias, ``<alias>.<fn>``
+    through ``from numpy import random`` (see :func:`_numpy_aliases`).
+    """
+    np_modules, np_random = numpy_aliases
+    parts = name.split(".")
+    if (len(parts) == 3 and parts[0] in np_modules
+            and parts[1] == "random"):
+        fn = parts[2]
+    elif len(parts) == 2 and parts[0] in np_random:
+        fn = parts[1]
+    else:
+        return None
+    if fn in _NP_GLOBAL_FNS:
+        return "global"
+    if nargs == 0 and fn == "default_rng":
+        return "default_rng"
+    if nargs == 0 and fn in _UNSEEDED_BIT_GENERATORS:
+        return "bit_generator"
+    return None
+
+
 @register
 class UnseededRandomRule(Rule):
     """DET001 — all randomness must flow through ``repro.utils.rng``."""
@@ -64,7 +100,6 @@ class UnseededRandomRule(Rule):
 
     def begin_module(self, ctx) -> None:
         self._exempt = ctx.relpath_matches(ctx.config.det001_exempt)
-        self._np_names, self._np_random_names = ctx.numpy_aliases
 
     def visit(self, node: ast.AST, ctx, walker) -> None:
         if self._exempt:
@@ -90,23 +125,14 @@ class UnseededRandomRule(Rule):
         name = call_name(node)
         if name is None:
             return
-        parts = name.split(".")
-        # np.random.<fn>(...) via a numpy module alias
-        if (len(parts) == 3 and parts[0] in self._np_names
-                and parts[1] == "random"):
-            fn = parts[2]
-        # <random_alias>.<fn>(...) via `from numpy import random`
-        elif len(parts) == 2 and parts[0] in self._np_random_names:
-            fn = parts[1]
-        else:
-            fn = None
-        if fn in _NP_GLOBAL_FNS:
+        kind = _numpy_rng_call(name, len(node.args) + len(node.keywords),
+                               ctx.numpy_aliases)
+        if kind == "global":
             ctx.report(self, node,
                        f"numpy legacy global RNG call `{name}(...)` "
                        "bypasses the seeded generator plumbing; use "
                        "repro.utils.rng.make_rng / child_rng")
-            return
-        if fn == "default_rng" and not node.args and not node.keywords:
+        elif kind == "default_rng":
             ctx.report(self, node,
                        f"`{name}()` without a seed draws OS entropy; "
                        "pass an explicit seed or use repro.utils.rng")
@@ -188,6 +214,15 @@ _CLOCK_SUFFIXES = (
     "secrets.token_hex", "secrets.token_bytes", "secrets.token_urlsafe",
 )
 
+_CLOCK_TAILS = tuple("." + suffix for suffix in _CLOCK_SUFFIXES)
+
+
+def _clock_call(name: str) -> bool:
+    """True when the dotted callee ``name`` ends in one of
+    :data:`_CLOCK_SUFFIXES` at a dotted boundary."""
+    return ("." + name).endswith(_CLOCK_TAILS)
+
+
 #: Bare names (bound by ``from x import y``) with the same meaning.
 _CLOCK_BARE = frozenset({"time", "time_ns", "uuid1", "uuid4", "urandom",
                          "token_hex", "token_bytes", "token_urlsafe"})
@@ -221,12 +256,8 @@ class WallClockInKeyRule(Rule):
         name = call_name(node)
         if name is None:
             return
-        banned = (
-            any(name == suffix or name.endswith("." + suffix)
-                for suffix in _CLOCK_SUFFIXES)
-            or ("." not in name and name in _CLOCK_BARE)
-        )
-        if banned:
+        if _clock_call(name) or ("." not in name
+                                 and name in _CLOCK_BARE):
             ctx.report(self, node,
                        f"`{name}(...)` inside key/fingerprint function "
                        f"`{enclosing[-1]}` makes the content address "

@@ -11,7 +11,7 @@ reason (see :mod:`repro.pipeline.parallel`).
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.devtools.registry import (
     Rule,
@@ -25,34 +25,53 @@ from repro.devtools.registry import (
 _FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _process_pool_names(nodes: List[ast.AST]) -> Set[str]:
-    """Names and attribute chains (``self._pool``) bound to a
-    ``ProcessPoolExecutor(...)`` in a module, from its node list."""
-    names: Set[str] = set()
+#: Executor constructors (the callee's last dotted component) -> kind.
+_EXECUTOR_KINDS = {"ProcessPoolExecutor": "process",
+                   "ThreadPoolExecutor": "thread"}
 
-    def creates_pool(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        callee = call_name(value)
-        return callee is not None and (
-            callee == "ProcessPoolExecutor"
-            or callee.endswith(".ProcessPoolExecutor")
-        )
 
-    def bind(target: Optional[ast.AST]) -> None:
-        name = dotted_name(target)  # None for tuples, subscripts, None
-        if name is not None:
-            names.add(name)
+def _executor_kind(value: ast.AST) -> Optional[str]:
+    """``"process"``/``"thread"`` for a ``[x.]ProcessPoolExecutor(...)``
+    / ``[x.]ThreadPoolExecutor(...)`` call, else ``None`` (a dotted
+    boundary: ``MyProcessPoolExecutor`` is some other class)."""
+    if not isinstance(value, ast.Call):
+        return None
+    callee = call_name(value)
+    if callee is None:
+        return None
+    return _EXECUTOR_KINDS.get(callee.rpartition(".")[2])
 
+
+def _executor_bindings(nodes: List[ast.AST]) -> Dict[str, str]:
+    """Names and attribute chains (``self._pool``) bound by ``=`` or
+    ``with ... as`` to an executor -> its kind, from a module's node
+    list.  Flow-insensitive: a name ever bound to a process pool is
+    ``"process"``, as any submission through it may cross processes."""
+    kinds: Dict[str, str] = {}
     for node in nodes:
-        if isinstance(node, ast.Assign) and creates_pool(node.value):
-            for target in node.targets:
-                bind(target)
-        elif isinstance(node, ast.withitem) and creates_pool(
-            node.context_expr
-        ):
-            bind(node.optional_vars)
-    return names
+        if isinstance(node, ast.Assign):
+            kind = _executor_kind(node.value)
+            targets = node.targets
+        elif isinstance(node, ast.withitem):
+            kind = _executor_kind(node.context_expr)
+            targets = [node.optional_vars]
+        else:
+            continue
+        if kind is None:
+            continue
+        for target in targets:
+            name = dotted_name(target)  # None for tuples, subscripts, None
+            if name and kinds.get(name) != "process":
+                kinds[name] = kind
+    return kinds
+
+
+def _pool_kind(receiver: ast.AST, bindings: Dict[str, str]
+               ) -> Optional[str]:
+    """The executor kind of the ``pool`` in ``pool.submit(...)``: an
+    inline constructor call, or a name in :func:`_executor_bindings`."""
+    return _executor_kind(receiver) or bindings.get(
+        dotted_name(receiver) or "")
 
 
 def _nested_function_names(nodes: List[ast.AST]) -> Set[str]:
@@ -91,21 +110,14 @@ class NonPicklableSubmissionRule(Rule):
     interests = (ast.Call,)
 
     def begin_module(self, ctx) -> None:
-        self._pools = _process_pool_names(ctx.nodes)
+        self._pools = _executor_bindings(ctx.nodes)
         self._nested = _nested_function_names(ctx.nodes)
 
     def visit(self, node: ast.AST, ctx, walker) -> None:
         attribute = attr_name(node)
         if attribute not in {"submit", "map"}:
             return
-        receiver = node.func.value  # the `pool` in pool.submit(...)
-        is_pool = (
-            dotted_name(receiver) in self._pools
-            or (isinstance(receiver, ast.Call)
-                and (call_name(receiver) or "").endswith(
-                    "ProcessPoolExecutor"))
-        )
-        if not is_pool:
+        if _pool_kind(node.func.value, self._pools) != "process":
             return
         candidates = list(node.args[:1])
         candidates.extend(

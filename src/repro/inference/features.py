@@ -119,33 +119,13 @@ class LinkFeatureExtractor:
     # ------------------------------------------------------------------
     # classifier features
     # ------------------------------------------------------------------
-    def discrete(self, key: LinkKey) -> DiscreteFeatures:
-        a, b = key
-        deg_a = self._transit_degrees.get(a, 0)
-        deg_b = self._transit_degrees.get(b, 0)
-        common_ixps = len(self.ixps.common_ixps(a, b)) if self.ixps else 0
-        return DiscreteFeatures(
-            visibility_bucket=_log_bucket(self.corpus.link_visibility(key)),
-            degree_ratio_bucket=abs(_ratio_bucket(deg_a, deg_b)),
-            clique_distance=min(
-                4,
-                min(
-                    self._clique_distance.get(a, 5),
-                    self._clique_distance.get(b, 5),
-                ),
-            ),
-            vp_incident=a in self._vps or b in self._vps,
-            stub_incident=min(deg_a, deg_b) == 0,
-            common_ixp_bucket=min(2, common_ixps),
-        )
-
     def discrete_all(self) -> Dict[LinkKey, DiscreteFeatures]:
         """Discretised features for every visible link.
 
         The numeric columns are computed as array passes; the exact
         Python bucket functions are then applied to the (few) distinct
-        values, so the result is byte-identical to calling
-        :meth:`discrete` per link.
+        values, so the result is byte-identical to bucketing each link's
+        values one by one (the per-link path kept in the tests).
         """
         index = self.corpus.columnar_index()
         links = self.corpus.visible_links()

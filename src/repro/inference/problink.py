@@ -68,6 +68,9 @@ class ProbLink(InferenceAlgorithm):
 
     # ------------------------------------------------------------------
     def infer(self, corpus: PathCorpus) -> RelationshipSet:
+        # Results describe this corpus only, also on a reused instance.
+        self.iterations_run_ = 0
+        self.posterior_p2p_ = {}
         initial_rels = self.initial.infer(corpus)
         clique = list(getattr(self.initial, "clique_", []))
         self.clique_ = clique

@@ -4,8 +4,10 @@ Before the lint listed each module's nodes once
 (:func:`repro.devtools.registry.walk_module`), every fact below walked
 the tree on its own.  These are those walkers, kept verbatim as
 oracles: ``test_fact_pass.py`` checks that the list-based helpers in
-``src/`` give the same facts and parent links.  ``_process_pool_names``
-here still records bare names only; the ``src/`` helper also records
+``src/`` give the same facts and parent links.  PICKLE001's
+``_process_pool_names`` and the summariser's ``_executor_kinds`` are
+now one table in ``src/`` (``_executor_bindings``); ``_process_pool_names``
+here still records bare names only, while the table also records
 attribute chains such as ``self._pool``.
 """
 

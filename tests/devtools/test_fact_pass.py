@@ -4,7 +4,8 @@
 and sets the parent links; the fact helpers filter that list.  These
 tests hold them to the per-fact ``ast.walk`` pre-passes they replaced
 (``reference_prepasses.py``) on every fixture and every ``src/repro``
-module, plus hand cases for nested-function detection.
+module, plus hand cases for nested-function detection and for the one
+executor-binding table PICKLE001 and the summariser share.
 """
 
 import ast
@@ -15,15 +16,16 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import LintConfig, run_lint
-from repro.devtools.analysis.summaries import _executor_kinds
+from repro.devtools.analysis.summaries import summarize_module
 from repro.devtools.registry import parent_of, walk_module
 from repro.devtools.rules.determinism import _numpy_aliases
 from repro.devtools.rules.pickling import (
+    _executor_bindings,
     _nested_function_names,
-    _process_pool_names,
 )
 
 from tests.devtools import reference_prepasses as reference
+from tests.devtools import reference_summarizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -76,11 +78,12 @@ def test_fact_helpers_match_the_reference(corpus):
         assert _numpy_aliases(nodes) == reference._numpy_aliases(tree), path
         assert (_nested_function_names(nodes)
                 == reference._nested_function_names(tree)), path
-        assert _executor_kinds(nodes) == reference._executor_kinds(tree), path
-        # The src helper also binds attribute chains (``self._pool``);
-        # on bare names it is the reference.
-        pools = _process_pool_names(nodes)
-        assert ({name for name in pools if "." not in name}
+        bindings = _executor_bindings(nodes)
+        assert bindings == reference._executor_kinds(tree), path
+        # The table also binds attribute chains (``self._pool``); its
+        # bare process-pool names are PICKLE001's reference.
+        assert ({name for name, kind in bindings.items()
+                 if kind == "process" and "." not in name}
                 == reference._process_pool_names(tree)), path
 
 
@@ -155,8 +158,86 @@ def test_attribute_bound_pools_are_recorded():
         "            pass\n"
         "pool = ProcessPoolExecutor()\n"
     ))
-    assert _process_pool_names(nodes) == {"self._pool", "self.scoped",
-                                          "pool"}
+    assert _executor_bindings(nodes) == {"self._pool": "process",
+                                         "self.scoped": "process",
+                                         "pool": "process"}
+
+
+def _executor_refs(source: str):
+    summary = summarize_module("mod.py", ast.parse(source), ())
+    return [ref for record in summary["functions"]
+            for ref in record["executor_refs"]]
+
+
+def _reference_executor_refs(source: str):
+    summary = reference_summarizer.summarize_module(
+        "mod.py", ast.parse(source), ())
+    return [ref for record in summary["functions"]
+            for ref in record["executor_refs"]]
+
+
+#: A class whose name merely ends in ``ProcessPoolExecutor``.
+_LOOKALIKE = (
+    "from lib import MyProcessPoolExecutor\n"
+    "pool = MyProcessPoolExecutor()\n"
+    "def run(work):\n"
+    "    pool.submit(work)\n"
+    "    pool.submit(lambda: 1)\n"
+    "    MyProcessPoolExecutor().submit(work)\n"
+    "    MyProcessPoolExecutor(initializer=work)\n"
+)
+
+
+def test_executor_names_match_at_a_dotted_boundary():
+    # The table matches the class name at a dotted boundary, as
+    # PICKLE001 always did; the old summariser took any callee ending
+    # in "ProcessPoolExecutor" for a process pool.
+    assert _executor_bindings(walk_module(ast.parse(_LOOKALIKE))) == {}
+    assert _executor_refs(_LOOKALIKE) == []
+    assert _reference_executor_refs(_LOOKALIKE) == [
+        ["process", "work", 4], ["process", "work", 6],
+        ["process_init", "work", 7],
+    ]
+    dotted = ("import concurrent.futures as cf\n"
+              "pool = cf.ProcessPoolExecutor()\n"
+              "def run(work):\n"
+              "    pool.submit(work)\n")
+    assert _executor_refs(dotted) == [["process", "work", 4]]
+
+
+#: A name bound to a process pool, then rebound to a thread pool.
+_REBOUND = (
+    "from concurrent.futures import (ProcessPoolExecutor,\n"
+    "                                ThreadPoolExecutor)\n"
+    "pool = ProcessPoolExecutor()\n"
+    "pool = ThreadPoolExecutor()\n"
+    "def run(work):\n"
+    "    pool.submit(work)\n"
+    "    pool.submit(lambda: 1)\n"
+)
+
+
+def test_a_name_ever_bound_to_a_process_pool_stays_one():
+    # Flow-insensitive, as PICKLE001 always was: a submission through a
+    # name that was ever a process pool may cross a process boundary.
+    # The old summariser kept the last binding's kind ("thread").
+    assert _executor_bindings(walk_module(ast.parse(_REBOUND))) == {
+        "pool": "process"}
+    assert _executor_refs(_REBOUND) == [["process", "work", 6]]
+    assert _reference_executor_refs(_REBOUND) == [["thread", "work", 6]]
+    reverse = _REBOUND.replace("pool = ProcessPoolExecutor()\n", "").replace(
+        "pool = ThreadPoolExecutor()\n",
+        "pool = ThreadPoolExecutor()\npool = ProcessPoolExecutor()\n")
+    assert _executor_refs(reverse) == [["process", "work", 6]]
+
+
+def test_pickle001_and_the_summaries_read_one_table(tmp_path):
+    for name, source in (("lookalike.py", _LOOKALIKE),
+                         ("rebound.py", _REBOUND)):
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    result = run_lint([tmp_path], LintConfig(select=["PICKLE001"]))
+    assert [(finding.path.rsplit("/", 1)[-1], finding.line)
+            for finding in result.findings] == [("rebound.py", 7)]
 
 
 #: Uses a context, a binary, a boolean, a unary and a comparison

@@ -307,14 +307,24 @@ def test_malformed_entry_is_a_miss_not_a_crash(tmp_path, edit):
 
 
 def test_one_walk_per_miss_and_none_per_hit(tmp_path, monkeypatch):
-    # A miss lists its nodes once for the module rules and the
-    # summariser together; a hit lists nothing, and nothing in
-    # repro.devtools falls back to ast.walk.
+    # A miss lists its nodes once and traverses its tree once, for the
+    # module rules and the summariser together; a hit does neither, and
+    # nothing in repro.devtools falls back to ast.walk.
     from repro.devtools import registry
 
     real_walk_module = registry.walk_module
     real_ast_walk = ast.walk
+    real_generic_visit = ast.NodeVisitor.generic_visit
     calls = {"walk_module": 0, "devtools_ast_walk": 0}
+    #: Module root -> how many visitors traversed it (descended into
+    #: its children), keyed by identity; the roots are kept alive.
+    traversals = {}
+
+    def counting_generic_visit(visitor, node):
+        if isinstance(node, ast.Module):
+            count, _root = traversals.get(id(node), (0, node))
+            traversals[id(node)] = (count + 1, node)
+        return real_generic_visit(visitor, node)
 
     def counting_walk_module(tree):
         calls["walk_module"] += 1
@@ -332,15 +342,21 @@ def test_one_walk_per_miss_and_none_per_hit(tmp_path, monkeypatch):
                 is real_walk_module):
             monkeypatch.setattr(module, "walk_module", counting_walk_module)
     monkeypatch.setattr(ast, "walk", counting_ast_walk)
+    monkeypatch.setattr(ast.NodeVisitor, "generic_visit",
+                        counting_generic_visit)
     package = FIXTURES / "flowpkg"
 
     cold = run_lint([package], LintConfig(), whole_program=True,
                     summary_cache=SummaryCache(tmp_path / "c"))
     assert cold.analysis["misses"] == cold.files_checked == 4
     assert calls == {"walk_module": 4, "devtools_ast_walk": 0}
+    assert sorted(count for count, _root in traversals.values()) == [
+        1, 1, 1, 1]
     calls.update(walk_module=0)
+    traversals.clear()
     warm = run_lint([package], LintConfig(), whole_program=True,
                     summary_cache=SummaryCache(tmp_path / "c"))
     assert warm.analysis["hits"] == 4
     assert calls == {"walk_module": 0, "devtools_ast_walk": 0}
+    assert traversals == {}
     assert _outcome(warm) == _outcome(cold)

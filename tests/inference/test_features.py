@@ -4,6 +4,7 @@ import pytest
 
 from repro.inference.base import infer_clique
 from repro.inference.features import DiscreteFeatures, LinkFeatureExtractor
+from tests.inference.reference_features import discrete
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def extractor(scenario):
 class TestDiscreteFeatures:
     def test_fields_match_tuple(self, extractor, scenario):
         key = scenario.corpus.visible_links()[0]
-        feats = extractor.discrete(key)
+        feats = discrete(extractor, key)
         assert len(feats.as_tuple()) == len(DiscreteFeatures.FIELD_NAMES)
 
     def test_all_links_covered(self, extractor, scenario):
@@ -33,13 +34,13 @@ class TestDiscreteFeatures:
     def test_array_pass_matches_per_link(self, extractor, scenario):
         # discrete_all's array passes must equal the scalar per-link path.
         assert extractor.discrete_all() == {
-            key: extractor.discrete(key)
+            key: discrete(extractor, key)
             for key in scenario.corpus.visible_links()
         }
 
     def test_value_ranges(self, extractor, scenario):
         for key in scenario.corpus.visible_links():
-            feats = extractor.discrete(key)
+            feats = discrete(extractor, key)
             assert feats.visibility_bucket >= 1  # visible => >= 1 VP
             assert 0 <= feats.degree_ratio_bucket <= 4
             assert 0 <= feats.clique_distance <= 4
@@ -49,7 +50,7 @@ class TestDiscreteFeatures:
         clique = infer_clique(scenario.corpus)
         key = tuple(sorted(clique[:2]))
         if key in set(scenario.corpus.visible_links()):
-            assert extractor.discrete(key).clique_distance == 0
+            assert discrete(extractor, key).clique_distance == 0
 
 
 class TestAppendixC:

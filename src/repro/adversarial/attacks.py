@@ -59,8 +59,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.adversarial.policies import blocked_ases, resolve_deployments
 from repro.bgp.collectors import RouteCollector
-from repro.bgp.policy import AdjacencyIndex, RouteClass
+from repro.bgp.policy import RouteClass, route_class
 from repro.bgp.propagation import (
+    PropagationPlane,
     compute_attack_routes,
     compute_origin_routes,
 )
@@ -103,7 +104,7 @@ class AttackEvent:
 def plan_events(
     topology: "Topology",
     config: "ScenarioConfig",
-    adjacency: Optional[AdjacencyIndex] = None,
+    plane: Optional[PropagationPlane] = None,
 ) -> List[AttackEvent]:
     """The deterministic attack plan of a scenario.
 
@@ -119,8 +120,8 @@ def plan_events(
     adv = config.adversarial
     if adv is None or adv.attack.total_events() == 0:
         return []
-    if adjacency is None:
-        adjacency = AdjacencyIndex(topology.graph)
+    if plane is None:
+        plane = PropagationPlane(topology.graph)
     rng = child_rng(config.seed, "adversarial.events")
     asns = sorted(topology.graph.asns())
     deployments = resolve_deployments(adv, topology, config.seed)
@@ -146,7 +147,7 @@ def plan_events(
         )
     for _ in range(adv.attack.n_route_leaks):
         victim = asns[int(rng.integers(len(asns)))]
-        clean = compute_origin_routes(adjacency, victim)
+        clean = compute_origin_routes(plane, victim)
         eligible = [
             asn
             for asn in asns
@@ -186,7 +187,7 @@ def inject_attacks(
     """Run every planned attack and merge its routes into the corpus.
 
     The attack round runs on the honest ``collector``'s converged
-    adjacency and reduces through its :class:`RouteReducer`.  Events
+    plane and reduces through its :class:`RouteReducer`.  Events
     run in plan order; within an event, vantage points are visited in
     list order — so pollution is as deterministic as honest collection.
     Returns the executed plan.
@@ -195,15 +196,15 @@ def inject_attacks(
     if adv is None or adv.attack.total_events() == 0:
         return []
     topology = collector.topology
-    adjacency = collector.adjacency
-    events = plan_events(topology, config, adjacency)
+    plane = collector.plane
+    events = plan_events(topology, config, plane)
     if not events:
         return []
     deployments = resolve_deployments(adv, topology, config.seed)
     for event in events:
         blocked = event_blocked_set(event, deployments)
         joint = compute_attack_routes(
-            adjacency,
+            plane,
             event.victim,
             event.attacker,
             event.claim_dist,
@@ -213,7 +214,7 @@ def inject_attacks(
         if event.kind == "leak":
             override = (
                 event.attacker,
-                adjacency.route_class(event.attacker, event.suffix[0]),
+                route_class(topology.graph, event.attacker, event.suffix[0]),
             )
         corpus.ingest_columns(
             collector.reducer.reduce(

@@ -19,7 +19,7 @@ from repro.bgp.collectors import (
     select_vantage_points,
 )
 from repro.bgp.lookingglass import LookingGlass, ReceivedRoute
-from repro.bgp.policy import AdjacencyIndex, RouteClass, exports_to_non_customers
+from repro.bgp.policy import RouteClass, exports_to_non_customers
 from repro.bgp.routingtable import RibEntry, RoutingTable
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "select_vantage_points",
     "LookingGlass",
     "ReceivedRoute",
-    "AdjacencyIndex",
     "RouteClass",
     "exports_to_non_customers",
     "RibEntry",

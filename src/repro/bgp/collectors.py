@@ -55,8 +55,8 @@ from typing import (
 import numpy as np
 
 from repro.bgp.communities import CommunityRegistry, Meaning
-from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import PropagationPlane, plane_of
+from repro.bgp.policy import RouteClass
+from repro.bgp.propagation import PropagationPlane
 # Unused here, kept importable: perfbench's traced run wraps this name.
 from repro.bgp.propagation import compute_origin_routes  # noqa: F401
 from repro.datasets.paths import PathCorpus
@@ -306,31 +306,30 @@ class RouteCollector:
         self.vantage_points = list(vantage_points)
         self.communities = communities
         self.strippers = strippers
-        self.adjacency = AdjacencyIndex(topology.graph)
+        self.plane = PropagationPlane(topology.graph)
         self.workers = workers
         self.reducer = RouteReducer(
-            plane_of(self.adjacency).asns,
-            self.vantage_points,
-            communities,
-            strippers,
+            self.plane.asns, self.vantage_points, communities, strippers
         )
 
     def collect(
         self,
         origins: Optional[Iterable[int]] = None,
         corpus: Optional[PathCorpus] = None,
-        adjacency: Optional[AdjacencyIndex] = None,
+        plane: Optional[PropagationPlane] = None,
     ) -> PathCorpus:
         """Propagate every origin and record what the collector hears.
 
-        Origins run in blocks of :attr:`PropagationPlane.block_size`:
-        each block is propagated in one array pass, reduced to corpus
-        columns and ingested, so memory stays linear in the corpus, not
-        quadratic in the AS count.  Passing an existing ``corpus``
-        merges this round into it (duplicate paths are dropped by the
-        corpus); passing an ``adjacency`` overrides the topology view,
-        which is how churn rounds inject link failures — its plane must
-        hold the same ASes.
+        Origins default to every AS in the graph's insertion order (the
+        corpus is origin-major) and run in blocks of
+        :attr:`PropagationPlane.block_size`: each block is propagated in
+        one array pass, reduced to corpus columns and ingested, so
+        memory stays linear in the corpus, not quadratic in the AS
+        count.  Passing an existing ``corpus`` merges this round into it
+        (duplicate paths are dropped by the corpus); passing a ``plane``
+        overrides the converged one, which is how churn rounds inject
+        link failures (:meth:`PropagationPlane.without`) — it must hold
+        the same ASes.
 
         With the collector-level ``workers`` set, contiguous origin
         chunks run the same block collection in worker processes; each
@@ -339,13 +338,15 @@ class RouteCollector:
         """
         if corpus is None:
             corpus = PathCorpus()
-        if adjacency is None:
-            adjacency = self.adjacency
+        if plane is None:
+            plane = self.plane
+        if origins is None:
+            origins = self.topology.graph.asns()
         # Imported lazily: repro.pipeline sits above the BGP layer.
         from repro.pipeline.parallel import ParallelPropagator
 
         parts = ParallelPropagator(
-            adjacency, workers=self.workers
+            plane, workers=self.workers
         ).collect_columns(self.reducer, origins)
         for columns in parts:
             corpus.ingest_columns(columns)
@@ -377,6 +378,17 @@ def measurement_setup(
     return vps, communities, strippers
 
 
+def churn_failures(
+    topology: Topology, config: "ScenarioConfig"
+) -> Iterator[np.ndarray]:
+    """Each churn round's failed links: a bool mask in the graph's
+    ``links()`` order, one ``measurement.churn`` draw per link."""
+    meas = config.measurement
+    rng = child_rng(config.seed, "measurement.churn")
+    for _ in range(meas.n_churn_rounds):
+        yield rng.random(topology.graph.n_links) < meas.churn_link_failure_prob
+
+
 def collect_rounds(
     topology: Topology,
     config: "ScenarioConfig",
@@ -387,10 +399,12 @@ def collect_rounds(
 ) -> PathCorpus:
     """The converged collection round plus the configured churn rounds.
 
-    Churn rounds fail a small random subset of links and re-collect.
-    The merged corpus then contains paths from several routing states,
-    like a real month of table dumps — in particular, backup transit
-    links show up with full triplet context.
+    Churn rounds fail a small random subset of links
+    (:func:`churn_failures`) and re-collect on the converged plane
+    without them (:meth:`PropagationPlane.without`).  The merged corpus
+    then contains paths from several routing states, like a real month
+    of table dumps — in particular, backup transit links show up with
+    full triplet context.
 
     When the scenario carries an adversarial layer with attack events,
     a final attack round re-propagates each victim prefix jointly with
@@ -402,20 +416,10 @@ def collect_rounds(
         topology, vps, communities, strippers, workers=workers
     )
     corpus = collector.collect()
-    meas = config.measurement
-    if meas.n_churn_rounds > 0:
-        rng = child_rng(config.seed, "measurement.churn")
-        all_links = [link.key for link in topology.graph.links()]
-        for _ in range(meas.n_churn_rounds):
-            failed = {
-                key
-                for key in all_links
-                if rng.random() < meas.churn_link_failure_prob
-            }
-            if not failed:
-                continue
-            churned = AdjacencyIndex(topology.graph, exclude=failed)
-            collector.collect(corpus=corpus, adjacency=churned)
+    for failed in churn_failures(topology, config):
+        if not failed.any():
+            continue
+        collector.collect(corpus=corpus, plane=collector.plane.without(failed))
     adv = config.adversarial
     if adv is not None and adv.attack.total_events() > 0:
         # Imported lazily: repro.adversarial sits above the BGP layer.

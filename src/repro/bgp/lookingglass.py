@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.communities import Community, CommunityRegistry, Meaning
-from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import RouteArrays, plane_of
+from repro.bgp.policy import RouteClass
+from repro.bgp.propagation import PropagationPlane, RouteArrays
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType
 
@@ -52,7 +52,7 @@ class LookingGlass:
     def __init__(self, topology: Topology, communities: CommunityRegistry) -> None:
         self.topology = topology
         self.communities = communities
-        self.adjacency = AdjacencyIndex(topology.graph)
+        self.plane = PropagationPlane(topology.graph)
 
     def routes_received(self, asn: int, from_neighbor: int) -> List[ReceivedRoute]:
         """Routes ``asn`` received over its session with ``from_neighbor``.
@@ -73,7 +73,7 @@ class LookingGlass:
             link.rel is RelType.P2C and link.provider == from_neighbor
         )
         origins = self._exportable_origins(from_neighbor, neighbor_exports_all)
-        plane = plane_of(self.adjacency)
+        plane = self.plane
         ids = plane.ids(sorted(origins))
         step = plane.block_size
         received: List[ReceivedRoute] = []
@@ -95,7 +95,7 @@ class LookingGlass:
         routes under Gao-Rexford).
         """
         if exports_all:
-            return set(self.adjacency.asns)
+            return set(self.topology.graph.asns())
         cone = self.topology.graph.customer_cone(neighbor)
         return {neighbor} | cone
 

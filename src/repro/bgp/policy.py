@@ -27,7 +27,6 @@ Two refinements:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Set, Tuple
 
 from repro.topology.graph import ASGraph, RelType
 
@@ -53,86 +52,17 @@ def exports_to_non_customers(route_class: RouteClass, restricted: bool) -> bool:
     return route_class in (RouteClass.SELF, RouteClass.CUSTOMER)
 
 
-class AdjacencyIndex:
-    """Flat adjacency lists extracted once from an :class:`ASGraph`.
+def route_class(graph: ASGraph, receiver: int, sender: int) -> RouteClass:
+    """The class of a route ``receiver`` learns from ``sender``.
 
-    Propagation runs per origin over these plain dict/list structures —
-    the graph object itself is too pointer-chasing-heavy for the inner
-    loop.  Sibling links are folded into the peer lists (see module
-    docstring); partial-transit links are kept as a set of
-    ``(provider, customer)`` pairs.
+    Sibling links count as peering (see the module docstring).  Raises
+    ``ValueError`` when the two ASes are not neighbours.
     """
-
-    def __init__(
-        self,
-        graph: ASGraph,
-        exclude: Optional[Set[Tuple[int, int]]] = None,
-    ) -> None:
-        """``exclude`` removes the given (canonical-key) links from the
-        index — used to simulate routing churn (link failures)."""
-        asns = graph.asns()
-        self.asns: List[int] = asns
-        self.providers: Dict[int, List[int]] = {a: [] for a in asns}
-        self.customers: Dict[int, List[int]] = {a: [] for a in asns}
-        self.peers: Dict[int, List[int]] = {a: [] for a in asns}
-        self.partial: Set[Tuple[int, int]] = set()
-        exclude = exclude or set()
-        for link in graph.links():
-            if link.key in exclude:
-                continue
-            if link.rel is RelType.P2C:
-                self.customers[link.provider].append(link.customer)
-                self.providers[link.customer].append(link.provider)
-                if link.partial_transit:
-                    self.partial.add((link.provider, link.customer))
-            else:  # P2P and S2S both propagate as peering
-                self.peers[link.provider].append(link.customer)
-                self.peers[link.customer].append(link.provider)
-        # Deterministic neighbour order makes tie-breaking reproducible.
-        for table in (self.providers, self.customers, self.peers):
-            for neighbor_list in table.values():
-                neighbor_list.sort()
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle only the source-of-truth tables.
-
-        Derived caches (neighbour sets, the propagation plane) are
-        rebuilt on demand in the receiving process — shipping them to
-        workers would only inflate the initializer payload.
-        """
-        state = dict(self.__dict__)
-        for key in ("_cust_cache", "_peer_cache", "_prov_cache", "_plane_cache"):
-            state.pop(key, None)
-        return state
-
-    def route_class(self, receiver: int, sender: int) -> RouteClass:
-        """The class of a route ``receiver`` learns from ``sender``."""
-        if sender in self._customers_set(receiver):
-            return RouteClass.CUSTOMER
-        if sender in self._peers_set(receiver):
-            return RouteClass.PEER
-        if sender in self._providers_set(receiver):
-            return RouteClass.PROVIDER
+    if not graph.has_link(receiver, sender):
         raise ValueError(f"AS{sender} is not a neighbor of AS{receiver}")
-
-    # Cached set views for membership tests --------------------------------
-    def _customers_set(self, asn: int) -> Set[int]:
-        cache = getattr(self, "_cust_cache", None)
-        if cache is None:
-            cache = {a: set(v) for a, v in self.customers.items()}
-            self._cust_cache = cache
-        return cache.get(asn, set())
-
-    def _peers_set(self, asn: int) -> Set[int]:
-        cache = getattr(self, "_peer_cache", None)
-        if cache is None:
-            cache = {a: set(v) for a, v in self.peers.items()}
-            self._peer_cache = cache
-        return cache.get(asn, set())
-
-    def _providers_set(self, asn: int) -> Set[int]:
-        cache = getattr(self, "_prov_cache", None)
-        if cache is None:
-            cache = {a: set(v) for a, v in self.providers.items()}
-            self._prov_cache = cache
-        return cache.get(asn, set())
+    link = graph.link(receiver, sender)
+    if link.rel is not RelType.P2C:
+        return RouteClass.PEER
+    if link.provider == receiver:
+        return RouteClass.CUSTOMER
+    return RouteClass.PROVIDER

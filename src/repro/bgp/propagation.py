@@ -27,12 +27,14 @@ with router IDs, and the one ASRank-style inference assumes.
 
 Engine
 ------
-:class:`PropagationPlane` compiles the
-:class:`~repro.bgp.policy.AdjacencyIndex` once into CSR adjacency
-arrays (provider/customer/peer neighbour lists plus a partial-transit
-edge mask) and runs the three stages as numpy frontier passes over a
-*block* of origins at once; each stage's tie-break is a ``lexsort`` +
-first-occurrence reduce instead of a per-candidate dict race.  Block
+:class:`PropagationPlane` holds the graph as CSR adjacency arrays
+(provider/customer/peer neighbour lists plus a partial-transit edge
+mask), built with numpy straight from the graph's links, and runs the
+three stages as numpy frontier passes over a *block* of origins at
+once; each stage's tie-break is a ``lexsort`` + first-occurrence
+reduce instead of a per-candidate dict race.  A churned view (some
+links failed) is :meth:`PropagationPlane.without` an edge mask: the
+same ASes and ids, its tables rebuilt from the kept links.  Block
 state is one flat ``B*n`` column per field keyed ``b*n + id``, so
 competing offers always share a row and every row equals the
 one-origin result; the block size is derived, ``max(1, CELLS // n)``
@@ -55,7 +57,7 @@ out exactly as on the full row.  The looking glass, routing tables and
 the attack pass keep full rows.
 
 ``tests/bgp/reference_engine.py`` holds a plain dict BFS of the same
-semantics; the differential suite in
+semantics over dict adjacency tables; the differential suite in
 ``tests/bgp/test_propagation_differential.py`` checks the plane
 against it AS-for-AS on randomized topologies, and pinned sha256
 digests hold full scenario artifacts fixed.
@@ -78,12 +80,14 @@ passes are bit-identical to the honest code path.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bgp.policy import AdjacencyIndex, RouteClass
+from repro.bgp.policy import RouteClass
+from repro.topology.graph import ASGraph, RelType
 
 #: Sentinel distance for "no route".
 _NO_ROUTE = -1
@@ -131,62 +135,89 @@ def _first_occurrence(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _csr(
+    n: int, owner: np.ndarray, neighbour: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR table of the directed edges ``owner -> neighbour`` over ``n``
+    ids: ``(indptr, indices, order)``, rows by owner and each row's
+    neighbours ascending; ``order`` maps table positions to edges."""
+    order = np.lexsort((neighbour, owner))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr, neighbour[order].astype(np.int32), order
+
+
 class PropagationPlane:
-    """CSR compilation of an :class:`AdjacencyIndex` for array passes.
+    """CSR adjacency of an :class:`ASGraph` for array passes.
 
     AS ids are dense int32 indices into ``self.asns`` (ASNs sorted
     ascending), so *minimising over ids minimises over ASNs* — the
     lower-ASN tie-break of the decision process becomes a plain
     ``lexsort``/first-occurrence reduce.  Three CSR tables hold the
-    directed neighbour lists (providers of, customers of, peers of);
-    ``partial_up[j]`` flags the customer→provider edge
+    directed neighbour lists (providers of, customers of, peers of;
+    sibling links count as peering, see :mod:`repro.bgp.policy`), each
+    row ascending; ``partial_up[j]`` flags the customer→provider edge
     ``prov_indices[j]`` whose P2C link is partial transit.
 
-    Build once per adjacency (see :func:`plane_of`), propagate blocks
-    of origins with :meth:`propagate`.
+    Build once per graph, derive churned views with :meth:`without`,
+    propagate blocks of origins with :meth:`propagate`.
     """
 
-    def __init__(self, adj: AdjacencyIndex) -> None:
-        asns = np.sort(np.asarray(adj.asns, dtype=np.int64))
-        self.asns = asns
-        self.n = len(asns)
-        self.prov_indptr, self.prov_indices = self._csr(adj.providers, asns)
-        self.cust_indptr, self.cust_indices = self._csr(adj.customers, asns)
-        self.peer_indptr, self.peer_indices = self._csr(adj.peers, asns)
-        partial_up = np.zeros(len(self.prov_indices), dtype=bool)
-        for provider, customer in sorted(adj.partial):
-            ci = self._id(customer)
-            pi = self._id(provider)
-            lo, hi = int(self.prov_indptr[ci]), int(self.prov_indptr[ci + 1])
-            pos = lo + int(np.searchsorted(self.prov_indices[lo:hi], pi))
-            if pos >= hi or int(self.prov_indices[pos]) != pi:
-                raise ValueError(
-                    f"partial-transit link ({provider}, {customer}) not in "
-                    "the adjacency index"
-                )
-            partial_up[pos] = True
-        self.partial_up = partial_up
-
-    @staticmethod
-    def _csr(
-        table: Dict[int, List[int]], asns: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n = len(asns)
-        asn_list = asns.tolist()
-        counts = np.fromiter(
-            (len(table[a]) for a in asn_list), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        flat = np.fromiter(
-            (x for a in asn_list for x in table[a]),
+    def __init__(self, graph: ASGraph) -> None:
+        links = list(graph.links())
+        m = len(links)
+        self.asns = np.sort(np.asarray(graph.asns(), dtype=np.int64))
+        self.n = len(self.asns)
+        ends = np.fromiter(
+            (asn for link in links for asn in (link.provider, link.customer)),
             dtype=np.int64,
-            count=total,
+            count=2 * m,
         )
-        # Neighbour lists are ASN-sorted, so the id lists stay sorted.
-        indices = np.searchsorted(asns, flat).astype(np.int32)
-        return indptr, indices
+        ids = np.searchsorted(self.asns, ends).astype(np.int32).reshape(m, 2)
+        # One entry per link, in ``graph.links()`` order: the masks of
+        # :meth:`without` index these.  P2P and S2S links hold their
+        # canonical order in the provider/customer columns.
+        self._provider = ids[:, 0]
+        self._customer = ids[:, 1]
+        self._p2c = np.fromiter(
+            (link.rel is RelType.P2C for link in links), dtype=bool, count=m
+        )
+        self._partial = np.fromiter(
+            (link.partial_transit for link in links), dtype=bool, count=m
+        )
+        self._build(np.ones(m, dtype=bool))
+
+    def _build(self, kept: np.ndarray) -> None:
+        """(Re)build the CSR tables from the ``kept`` links."""
+        self._kept = kept
+        p2c = self._p2c & kept
+        prov, cust = self._provider[p2c], self._customer[p2c]
+        self.prov_indptr, self.prov_indices, order = _csr(self.n, cust, prov)
+        self.partial_up = self._partial[p2c][order]
+        self.cust_indptr, self.cust_indices, _ = _csr(self.n, prov, cust)
+        peer = ~self._p2c & kept
+        a, b = self._provider[peer], self._customer[peer]
+        self.peer_indptr, self.peer_indices, _ = _csr(
+            self.n, np.concatenate((a, b)), np.concatenate((b, a))
+        )
+
+    def without(self, failed: np.ndarray) -> "PropagationPlane":
+        """This plane with the links flagged in ``failed`` removed.
+
+        ``failed`` is a bool mask in the graph's ``links()`` order.  The
+        result holds the same ASes under the same ids (a reducer built
+        for this plane accepts it); links this plane already lacks stay
+        removed.
+        """
+        failed = np.asarray(failed, dtype=bool)
+        if failed.shape != self._kept.shape:
+            raise ValueError(
+                f"link mask of shape {failed.shape}, expected "
+                f"{self._kept.shape}"
+            )
+        plane = copy.copy(self)
+        plane._build(self._kept & ~failed)
+        return plane
 
     # ------------------------------------------------------------------
     def _id(self, asn: int) -> int:
@@ -582,39 +613,19 @@ class RouteBlock:
         )
 
 
-def plane_of(adj: AdjacencyIndex) -> PropagationPlane:
-    """The (cached) propagation plane of an adjacency index.
-
-    The plane is derived once and memoised on the adjacency object —
-    the same idiom as the index's neighbour-set caches — so collection
-    rounds, `RoutingTable.compute`, and the parallel workers all share
-    one build per adjacency.
-    """
-    plane = getattr(adj, "_plane_cache", None)
-    if plane is None:
-        plane = PropagationPlane(adj)
-        adj._plane_cache = plane
-    return plane
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
-def compute_origin_routes(adj: AdjacencyIndex, origin: int) -> RouteArrays:
-    """One origin's routes as :class:`RouteArrays`: a block of one.
-
-    Builds (or reuses) the adjacency's propagation plane and runs one
-    origin's array passes.
-    """
-    plane = plane_of(adj)
+def compute_origin_routes(plane: PropagationPlane, origin: int) -> RouteArrays:
+    """One origin's routes as :class:`RouteArrays`: a block of one."""
     return plane.propagate(
         np.array([plane._id(origin)], dtype=np.int32)
     ).row(0)
 
 
 def compute_attack_routes(
-    adj: AdjacencyIndex,
+    plane: PropagationPlane,
     origin: int,
     attacker: int,
     claim_dist: int,
@@ -636,7 +647,6 @@ def compute_attack_routes(
         raise ValueError("attack source cannot be the origin AS")
     if claim_dist < 0:
         raise ValueError(f"claim_dist must be >= 0, got {claim_dist}")
-    plane = plane_of(adj)
     blocked_arr = np.zeros(plane.n, dtype=bool)
     for asn in sorted(blocked):
         i = plane.id_or_none(asn)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_origin_routes
+from repro.bgp.policy import RouteClass
+from repro.bgp.propagation import PropagationPlane, compute_origin_routes
 from repro.topology.graph import ASGraph
 
 
@@ -48,18 +48,18 @@ class RoutingTable:
     def compute(cls, graph: ASGraph, asn: int) -> "RoutingTable":
         """Sweep every origin's decision process for this AS.
 
-        The adjacency index — and its CSR propagation plane — is built
-        exactly once and reused for the whole origin sweep; only the
-        per-origin route columns are recomputed.  Cost is still one propagation per origin — fine
+        The propagation plane is built exactly once and reused for the
+        whole origin sweep; only the per-origin route columns are
+        recomputed.  Cost is still one propagation per origin — fine
         for inspecting a few ASes, not meant for bulk use (collectors
         stream instead).
         """
         if asn not in graph:
             raise KeyError(f"AS{asn} not in graph")
-        adjacency = AdjacencyIndex(graph)
+        plane = PropagationPlane(graph)
         entries: Dict[int, RibEntry] = {}
-        for origin in adjacency.asns:
-            routes = compute_origin_routes(adjacency, origin)
+        for origin in graph.asns():
+            routes = compute_origin_routes(plane, origin)
             if not routes.has_route(asn):
                 continue
             path = routes.path_from(asn)

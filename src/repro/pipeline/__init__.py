@@ -2,7 +2,7 @@
 
 The per-origin route computation that dominates scenario building is
 embarrassingly parallel — every origin's routes depend only on the
-(read-only) adjacency index — and its outputs are small, hashable
+(read-only) propagation plane — and its outputs are small, hashable
 artifacts.  This package exploits both facts:
 
 * :class:`~repro.pipeline.parallel.ParallelPropagator` shards origins

@@ -1,7 +1,7 @@
 """Process-parallel per-origin route collection.
 
 Every origin's routes are an independent function of the (read-only)
-:class:`~repro.bgp.policy.AdjacencyIndex`, so the per-origin fan-out —
+:class:`~repro.bgp.propagation.PropagationPlane`, so the per-origin fan-out —
 the hot path of scenario building — shards cleanly across worker
 processes.  :class:`ParallelPropagator` does exactly that while keeping
 the output stream *indistinguishable* from the serial code:
@@ -34,8 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import PropagationPlane, plane_of
+from repro.bgp.propagation import PropagationPlane
 
 #: More worker processes than this is a typo, not a deployment.
 MAX_WORKERS = 256
@@ -108,26 +107,27 @@ class ParallelPropagator:
 
     Parameters
     ----------
-    adjacency:
-        The read-only adjacency index routes are computed over.
+    plane:
+        The read-only propagation plane routes are computed over.
     workers:
         ``0`` (default) for the serial fallback, a positive count for
         that many worker processes, ``None``/negative for the usable cores.
     """
 
     def __init__(
-        self, adjacency: AdjacencyIndex, workers: Optional[int] = 0
+        self, plane: PropagationPlane, workers: Optional[int] = 0
     ) -> None:
-        self.adjacency = adjacency
+        self.plane = plane
         self.workers = 0 if workers == 0 else resolve_workers(workers)
 
     def collect_columns(
-        self, reducer: Any, origins: Optional[Iterable[int]] = None
+        self, reducer: Any, origins: Iterable[int]
     ) -> Iterator[Any]:
-        """Yield the collector-visible routes of every origin as
+        """Yield the collector-visible routes of ``origins`` as
         :class:`~repro.pipeline.columnar.CorpusColumns`, in the exact
         order the serial :class:`~repro.bgp.collectors.RouteCollector`
-        records them (origin-major, vantage-point order within).
+        records them (origin-major in the given order, vantage-point
+        order within).
 
         Each worker of the shared pool runs the block collection of
         :meth:`~repro.bgp.collectors.RouteReducer.collect_blocks` over a
@@ -135,17 +135,14 @@ class ParallelPropagator:
         this round's plane; per-origin route arrays never cross the
         process boundary.
         """
-        origin_list = list(
-            self.adjacency.asns if origins is None else origins
-        )
-        plane = plane_of(self.adjacency)
+        origin_list = list(origins)
         if self.workers == 0 or len(origin_list) <= 1:
-            yield from reducer.collect_blocks(plane, origin_list)
+            yield from reducer.collect_blocks(self.plane, origin_list)
             return
         pool = _shared_pool(self.workers)
         try:
             futures = [
-                pool.submit(_collect_chunk, plane, reducer, chunk)
+                pool.submit(_collect_chunk, self.plane, reducer, chunk)
                 for chunk in _chunk(origin_list, self.workers)
             ]
             # Futures are drained in submission order, which gives the

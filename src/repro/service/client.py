@@ -71,31 +71,14 @@ class ServiceClient:
         self, method: str, path: str, body: Any = None
     ) -> Any:
         """One JSON round trip; raises :class:`ServiceError` on >= 400."""
-        payload = None if body is None else json.dumps(body)
-        headers = {"Content-Type": "application/json"} if payload else {}
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-                break
-            except (
-                http.client.RemoteDisconnected,
-                ConnectionResetError,
-                BrokenPipeError,
-            ):
-                # A dropped keep-alive connection gets one clean retry.
-                self.close()
-                if attempt:
-                    raise
+        status, data = self.request_bytes(method, path, body)
         try:
             decoded = json.loads(data.decode("utf-8")) if data else None
         except ValueError:
             decoded = {"error": {"code": "bad_payload",
                                  "message": data.decode("utf-8", "replace")}}
-        if response.status >= 400:
-            raise ServiceError(response.status, decoded)
+        if status >= 400:
+            raise ServiceError(status, decoded)
         return decoded
 
     def request_bytes(
@@ -121,6 +104,7 @@ class ServiceClient:
                 ConnectionResetError,
                 BrokenPipeError,
             ):
+                # A dropped keep-alive connection gets one clean retry.
                 self.close()
                 if attempt:
                     raise

@@ -25,23 +25,35 @@ from repro.adversarial.attacks import (
 from repro.adversarial.policies import resolve_deployments
 from repro.bgp.collectors import RouteCollector, RouteReducer, VantagePoint
 from repro.bgp.communities import CommunityRegistry
-from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import RouteArrays, compute_attack_routes
+from repro.bgp.policy import RouteClass, route_class
+from repro.bgp.propagation import (
+    PropagationPlane,
+    RouteArrays,
+    compute_attack_routes,
+)
 from repro.config import AdversarialConfig, ScenarioConfig
 from repro.datasets.paths import PathCorpus
 from repro.topology.generator import generate_topology
 from repro.utils.rng import make_rng
 from tests import corpus_views
 from tests.bgp import reference_engine
+from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_collector import AttackTreeView, routes_for_origin
 
 
-#: Joint-route engines under test: (adjacency, origin, attacker,
+def _vectorized(graph, *args, **kwargs):
+    return compute_attack_routes(PropagationPlane(graph), *args, **kwargs)
+
+
+def _reference(graph, *args, **kwargs):
+    return reference_engine.compute_attack_tree(
+        AdjacencyIndex(graph), *args, **kwargs
+    )
+
+
+#: Joint-route engines under test: (graph, origin, attacker,
 #: claim_dist, blocked) -> routes with the collector read protocol.
-ENGINES = {
-    "vectorized": compute_attack_routes,
-    "reference": reference_engine.compute_attack_tree,
-}
+ENGINES = {"vectorized": _vectorized, "reference": _reference}
 
 
 @pytest.fixture(params=sorted(ENGINES))
@@ -65,8 +77,7 @@ class TestJointPropagation:
         # AS200 claims AS300's prefix.  AS40 has both at distance 1 and
         # the customer tie-break (lower child ASN) picks the attacker;
         # AS30's side of the graph keeps the legitimate route.
-        adj = AdjacencyIndex(tiny_graph)
-        joint = attack_routes(adj, 300, 200, 0, blocked=())
+        joint = attack_routes(tiny_graph, 300, 200, 0, blocked=())
         assert joint.path_from(40) == (40, 200)
         assert joint.pref[40] is RouteClass.CUSTOMER
         assert joint.path_from(30) == (30, 300)
@@ -80,8 +91,7 @@ class TestJointPropagation:
     def test_rpki_deployer_rejects_origin_hijack(
         self, tiny_graph, attack_routes
     ):
-        adj = AdjacencyIndex(tiny_graph)
-        joint = attack_routes(adj, 300, 200, 0, blocked={40})
+        joint = attack_routes(tiny_graph, 300, 200, 0, blocked={40})
         # The deployer keeps its legitimate route...
         assert joint.path_from(40) == (40, 300)
         # ...and everything downstream of it heals too: AS50 buys
@@ -95,8 +105,7 @@ class TestJointPropagation:
         # the forged route at distance 2 and its direct customer route
         # to AS300 at distance 1 — the clean route wins where the
         # plain origin hijack above won.
-        adj = AdjacencyIndex(tiny_graph)
-        joint = attack_routes(adj, 300, 200, 1, blocked={300})
+        joint = attack_routes(tiny_graph, 300, 200, 1, blocked={300})
         assert joint.path_from(40) == (40, 300)
 
     def test_leak_wins_as_customer_route_at_the_provider(
@@ -105,17 +114,16 @@ class TestJointPropagation:
         # AS40 leaks its peer-learned route to AS100 upward to its
         # provider AS20.  AS20's clean best is a peer route via AS10,
         # so the leaked "customer" route wins — the classic valley.
-        adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("leak", 40, 100, (30, 100))
         joint = attack_routes(
-            adj, 100, 40, event.claim_dist, blocked=set(event.suffix)
+            tiny_graph, 100, 40, event.claim_dist, blocked=set(event.suffix)
         )
         assert joint.pref[20] is RouteClass.CUSTOMER
         assert src_of(joint, 20) == 1
         assert joint.path_from(20) + event.suffix == (20, 40, 30, 100)
         # The leaker's own table still says peer-learned: the class the
         # attack round tags the leaker's hop with.
-        assert adj.route_class(40, event.suffix[0]) is RouteClass.PEER
+        assert route_class(tiny_graph, 40, event.suffix[0]) is RouteClass.PEER
         # Suffix ASes are loop-blocked and keep their clean routes.
         assert joint.path_from(30) == (30, 100)
         assert joint.pref[30] is RouteClass.CUSTOMER
@@ -123,9 +131,8 @@ class TestJointPropagation:
     def test_aspa_deployer_rejects_the_leak(
         self, tiny_graph, attack_routes
     ):
-        adj = AdjacencyIndex(tiny_graph)
         joint = attack_routes(
-            adj, 100, 40, 2, blocked={30, 100, 20}
+            tiny_graph, 100, 40, 2, blocked={30, 100, 20}
         )
         # With AS20 deploying ASPA the leaked route dies at its only
         # upward edge; AS20 keeps the clean peer route via AS10.
@@ -133,10 +140,9 @@ class TestJointPropagation:
         assert joint.path_from(20) == (20, 10, 30, 100)
 
     def test_engines_agree_on_joint_routes(self, tiny_graph):
-        adj = AdjacencyIndex(tiny_graph)
         results = {}
         for name, engine in ENGINES.items():
-            joint = engine(adj, 300, 200, 0, blocked={40})
+            joint = engine(tiny_graph, 300, 200, 0, blocked={40})
             results[name] = {
                 asn: (joint.pref[asn], joint.path_from(asn))
                 for asn in tiny_graph.asns()
@@ -145,9 +151,8 @@ class TestJointPropagation:
         assert results["vectorized"] == results["reference"]
 
     def test_attacker_equals_origin_rejected(self, tiny_graph):
-        adj = AdjacencyIndex(tiny_graph)
         with pytest.raises(ValueError, match="cannot be the origin"):
-            compute_attack_routes(adj, 300, 300, 0)
+            compute_attack_routes(PropagationPlane(tiny_graph), 300, 300, 0)
 
 
 class TestCollectedPollution:
@@ -172,9 +177,8 @@ class TestCollectedPollution:
     def test_hijacked_routes_record_the_attacker_as_origin(
         self, tiny_graph, attack_routes
     ):
-        adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("hijack_origin", 200, 300)
-        joint = attack_routes(adj, 300, 200, 0, blocked=())
+        joint = attack_routes(tiny_graph, 300, 200, 0, blocked=())
         routes = self._collect(
             tiny_graph, joint, event,
             [VantagePoint(40, True), VantagePoint(10, True)],
@@ -190,10 +194,9 @@ class TestCollectedPollution:
     def test_forged_origin_hijack_invents_a_link(
         self, tiny_graph, attack_routes
     ):
-        adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("hijack_forged", 200, 300, (300,))
         joint = attack_routes(
-            adj, 300, 200, 1, blocked=event_blocked_set(event, {})
+            tiny_graph, 300, 200, 1, blocked=event_blocked_set(event, {})
         )
         routes = self._collect(
             tiny_graph, joint, event, [VantagePoint(200, True)]
@@ -207,10 +210,9 @@ class TestCollectedPollution:
     def test_partial_feed_leaker_hides_its_own_leak(
         self, tiny_graph, attack_routes
     ):
-        adj = AdjacencyIndex(tiny_graph)
         event = AttackEvent("leak", 40, 100, (30, 100))
         joint = attack_routes(
-            adj, 100, 40, 2, blocked=set(event.suffix)
+            tiny_graph, 100, 40, 2, blocked=set(event.suffix)
         )
         routes = self._collect(
             tiny_graph, joint, event, [VantagePoint(40, False)],

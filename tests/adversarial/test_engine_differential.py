@@ -23,12 +23,12 @@ from repro import ScenarioConfig, small_scenario
 from repro.adversarial.attacks import event_blocked_set, plan_events
 from repro.adversarial.policies import resolve_deployments
 from repro.bgp.collectors import collect_rounds, measurement_setup
-from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import compute_attack_routes
+from repro.bgp.propagation import PropagationPlane, compute_attack_routes
 from repro.config import AdversarialConfig
 from repro.pipeline.cache import ArtifactCache
 from repro.topology.generator import generate_topology
 from tests.bgp import reference_engine
+from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_engine import as_tree
 
 SEEDS = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -175,6 +175,7 @@ def test_joint_routes_match_reference_engine(seed):
     """Every planned event's joint routes equal the reference's."""
     clean_config = _base_config(seed)
     topology = generate_topology(clean_config)
+    plane = PropagationPlane(topology.graph)
     adjacency = AdjacencyIndex(topology.graph)
     for variant in sorted(VARIANTS):
         config = clean_config.replace(
@@ -183,10 +184,10 @@ def test_joint_routes_match_reference_engine(seed):
         deployments = resolve_deployments(
             config.adversarial, topology, config.seed
         )
-        for event in plan_events(topology, config, adjacency):
+        for event in plan_events(topology, config, plane):
             blocked = event_blocked_set(event, deployments)
             args = (event.victim, event.attacker, event.claim_dist)
-            vec = as_tree(compute_attack_routes(adjacency, *args, blocked))
+            vec = as_tree(compute_attack_routes(plane, *args, blocked))
             ref = reference_engine.compute_attack_tree(
                 adjacency, *args, blocked
             )

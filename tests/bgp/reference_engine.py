@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bgp.policy import AdjacencyIndex, RouteClass
+from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import RouteArrays
+from tests.bgp.reference_adjacency import AdjacencyIndex
 
 
 @dataclass

@@ -13,7 +13,7 @@ that this is the same function as the per-origin scalar path:
    collector (``reference_collector.py``) records from the same
    origins, on randomized topologies with strippers, partial feeders,
    partial-transit links, unrouted and absent VPs and churned
-   adjacencies, at block sizes 1, 2 and a non-divisor of the AS count.
+   planes, at block sizes 1, 2 and a non-divisor of the AS count.
    A whole :class:`RouteCollector` round merged over churn must equal
    the oracle's routes ingested one by one.
 3. **Restricted plane** — propagating ``within`` the vantage points'
@@ -33,8 +33,7 @@ import pytest
 
 from repro.bgp.collectors import RouteCollector, RouteReducer, VantagePoint
 from repro.bgp.communities import CommunityRegistry
-from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import compute_origin_routes, plane_of
+from repro.bgp.propagation import PropagationPlane, compute_origin_routes
 from repro.datasets.paths import PathCorpus
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role
 from repro.topology.regions import Region
@@ -74,29 +73,25 @@ def collection_setup(seed: int):
     return graph, vps, communities, strippers
 
 
-def churned(graph, seed: int) -> AdjacencyIndex:
-    """The adjacency with a seeded ~15% of links failed."""
+def churned(graph, seed: int) -> PropagationPlane:
+    """The plane with a seeded ~15% of links failed."""
     rng = np.random.default_rng(20_000 + seed)
-    failed = {
-        link.key for link in graph.links() if rng.random() < 0.15
-    }
-    return AdjacencyIndex(graph, exclude=failed)
+    return PropagationPlane(graph).without(rng.random(graph.n_links) < 0.15)
 
 
-def oracle_routes(adjacency, origins, vps, communities, strippers):
+def oracle_routes(plane, origins, vps, communities, strippers):
     return [
         route
         for origin in origins
         for route in routes_for_origin(
-            compute_origin_routes(adjacency, origin),
+            compute_origin_routes(plane, origin),
             vps, communities, strippers,
         )
     ]
 
 
-def block_routes(adjacency, origins, reducer, size):
+def block_routes(plane, origins, reducer, size):
     """The reducer's routes, propagating ``size`` origins per block."""
-    plane = plane_of(adjacency)
     ids = plane.ids(origins)
     routes = []
     for lo in range(0, len(ids), size):
@@ -111,9 +106,9 @@ def block_routes(adjacency, origins, reducer, size):
 
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_block_rows_equal_blocks_of_one(seed):
-    adj = AdjacencyIndex(random_policy_graph(seed))
-    plane = plane_of(adj)
-    ids = plane.ids(adj.asns)
+    graph = random_policy_graph(seed)
+    plane = PropagationPlane(graph)
+    ids = plane.ids(graph.asns())
     singles = [plane.propagate(ids[i : i + 1]).row(0) for i in range(len(ids))]
     for size in (2, 7, len(ids)):
         for lo in range(0, len(ids), size):
@@ -130,7 +125,7 @@ def test_block_rows_equal_blocks_of_one(seed):
 
 
 def test_attack_pass_takes_a_block_of_one(tiny_graph):
-    plane = plane_of(AdjacencyIndex(tiny_graph))
+    plane = PropagationPlane(tiny_graph)
     blocked = np.zeros(plane.n, dtype=bool)
     with pytest.raises(ValueError, match="block of one"):
         plane.propagate(plane.ids([300, 100]), attack=(200, 0, blocked))
@@ -144,19 +139,17 @@ def test_attack_pass_takes_a_block_of_one(tiny_graph):
 @pytest.mark.parametrize("view", ["converged", "churned"])
 def test_reducer_matches_oracle(seed, view):
     graph, vps, communities, strippers = collection_setup(seed)
-    adjacency = AdjacencyIndex(graph)
-    reducer = RouteReducer(
-        plane_of(adjacency).asns, vps, communities, strippers
-    )
+    plane = PropagationPlane(graph)
+    reducer = RouteReducer(plane.asns, vps, communities, strippers)
     if view == "churned":
-        adjacency = churned(graph, seed)
-    origins = adjacency.asns
-    expected = oracle_routes(adjacency, origins, vps, communities, strippers)
+        plane = churned(graph, seed)
+    origins = graph.asns()
+    expected = oracle_routes(plane, origins, vps, communities, strippers)
     assert any(route.communities for route in expected)
     n = len(origins)
     non_divisor = next(k for k in range(3, n) if n % k)
     for size in (1, 2, non_divisor):
-        got = block_routes(adjacency, origins, reducer, size)
+        got = block_routes(plane, origins, reducer, size)
         # Route for route: path, communities and order.
         assert got == expected, f"block size {size}"
 
@@ -164,7 +157,7 @@ def test_reducer_matches_oracle(seed, view):
 def test_unrouted_and_absent_vps_record_nothing(tiny_graph):
     # AS350's routes stop at a partial-transit link and never reach
     # AS20's side; AS7 is not in the topology.
-    adjacency = AdjacencyIndex(tiny_graph)
+    plane = PropagationPlane(tiny_graph)
     vps = [
         VantagePoint(asn=ABSENT_VP, full_feed=True),
         VantagePoint(asn=200, full_feed=True),
@@ -173,22 +166,20 @@ def test_unrouted_and_absent_vps_record_nothing(tiny_graph):
     communities = CommunityRegistry.build(
         tiny_graph.asns(), np.random.default_rng(1)
     )
-    reducer = RouteReducer(plane_of(adjacency).asns, vps, communities, set())
-    routes = block_routes(adjacency, [350], reducer, 1)
-    assert routes == oracle_routes(adjacency, [350], vps, communities, set())
+    reducer = RouteReducer(plane.asns, vps, communities, set())
+    routes = block_routes(plane, [350], reducer, 1)
+    assert routes == oracle_routes(plane, [350], vps, communities, set())
     assert routes == []
 
 
 def test_reducer_refuses_a_plane_of_other_ases(tiny_graph):
-    adjacency = AdjacencyIndex(tiny_graph)
+    plane = PropagationPlane(tiny_graph)
     communities = CommunityRegistry.build(
         tiny_graph.asns(), np.random.default_rng(1)
     )
-    reducer = RouteReducer(
-        plane_of(adjacency).asns[1:], [], communities, set()
-    )
+    reducer = RouteReducer(plane.asns[1:], [], communities, set())
     with pytest.raises(ValueError, match="plane ASNs differ"):
-        reducer.check_plane(plane_of(adjacency))
+        reducer.check_plane(plane)
 
 
 @pytest.mark.parametrize("seed", COLLECTION_SEEDS[:4])
@@ -202,12 +193,12 @@ def test_collector_round_with_churn_matches_oracle(seed):
     )
     corpus = collector.collect()
     churn = churned(graph, seed)
-    collector.collect(corpus=corpus, adjacency=churn)
+    collector.collect(corpus=corpus, plane=churn)
 
     reference = PathCorpus()
-    for adjacency in (collector.adjacency, churn):
+    for plane in (collector.plane, churn):
         for route in oracle_routes(
-            adjacency, adjacency.asns, vps, communities, strippers
+            plane, graph.asns(), vps, communities, strippers
         ):
             reference.add_route(route)
     assert len(corpus) == len(reference)
@@ -238,20 +229,19 @@ def vp_view(block, vp_asns):
     return view
 
 
-def assert_vp_rows_kept(adjacency, vp_asns, sizes=(1, 5)):
+def assert_vp_rows_kept(plane, origins, vp_asns, sizes=(1, 5)):
     """Restricted blocks equal full blocks at the VPs, for every origin;
     returns (full, restricted) routed-cell counts."""
-    plane = plane_of(adjacency)
     present = [plane.id_or_none(asn) for asn in vp_asns]
     within = plane.upcone([i for i in present if i is not None])
-    ids = plane.ids(adjacency.asns)
+    ids = plane.ids(origins)
     cells = [0, 0]
     for size in sizes:
         for lo in range(0, len(ids), size):
             full = plane.propagate(ids[lo : lo + size])
             cut = plane.propagate(ids[lo : lo + size], within=within)
             assert vp_view(cut, vp_asns) == vp_view(full, vp_asns), (
-                f"origins {adjacency.asns[lo : lo + size]}, block {size}"
+                f"origins {origins[lo : lo + size]}, block {size}"
             )
             cells[0] += int((full.pref_arr >= 0).sum())
             cells[1] += int((cut.pref_arr >= 0).sum())
@@ -262,12 +252,13 @@ def assert_vp_rows_kept(adjacency, vp_asns, sizes=(1, 5)):
 @pytest.mark.parametrize("view", ["converged", "churned"])
 def test_restricted_plane_keeps_vp_rows(seed, view):
     graph, vps, _, _ = collection_setup(seed)
-    adjacency = (
-        AdjacencyIndex(graph) if view == "converged" else churned(graph, seed)
+    plane = (
+        PropagationPlane(graph) if view == "converged"
+        else churned(graph, seed)
     )
     vp_asns = [vp.asn for vp in vps]
     assert ABSENT_VP in vp_asns
-    assert_vp_rows_kept(adjacency, vp_asns)
+    assert_vp_rows_kept(plane, graph.asns(), vp_asns)
 
 
 def test_restricted_plane_keeps_scarce_vp_rows():
@@ -278,7 +269,8 @@ def test_restricted_plane_keeps_scarce_vp_rows():
         partial += any(link.partial_transit for link in graph.links())
         asns = sorted(graph.asns())
         cells = assert_vp_rows_kept(
-            AdjacencyIndex(graph), [asns[0], asns[-1], ABSENT_VP]
+            PropagationPlane(graph), graph.asns(),
+            [asns[0], asns[-1], ABSENT_VP],
         )
         full, cut = full + cells[0], cut + cells[1]
     assert cut < full / 2
@@ -286,7 +278,7 @@ def test_restricted_plane_keeps_scarce_vp_rows():
 
 
 def test_attack_pass_keeps_full_rows(tiny_graph):
-    plane = plane_of(AdjacencyIndex(tiny_graph))
+    plane = PropagationPlane(tiny_graph)
     within = np.ones(plane.n, dtype=bool)
     with pytest.raises(ValueError, match="full rows"):
         plane.propagate(
@@ -317,10 +309,10 @@ def bgpsim_tree() -> ASGraph:
 
 
 def test_restricted_plane_on_the_bgpsim_tree():
-    adjacency = AdjacencyIndex(bgpsim_tree())
+    graph = bgpsim_tree()
+    plane = PropagationPlane(graph)
     vp_asns = [6, 9]
-    assert_vp_rows_kept(adjacency, vp_asns, sizes=(1, 13))
-    plane = plane_of(adjacency)
+    assert_vp_rows_kept(plane, graph.asns(), vp_asns, sizes=(1, 13))
     within = plane.upcone(plane.ids(vp_asns))
     assert plane.asns[within].tolist() == [1, 2, 3, 6, 9]
 

@@ -10,7 +10,7 @@ from repro.bgp import propagation
 from repro.bgp.collectors import measurement_setup
 from repro.bgp.communities import Meaning
 from repro.bgp.lookingglass import LookingGlass
-from repro.bgp.propagation import compute_origin_routes, plane_of
+from repro.bgp.propagation import compute_origin_routes
 from repro.service.query import casestudy_payload
 from repro.topology.generator import generate_topology
 from repro.topology.graph import RelType
@@ -91,7 +91,7 @@ def _per_origin_reference(glass, asn, neighbor):
     exports_all = link.rel is RelType.P2C and link.provider == neighbor
     received = []
     for origin in sorted(glass._exportable_origins(neighbor, exports_all)):
-        routes = compute_origin_routes(glass.adjacency, origin)
+        routes = compute_origin_routes(glass.plane, origin)
         entry = glass._received_route(asn, neighbor, routes, link)
         if entry is not None:
             received.append(entry)
@@ -104,7 +104,7 @@ def test_block_rows_match_per_origin_routes(seed, monkeypatch):
     topology = generate_topology(config)
     _, communities, _ = measurement_setup(topology, config)
     glass = LookingGlass(topology, communities)
-    plane = plane_of(glass.adjacency)
+    plane = glass.plane
     monkeypatch.setattr(propagation, "CELLS", _TEST_BLOCK * plane.n)
     assert plane.block_size == _TEST_BLOCK
 

@@ -1,8 +1,11 @@
-"""Tests for policy primitives and the adjacency index."""
+"""Tests for policy primitives and the propagation plane's tables."""
 
+import numpy as np
 import pytest
 
-from repro.bgp.policy import AdjacencyIndex, RouteClass, exports_to_non_customers
+from repro.bgp.policy import RouteClass, exports_to_non_customers, route_class
+from repro.bgp.propagation import PropagationPlane
+from tests.bgp.reference_adjacency import link_mask
 
 
 class TestExportRule:
@@ -25,34 +28,60 @@ class TestRouteClassOrdering:
         assert RouteClass.PEER < RouteClass.PROVIDER
 
 
+def neighbours(plane, table, asn):
+    """ASNs in ``asn``'s row of the plane's ``table`` (``"prov"``,
+    ``"cust"`` or ``"peer"``), in row order."""
+    indptr = getattr(plane, f"{table}_indptr")
+    indices = getattr(plane, f"{table}_indices")
+    i = plane.ids([asn])[0]
+    return plane.asns[indices[indptr[i] : indptr[i + 1]]].tolist()
+
+
 class TestAdjacencyIndex:
+    """The plane's CSR tables and :func:`route_class`, on the tiny
+    graph (ids are ASN-sorted, so neighbour ASNs read back in order)."""
+
     def test_tables(self, tiny_graph):
-        adjacency = AdjacencyIndex(tiny_graph)
-        assert 30 in adjacency.customers[10]
-        assert 10 in adjacency.providers[30]
-        assert 40 in adjacency.peers[30]
-        assert (10, 35) in adjacency.partial
+        plane = PropagationPlane(tiny_graph)
+        assert 30 in neighbours(plane, "cust", 10)
+        assert 10 in neighbours(plane, "prov", 30)
+        assert 40 in neighbours(plane, "peer", 30)
+        # 35's one provider edge, to 10, is partial transit; 30's are not.
+        i35, i30 = plane.ids([35, 30])
+        lo, hi = plane.prov_indptr[i35], plane.prov_indptr[i35 + 1]
+        assert neighbours(plane, "prov", 35) == [10]
+        assert plane.partial_up[lo:hi].tolist() == [True]
+        lo, hi = plane.prov_indptr[i30], plane.prov_indptr[i30 + 1]
+        assert not plane.partial_up[lo:hi].any()
 
     def test_siblings_fold_into_peers(self, tiny_graph):
-        adjacency = AdjacencyIndex(tiny_graph)
-        assert 61 in adjacency.peers[60]
-        assert 60 in adjacency.peers[61]
+        plane = PropagationPlane(tiny_graph)
+        assert 61 in neighbours(plane, "peer", 60)
+        assert 60 in neighbours(plane, "peer", 61)
 
     def test_neighbor_lists_sorted(self, tiny_graph):
-        adjacency = AdjacencyIndex(tiny_graph)
-        for table in (adjacency.providers, adjacency.customers, adjacency.peers):
-            for neighbors in table.values():
+        plane = PropagationPlane(tiny_graph)
+        assert plane.asns.tolist() == sorted(tiny_graph.asns())
+        for table in ("prov", "cust", "peer"):
+            for asn in tiny_graph.asns():
+                neighbors = neighbours(plane, table, asn)
                 assert neighbors == sorted(neighbors)
 
     def test_route_class(self, tiny_graph):
-        adjacency = AdjacencyIndex(tiny_graph)
-        assert adjacency.route_class(10, 30) is RouteClass.CUSTOMER
-        assert adjacency.route_class(30, 10) is RouteClass.PROVIDER
-        assert adjacency.route_class(30, 40) is RouteClass.PEER
+        assert route_class(tiny_graph, 10, 30) is RouteClass.CUSTOMER
+        assert route_class(tiny_graph, 30, 10) is RouteClass.PROVIDER
+        assert route_class(tiny_graph, 30, 40) is RouteClass.PEER
+        assert route_class(tiny_graph, 60, 61) is RouteClass.PEER
         with pytest.raises(ValueError):
-            adjacency.route_class(100, 200)
+            route_class(tiny_graph, 100, 200)
+        with pytest.raises(ValueError):
+            route_class(tiny_graph, 100, 99999)
 
     def test_exclude_removes_links(self, tiny_graph):
-        adjacency = AdjacencyIndex(tiny_graph, exclude={(30, 100)})
-        assert 100 not in adjacency.customers[30]
-        assert 30 not in adjacency.providers.get(100, [30])
+        full = PropagationPlane(tiny_graph)
+        plane = full.without(link_mask(tiny_graph, {(30, 100)}))
+        assert 100 not in neighbours(plane, "cust", 30)
+        assert neighbours(plane, "prov", 100) == []
+        assert np.array_equal(plane.asns, full.asns)
+        # The converged plane keeps the link.
+        assert 100 in neighbours(full, "cust", 30)

@@ -27,8 +27,9 @@ import numpy as np
 import pytest
 
 from repro import ScenarioConfig, build_scenario
-from repro.bgp.policy import AdjacencyIndex, RouteClass
+from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import (
+    PropagationPlane,
     RouteArrays,
     compute_origin_routes,
 )
@@ -37,6 +38,7 @@ from repro.datasets.bgpdump import write_path_corpus
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
 from tests.bgp import reference_engine
+from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_engine import as_tree
 
 #: ≥ 20 seeded topologies, per the acceptance criteria.
@@ -180,9 +182,10 @@ def test_engines_identical_on_random_topologies(seed):
     """The plane and the reference engine agree AS-for-AS, every origin."""
     graph = random_policy_graph(seed)
     adj = AdjacencyIndex(graph)
+    plane = PropagationPlane(graph)
     for origin in adj.asns:
         _assert_same_tree(
-            as_tree(compute_origin_routes(adj, origin)),
+            as_tree(compute_origin_routes(plane, origin)),
             reference_engine.compute_route_tree(adj, origin),
             origin,
         )
@@ -192,9 +195,10 @@ def test_entry_points_match_reference_on_tiny_graph(tiny_graph):
     """``compute_origin_routes`` serves the reference engine's routes
     on the hand-checkable graph."""
     adj = AdjacencyIndex(tiny_graph)
+    plane = PropagationPlane(tiny_graph)
     for origin in adj.asns:
         ref = reference_engine.compute_route_tree(adj, origin)
-        arrays = compute_origin_routes(adj, origin)
+        arrays = compute_origin_routes(plane, origin)
         assert isinstance(arrays, RouteArrays)
         _assert_same_tree(as_tree(arrays), ref, origin)
         for asn in adj.asns:
@@ -334,14 +338,16 @@ def _check_invariants(adj: AdjacencyIndex, routes: RouteArrays) -> None:
 def test_route_invariants_on_random_topologies(seed):
     graph = random_policy_graph(seed)
     adj = AdjacencyIndex(graph)
+    plane = PropagationPlane(graph)
     for origin in adj.asns:
-        _check_invariants(adj, compute_origin_routes(adj, origin))
+        _check_invariants(adj, compute_origin_routes(plane, origin))
 
 
 def test_route_invariants_on_tiny_graph(tiny_graph):
     adj = AdjacencyIndex(tiny_graph)
+    plane = PropagationPlane(tiny_graph)
     for origin in adj.asns:
-        _check_invariants(adj, compute_origin_routes(adj, origin))
+        _check_invariants(adj, compute_origin_routes(plane, origin))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +355,9 @@ def test_route_invariants_on_tiny_graph(tiny_graph):
 # ---------------------------------------------------------------------------
 
 def test_route_arrays_protocol_matches_tree(tiny_graph):
-    adj = AdjacencyIndex(tiny_graph)
-    arrays = compute_origin_routes(adj, 10)
+    arrays = compute_origin_routes(PropagationPlane(tiny_graph), 10)
     tree = as_tree(arrays)
-    for asn in adj.asns:
+    for asn in tiny_graph.asns():
         assert arrays.has_route(asn) == tree.has_route(asn)
         assert arrays.path_from(asn) == tree.path_from(asn)
         assert arrays.is_restricted(asn) is tree.restricted.get(asn, False)

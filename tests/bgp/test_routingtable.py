@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bgp.policy import AdjacencyIndex, RouteClass
+from repro.bgp.policy import RouteClass
 from repro.bgp.routingtable import RibEntry, RoutingTable
 from tests.bgp import reference_engine
+from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_engine import as_tree
 
 
@@ -74,19 +75,21 @@ class TestRoutingTable:
 
 
 class TestSingleSweepLock:
-    """``RoutingTable.compute`` builds one adjacency/plane and sweeps;
+    """``RoutingTable.compute`` builds one plane and sweeps;
     its output is locked against the per-origin routes."""
 
     @pytest.mark.parametrize("asn", [10, 30, 50, 350])
     def test_matches_per_origin_route_trees(self, tiny_graph, asn):
-        from repro.bgp.policy import AdjacencyIndex
-        from repro.bgp.propagation import compute_origin_routes
+        from repro.bgp.propagation import (
+            PropagationPlane,
+            compute_origin_routes,
+        )
 
         table = RoutingTable.compute(tiny_graph, asn)
-        adjacency = AdjacencyIndex(tiny_graph)
+        plane = PropagationPlane(tiny_graph)
         expected_origins = []
-        for origin in adjacency.asns:
-            tree = as_tree(compute_origin_routes(adjacency, origin))
+        for origin in tiny_graph.asns():
+            tree = as_tree(compute_origin_routes(plane, origin))
             if not tree.has_route(asn):
                 continue
             expected_origins.append(origin)

@@ -98,14 +98,13 @@ class TestCollectRoutes:
     def test_single_origin_stays_in_process(self):
         topology, vps, communities, strippers = collection_inputs(SEEDS[0])
         collector = RouteCollector(topology, vps, communities, strippers)
-        adjacency = collector.adjacency
-        origin = adjacency.asns[0]
+        origin = topology.graph.asns()[0]
         # len(origins) <= 1 short-circuits the pool entirely.
         (columns,) = ParallelPropagator(
-            adjacency, workers=4
+            collector.plane, workers=4
         ).collect_columns(collector.reducer, [origin])
         expected = routes_for_origin(
-            compute_origin_routes(adjacency, origin),
+            compute_origin_routes(collector.plane, origin),
             vps, communities, strippers,
         )
         assert expected

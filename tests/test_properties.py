@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.metrics import confusion_for_links
-from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_origin_routes
+from repro.bgp.policy import RouteClass, route_class
+from repro.bgp.propagation import PropagationPlane, compute_origin_routes
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
@@ -121,8 +121,7 @@ class TestPropagationProperties:
     @given(random_hierarchy(), st.integers(min_value=1, max_value=20))
     def test_routes_are_loop_free_and_policy_consistent(self, graph, origin_pick):
         origin = graph.asns()[origin_pick % len(graph)]
-        adjacency = AdjacencyIndex(graph)
-        tree = as_tree(compute_origin_routes(adjacency, origin))
+        tree = as_tree(compute_origin_routes(PropagationPlane(graph), origin))
         for asn in graph.asns():
             path = tree.path_from(asn)
             if path is None:
@@ -133,25 +132,25 @@ class TestPropagationProperties:
             assert path[-1] == origin
             # the recorded class matches the first link's relationship
             if len(path) > 1:
-                assert tree.pref[asn] is adjacency.route_class(asn, path[1])
+                assert tree.pref[asn] is route_class(graph, asn, path[1])
 
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     @given(random_hierarchy())
     def test_full_reachability_without_partial_transit(self, graph):
         """With no partial-transit links and a connected hierarchy,
         every AS must have a route to every origin."""
-        adjacency = AdjacencyIndex(graph)
+        plane = PropagationPlane(graph)
         for origin in graph.asns():
-            tree = as_tree(compute_origin_routes(adjacency, origin))
+            tree = as_tree(compute_origin_routes(plane, origin))
             for asn in graph.asns():
                 assert tree.has_route(asn)
 
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     @given(random_hierarchy())
     def test_valley_free(self, graph):
-        adjacency = AdjacencyIndex(graph)
+        plane = PropagationPlane(graph)
         for origin in graph.asns()[:5]:
-            tree = as_tree(compute_origin_routes(adjacency, origin))
+            tree = as_tree(compute_origin_routes(plane, origin))
             for asn in graph.asns():
                 path = tree.path_from(asn)
                 if path is None or len(path) < 3:

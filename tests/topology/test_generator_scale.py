@@ -163,12 +163,14 @@ class TestHundredKScale:
         assert _node_set(first) == _node_set(second)
         assert _edge_set(first) == _edge_set(second)
 
-        from repro.bgp.policy import AdjacencyIndex
-        from repro.bgp.propagation import compute_origin_routes
+        from repro.bgp.propagation import (
+            PropagationPlane,
+            compute_origin_routes,
+        )
 
-        adjacency = AdjacencyIndex(first.graph)
-        for origin in adjacency.asns[:10]:
-            routes = compute_origin_routes(adjacency, origin)
+        plane = PropagationPlane(first.graph)
+        for origin in first.graph.asns()[:10]:
+            routes = compute_origin_routes(plane, origin)
             assert len(routes.routed_ids()) > 50_000
         elapsed = time.perf_counter() - start
         rss_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6

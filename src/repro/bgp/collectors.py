@@ -36,6 +36,21 @@ closure, so :meth:`RouteReducer.collect_blocks` propagates ``within``
 that closure, computed on each round's (possibly churned) plane: the VP
 rows are exactly the full-plane rows, and the rest of each row is never
 filled in.  The attack round reduces full rows.
+
+Churn rounds are deltas against the converged round
+(:meth:`RouteCollector.collect_merged`).  Most routes of a churn round
+equal the converged route of their (origin, VP) pair, and the corpus
+would drop them as duplicates.  So the collector holds the converged
+round's routes as :class:`ConvergedRoutes` (pair keys and padded
+hop-id rows) while it runs the churn rounds, and the reducer drops a
+walked route whose hop ids equal its pair's converged row before it
+builds hops and tags.  Equal hop ids mean equal bytes: a churned plane
+only lacks links, each hop's route class is its relationship to the
+next hop, so the feed filter, tags and strip flags agree too.  Worker
+chunks carry only their own origins' rows.  The reference is dropped
+when the churn rounds end; the attack round and the looking glass never
+see it.  ``tests/bgp/test_delta_rounds_differential.py`` checks the
+merged corpus against the same rounds reduced in full.
 """
 
 from __future__ import annotations
@@ -126,6 +141,88 @@ def assign_community_strippers(
     }
 
 
+@dataclass(frozen=True, eq=False)
+class ConvergedRoutes:
+    """The converged round's exported routes, by (origin, VP) pair.
+
+    Churn rounds fail links and re-collect; most of their routes are
+    the converged ones again, which the corpus already holds.  For each
+    converged route this keeps its pair key ``origin_id * n + vp_id``
+    (plane ids, so chunking does not change it; ``keys`` ascending),
+    its length and its ``-1``-padded int32 row of hop ids — the row the
+    reducer's parent walk builds.  :meth:`unchanged` tells a churn
+    round which routes equal their pair's converged route.
+    """
+
+    n: int
+    keys: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(
+        cls, asns: np.ndarray, parts: Sequence[CorpusColumns]
+    ) -> "ConvergedRoutes":
+        """The reference of a converged round's corpus columns, as the
+        reducer emitted them over the plane ASNs ``asns``."""
+        n = len(asns)
+        ids = np.concatenate(
+            [np.empty(0, np.int32)]
+            + [np.searchsorted(asns, p.hops).astype(np.int32) for p in parts]
+        )
+        lengths = np.concatenate(
+            [np.empty(0, np.int64)] + [p.lengths() for p in parts]
+        )
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        keys = ids[ends - 1].astype(np.int64) * n + ids[starts]
+        order = np.argsort(keys, kind="stable")
+        keys, lengths, starts = keys[order], lengths[order], starts[order]
+        # Filled one hop position at a time, in key order: the
+        # temporaries stay one column of routes wide.
+        rows = np.full((len(keys), int(lengths.max(initial=0))), -1, np.int32)
+        for k in range(rows.shape[1]):
+            on = lengths > k
+            rows[on, k] = ids[starts[on] + k]
+        return cls(n, keys, lengths.astype(np.int32), rows)
+
+    def restrict(self, origin_ids: np.ndarray) -> "ConvergedRoutes":
+        """The routes of ``origin_ids`` only, as one worker's chunk
+        needs them."""
+        keep = np.isin(self.keys // self.n, origin_ids)
+        lengths = self.lengths[keep]
+        return ConvergedRoutes(
+            self.n,
+            self.keys[keep],
+            lengths,
+            self.rows[keep, : int(lengths.max(initial=0))],
+        )
+
+    def unchanged(
+        self, origin_ids: np.ndarray, ids: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """Which walked routes equal their pair's converged route.
+
+        ``ids`` is the reducer's ``-1``-padded hop-id matrix (VP first),
+        ``origin_ids`` and ``lengths`` give each row's origin and hop
+        count.  Equal hop ids mean an equal route everywhere the corpus
+        looks: a churned plane only lacks links, and each hop's route
+        class is its relationship to the next hop (SELF at the origin),
+        so the export decision, tags and strip flags are the converged
+        route's too.
+        """
+        if not len(self.keys):
+            return np.zeros(len(ids), dtype=bool)
+        keys = origin_ids.astype(np.int64) * self.n + ids[:, 0]
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        width = min(ids.shape[1], self.rows.shape[1])
+        return (
+            (self.keys[at] == keys)
+            & (self.lengths[at] == lengths)
+            & (self.rows[at, :width] == ids[:, :width]).all(axis=1)
+        )
+
+
 class RouteReducer:
     """Reduces blocks of propagated routes to what collectors record.
 
@@ -184,6 +281,7 @@ class RouteReducer:
         routes,
         suffix: Tuple[int, ...] = (),
         tag_override: Optional[Tuple[int, RouteClass]] = None,
+        converged: Optional[ConvergedRoutes] = None,
     ) -> CorpusColumns:
         """The collector-visible routes of a block, as corpus columns.
 
@@ -202,7 +300,15 @@ class RouteReducer:
         whose route descends from the attack source (``src_arr`` is 1),
         and ``tag_override = (asn, class)`` replaces that AS's route
         class, for both the feed filter and its tag.
+
+        A churn round passes the ``converged`` round's routes: after
+        the parent walk, a route whose hop ids equal its pair's
+        converged route is dropped before hops and tags are built — the
+        corpus already holds those bytes (:meth:`ConvergedRoutes.unchanged`).
+        ``routes`` is then a block.
         """
+        if converged is not None and (suffix or tag_override is not None):
+            raise ValueError("the attack round reduces in full")
         n = len(self.asns)
         pref = routes.pref_arr
         if tag_override is not None:
@@ -232,6 +338,14 @@ class RouteReducer:
         ids = np.stack(steps, axis=1)
         on_path = ids >= 0
         lengths = on_path.sum(axis=1)
+        if converged is not None:
+            changed = ~converged.unchanged(
+                routes.origin_ids[route_row], ids, lengths
+            )
+            base, ids, on_path, lengths = (
+                base[changed], ids[changed], on_path[changed],
+                lengths[changed],
+            )
 
         if suffix:
             if routes.src_arr is None:
@@ -272,13 +386,19 @@ class RouteReducer:
         )
 
     def collect_blocks(
-        self, plane: PropagationPlane, origins: Sequence[int]
+        self,
+        plane: PropagationPlane,
+        origins: Sequence[int],
+        converged: Optional[ConvergedRoutes] = None,
     ) -> Iterator[CorpusColumns]:
         """Propagate ``origins`` block by block and reduce each block.
 
         Blocks propagate only over the vantage points' closure on this
         plane (``within`` of :meth:`PropagationPlane.propagate`): the
         VP rows come out as on full rows, at a fraction of the cells.
+        A churn round passes the ``converged`` round's routes, and only
+        the routes its failed links changed come out (see
+        :meth:`reduce`).
         """
         self.check_plane(plane)
         ids = plane.ids(origins)
@@ -286,7 +406,8 @@ class RouteReducer:
         size = plane.block_size
         for lo in range(0, len(ids), size):
             yield self.reduce(
-                plane.propagate(ids[lo : lo + size], within=within)
+                plane.propagate(ids[lo : lo + size], within=within),
+                converged=converged,
             )
 
 
@@ -312,6 +433,25 @@ class RouteCollector:
             self.plane.asns, self.vantage_points, communities, strippers
         )
 
+    def _round(
+        self,
+        origins: Optional[Iterable[int]] = None,
+        plane: Optional[PropagationPlane] = None,
+        converged: Optional[ConvergedRoutes] = None,
+    ) -> Iterator[CorpusColumns]:
+        """One round's collector-visible routes as corpus columns, in
+        corpus order (without those equal to ``converged``)."""
+        if plane is None:
+            plane = self.plane
+        if origins is None:
+            origins = self.topology.graph.asns()
+        # Imported lazily: repro.pipeline sits above the BGP layer.
+        from repro.pipeline.parallel import ParallelPropagator
+
+        return ParallelPropagator(plane, workers=self.workers).collect_columns(
+            self.reducer, origins, converged
+        )
+
     def collect(
         self,
         origins: Optional[Iterable[int]] = None,
@@ -327,9 +467,9 @@ class RouteCollector:
         memory stays linear in the corpus, not quadratic in the AS
         count.  Passing an existing ``corpus`` merges this round into it
         (duplicate paths are dropped by the corpus); passing a ``plane``
-        overrides the converged one, which is how churn rounds inject
-        link failures (:meth:`PropagationPlane.without`) — it must hold
-        the same ASes.
+        overrides the converged one, for instance with link failures
+        (:meth:`PropagationPlane.without`) — it must hold the same ASes.
+        Merged churn rounds are :meth:`collect_merged`'s.
 
         With the collector-level ``workers`` set, contiguous origin
         chunks run the same block collection in worker processes; each
@@ -338,18 +478,33 @@ class RouteCollector:
         """
         if corpus is None:
             corpus = PathCorpus()
-        if plane is None:
-            plane = self.plane
-        if origins is None:
-            origins = self.topology.graph.asns()
-        # Imported lazily: repro.pipeline sits above the BGP layer.
-        from repro.pipeline.parallel import ParallelPropagator
-
-        parts = ParallelPropagator(
-            plane, workers=self.workers
-        ).collect_columns(self.reducer, origins)
-        for columns in parts:
+        for columns in self._round(origins, plane):
             corpus.ingest_columns(columns)
+        return corpus
+
+    def collect_merged(self, failures: Iterable[np.ndarray]) -> PathCorpus:
+        """The converged round plus one churn round per link-failure
+        mask (in the graph's ``links()`` order), merged into one corpus.
+
+        Churn rounds are collected as deltas: the collector holds the
+        converged round's routes (:class:`ConvergedRoutes`) until the
+        last churn round, and each churn round reduces only the routes
+        its failed links changed.  The rest are byte copies of routes
+        the corpus already holds and would drop; the corpus still drops
+        the paths churn rounds repeat among themselves.  A mask that
+        fails nothing adds no round.
+        """
+        corpus = PathCorpus()
+        parts = []
+        for columns in self._round():
+            corpus.ingest_columns(columns)
+            parts.append(columns)
+        converged = ConvergedRoutes.of(self.plane.asns, parts)
+        for failed in failures:
+            if failed.any():
+                churn = self.plane.without(failed)
+                for columns in self._round(plane=churn, converged=converged):
+                    corpus.ingest_columns(columns)
         return corpus
 
 
@@ -404,7 +559,9 @@ def collect_rounds(
     without them (:meth:`PropagationPlane.without`).  The merged corpus
     then contains paths from several routing states, like a real month
     of table dumps — in particular, backup transit links show up with
-    full triplet context.
+    full triplet context.  Only the union of distinct paths matters, so
+    each churn round reduces only the routes its failed links changed
+    (:meth:`RouteCollector.collect_merged`).
 
     When the scenario carries an adversarial layer with attack events,
     a final attack round re-propagates each victim prefix jointly with
@@ -415,11 +572,7 @@ def collect_rounds(
     collector = RouteCollector(
         topology, vps, communities, strippers, workers=workers
     )
-    corpus = collector.collect()
-    for failed in churn_failures(topology, config):
-        if not failed.any():
-            continue
-        collector.collect(corpus=corpus, plane=collector.plane.without(failed))
+    corpus = collector.collect_merged(churn_failures(topology, config))
     adv = config.adversarial
     if adv is not None and adv.attack.total_events() > 0:
         # Imported lazily: repro.adversarial sits above the BGP layer.

@@ -50,11 +50,12 @@ of one, and the looking glass and routing tables read it through
 Collection reads only the vantage points' rows, so it propagates
 ``within`` their closure (:meth:`PropagationPlane.upcone`: the VPs and
 every AS above them over provider links).  Stage 1 runs in full; stages
-2 and 3 then drop receivers that are neither in the closure nor a
-stage-1 holder.  That member set is closed upward and holds every
-peer-route and customer-route source, so each VP's route and path come
-out exactly as on the full row.  The looking glass, routing tables and
-the attack pass keep full rows.
+2 and 3 then expand peer and customer tables cut, once per closure, to
+the edges into it, so a receiver that is neither in the closure nor a
+stage-1 holder is never generated.  That member set is closed upward
+and holds every peer-route and customer-route source, so each VP's
+route and path come out exactly as on the full row.  The looking glass,
+routing tables and the attack pass keep full rows.
 
 ``tests/bgp/reference_engine.py`` holds a plain dict BFS of the same
 semantics over dict adjacency tables; the differential suite in
@@ -147,6 +148,17 @@ def _csr(
     return indptr, neighbour[order].astype(np.int32), order
 
 
+def _edges_into(
+    indptr: np.ndarray, indices: np.ndarray, member: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A CSR table without the edges whose neighbour is not a member;
+    each row keeps its order."""
+    keep = member[indices]
+    kept_before = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[indptr], indices[keep]
+
+
 class PropagationPlane:
     """CSR adjacency of an :class:`ASGraph` for array passes.
 
@@ -190,6 +202,7 @@ class PropagationPlane:
     def _build(self, kept: np.ndarray) -> None:
         """(Re)build the CSR tables from the ``kept`` links."""
         self._kept = kept
+        self._cut: Optional[Tuple[np.ndarray, ...]] = None
         p2c = self._p2c & kept
         prov, cust = self._provider[p2c], self._customer[p2c]
         self.prov_indptr, self.prov_indices, order = _csr(self.n, cust, prov)
@@ -234,9 +247,16 @@ class PropagationPlane:
         return pos
 
     def ids(self, asns: Iterable[int]) -> np.ndarray:
-        """Dense ids of ``asns``, in their order (raises ``KeyError``
-        when one is unknown)."""
-        return np.fromiter((self._id(asn) for asn in asns), dtype=np.int64)
+        """Dense int64 ids of ``asns``, in their order: one
+        ``searchsorted`` and a membership check (raises ``KeyError``
+        naming the first unknown ASN)."""
+        wanted = np.fromiter(asns, dtype=np.int64)
+        pos = np.searchsorted(self.asns, wanted)
+        known = pos < self.n
+        known[known] = self.asns[pos[known]] == wanted[known]
+        if not known.all():
+            raise KeyError(f"AS{int(wanted[np.argmin(known)])} not in plane")
+        return pos.astype(np.int64)
 
     @property
     def block_size(self) -> int:
@@ -277,6 +297,20 @@ class PropagationPlane:
             member[frontier] = True
         return member
 
+    def _receivers_within(self, within: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(peer_indptr, peer_indices, cust_indptr, cust_indices)``
+        keeping only the edges into ``within``; built once per mask and
+        reused by every block that passes it."""
+        within = np.asarray(within, dtype=bool)
+        cut = self._cut
+        if cut is None or not np.array_equal(cut[0], within):
+            cut = self._cut = (
+                within.copy(),
+                *_edges_into(self.peer_indptr, self.peer_indices, within),
+                *_edges_into(self.cust_indptr, self.cust_indices, within),
+            )
+        return cut[1:]
+
     # ------------------------------------------------------------------
     def propagate(
         self,
@@ -306,17 +340,27 @@ class PropagationPlane:
 
         ``within`` (a bool column over plane ids, closed upward over
         provider links — :meth:`upcone` of the vantage points) restricts
-        stages 2 and 3 to the ASes a collector can hear: a row's
-        members are ``within`` plus every AS holding a route after
-        stage 1 (restricted holders included), and receivers outside
-        them are dropped.  A member without a stage-1 route lies in
-        ``within``, so its providers are members; every peer-route or
-        customer-route source is a stage-1 holder.  So each member's
-        route — and every parent walk from one — equals the full
-        row's; the others stay unrouted.  Honest passes only.
+        stages 2 and 3 to the ASes a collector can hear: they expand
+        peer and customer tables cut to the edges into ``within``
+        (:meth:`_receivers_within`).  A row's members are ``within``
+        plus every AS holding a route after stage 1 (restricted holders
+        included); holders are never receivers, so the cut drops
+        exactly the receivers outside the members, and the kept
+        candidates come in the same order.  A member without a stage-1
+        route lies in ``within``, so its providers are members; every
+        peer-route or customer-route source is a stage-1 holder.  So
+        each member's route — and every parent walk from one — equals
+        the full row's; the others stay unrouted.  Honest passes only.
         """
         if within is not None and attack is not None:
             raise ValueError("the attack pass keeps full rows")
+        if within is None:
+            peer_indptr, peer_indices = self.peer_indptr, self.peer_indices
+            cust_indptr, cust_indices = self.cust_indptr, self.cust_indices
+        else:
+            peer_indptr, peer_indices, cust_indptr, cust_indices = (
+                self._receivers_within(within)
+            )
         n = self.n
         origin_ids = np.asarray(origin_ids, dtype=np.int32)
         rows = len(origin_ids)
@@ -396,21 +440,14 @@ class PropagationPlane:
                     pending.setdefault(level + 1, []).append(nxt)
             level += 1
 
-        # A row's members are ``within`` plus its stage-1 holders; the
-        # holders already hold a route and are never receivers, so the
-        # receiver filter needs only ``within``.
-        member = None if within is None else np.tile(within, rows)
-
         # ---- stage 2: peer routes (one offer pass) -------------------
         exporters = np.flatnonzero(
             (pref == _SELF) | ((pref == _CUSTOMER) & ~restricted)
         ).astype(np.int32)
         _, senders, receivers = self._out_edges(
-            self.peer_indptr, self.peer_indices, exporters
+            peer_indptr, peer_indices, exporters
         )
         keep = pref[receivers] == _NO_ROUTE
-        if member is not None:
-            keep &= member[receivers]
         if src is not None:
             keep &= ~(blocked[receivers] & (src[senders] == 1))
         receivers, senders = receivers[keep], senders[keep]
@@ -453,11 +490,9 @@ class PropagationPlane:
                     senders_now = extra
                 if senders_now is not None and senders_now.size:
                     _, senders, customers = self._out_edges(
-                        self.cust_indptr, self.cust_indices, senders_now
+                        cust_indptr, cust_indices, senders_now
                     )
                     keep = pref[customers] == _NO_ROUTE
-                    if member is not None:
-                        keep &= member[customers]
                     if src is not None:
                         keep &= ~(blocked[customers] & (src[senders] == 1))
                     customers, senders = customers[keep], senders[keep]

@@ -1,10 +1,11 @@
 """Text serialisation of collected routes ("bgpdump-style").
 
 Real pipelines exchange RIB snapshots as line-oriented text (bgpdump
-``-m`` output, CAIDA's AS-path files).  This module defines an
+``-m`` output, CAIDA's AS-path files).  This module writes an
 equivalent, lossless format for :class:`~repro.datasets.paths.PathCorpus`
-so corpora can be written to disk, shipped, and re-read without keeping
-the simulator around::
+so corpora can be written to disk and shipped without keeping the
+simulator around (the reader that proves the round trip is a test
+helper, ``tests/reference_route_loops.py``)::
 
     # repro path corpus v1
     1299 2098 64500|1299:200 2098:100
@@ -17,12 +18,11 @@ and the surviving communities as space-separated ``asn:value`` pairs.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
-from repro.bgp.communities import Community
-from repro.datasets.paths import CollectedRoute, PathCorpus
+from repro.datasets.paths import PathCorpus
 
 _HEADER = "# repro path corpus v1"
 _BLOCK_ROUTES = 1 << 14
@@ -63,40 +63,3 @@ def write_path_corpus(corpus: PathCorpus, path: Union[str, Path]) -> int:
                 )
     return n_routes
 
-
-def read_path_corpus(path: Union[str, Path]) -> PathCorpus:
-    """Parse a corpus file back into a fully-indexed :class:`PathCorpus`,
-    one line at a time, adding routes in blocks of ``_BLOCK_ROUTES``."""
-    corpus = PathCorpus()
-    block: List[CollectedRoute] = []
-    with open(path, encoding="ascii") as handle:
-        for line_no, text in enumerate(handle, 1):
-            raw = text.rstrip("\n")
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "|" not in line:
-                raise ValueError(
-                    f"{path}:{line_no}: missing '|' separator: {raw!r}"
-                )
-            path_part, community_part = line.split("|", 1)
-            as_path = tuple(map(int, path_part.split()))
-            if not as_path:
-                raise ValueError(f"{path}:{line_no}: empty AS path")
-            communities: List[Community] = []
-            for token in community_part.split():
-                owner_s, value_s = token.split(":", 1)
-                communities.append((int(owner_s), int(value_s)))
-            block.append(
-                CollectedRoute(
-                    vp=as_path[0],
-                    origin=as_path[-1],
-                    path=as_path,
-                    communities=tuple(communities),
-                )
-            )
-            if len(block) == _BLOCK_ROUTES:
-                corpus.add_routes(block)
-                block = []
-    corpus.add_routes(block)
-    return corpus

@@ -24,7 +24,8 @@ converged round, the churn rounds and any later build with the same
 worker count reuse its processes, so only the first round pays process
 start-up.  Each chunk carries its round's propagation plane and reducer
 — a few flat arrays that pickle in O(bytes) — so a warm worker needs no
-per-round initialisation.
+per-round initialisation; in a churn round it also carries the
+converged routes of its own origins only.
 """
 
 from __future__ import annotations
@@ -79,13 +80,18 @@ def _chunk(origins: Sequence[int], workers: int) -> List[Sequence[int]]:
 # ---------------------------------------------------------------------------
 
 def _collect_chunk(
-    plane: PropagationPlane, reducer: Any, origins: Sequence[int]
+    plane: PropagationPlane,
+    reducer: Any,
+    origins: Sequence[int],
+    converged: Any,
 ) -> Any:
     from repro.pipeline.columnar import CorpusColumns
 
     # One set of columns per chunk: a few contiguous buffers pickle in
     # O(bytes), and the parent ingests them as they are.
-    return CorpusColumns.concat(list(reducer.collect_blocks(plane, origins)))
+    return CorpusColumns.concat(
+        list(reducer.collect_blocks(plane, origins, converged))
+    )
 
 
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
@@ -121,7 +127,7 @@ class ParallelPropagator:
         self.workers = 0 if workers == 0 else resolve_workers(workers)
 
     def collect_columns(
-        self, reducer: Any, origins: Iterable[int]
+        self, reducer: Any, origins: Iterable[int], converged: Any = None
     ) -> Iterator[Any]:
         """Yield the collector-visible routes of ``origins`` as
         :class:`~repro.pipeline.columnar.CorpusColumns`, in the exact
@@ -133,16 +139,28 @@ class ParallelPropagator:
         :meth:`~repro.bgp.collectors.RouteReducer.collect_blocks` over a
         contiguous chunk of origins with the collector's own reducer and
         this round's plane; per-origin route arrays never cross the
-        process boundary.
+        process boundary.  A churn round's ``converged`` routes
+        (:class:`~repro.bgp.collectors.ConvergedRoutes`) travel with
+        each chunk cut to that chunk's origins.
         """
         origin_list = list(origins)
         if self.workers == 0 or len(origin_list) <= 1:
-            yield from reducer.collect_blocks(self.plane, origin_list)
+            yield from reducer.collect_blocks(
+                self.plane, origin_list, converged
+            )
             return
         pool = _shared_pool(self.workers)
         try:
             futures = [
-                pool.submit(_collect_chunk, self.plane, reducer, chunk)
+                pool.submit(
+                    _collect_chunk,
+                    self.plane,
+                    reducer,
+                    chunk,
+                    None
+                    if converged is None
+                    else converged.restrict(self.plane.ids(chunk)),
+                )
                 for chunk in _chunk(origin_list, self.workers)
             ]
             # Futures are drained in submission order, which gives the

@@ -31,6 +31,8 @@ from tests.bgp import reference_engine
 from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_engine import as_tree
 
+pytestmark = pytest.mark.differential
+
 SEEDS = (3, 5, 7, 11, 13, 17, 19, 23)
 
 #: One adversarial layer per matrix column.

@@ -44,6 +44,8 @@ from tests.bgp.test_propagation_differential import (
     random_policy_graph,
 )
 
+pytestmark = pytest.mark.differential
+
 #: An ASN no random topology contains (they draw from 1000-59999).
 ABSENT_VP = 7
 

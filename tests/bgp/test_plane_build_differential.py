@@ -43,6 +43,8 @@ from tests.bgp.test_propagation_differential import (
     random_policy_graph,
 )
 
+pytestmark = pytest.mark.differential
+
 SCENARIO_SEEDS = (3, 5, 11)
 
 #: The plane's arrays, by attribute name.

@@ -8,6 +8,7 @@ customer with its own customer 350; 50 buys from 40; stubs 100 (from
 70 peers with 10 and buys from 30.
 """
 
+import numpy as np
 import pytest
 
 from repro.bgp.policy import RouteClass
@@ -19,6 +20,28 @@ from tests.bgp.reference_engine import as_tree
 @pytest.fixture
 def plane(tiny_graph):
     return PropagationPlane(tiny_graph)
+
+
+class TestIds:
+    def test_ids_are_int64_in_input_order(self, plane):
+        ids = plane.ids([300, 10, 350, 10])
+        assert ids.dtype == np.int64
+        assert plane.asns[ids].tolist() == [300, 10, 350, 10]
+        assert ids.tolist() == [plane._id(asn) for asn in (300, 10, 350, 10)]
+
+    def test_no_asns_give_no_ids(self, plane):
+        ids = plane.ids([])
+        assert ids.dtype == np.int64
+        assert ids.shape == (0,)
+        assert plane.ids(iter(())).shape == (0,)
+
+    def test_first_unknown_asn_is_named(self, plane):
+        # 7 sorts below every ASN, 999 above; 45 falls between two.
+        for asns, unknown in (
+            ([10, 45, 999], 45), ([999, 7], 999), ([7], 7), ([30, 100, 45], 45),
+        ):
+            with pytest.raises(KeyError, match=f"AS{unknown} not in plane"):
+                plane.ids(asns)
 
 
 class TestBasicRouting:

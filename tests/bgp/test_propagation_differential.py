@@ -41,6 +41,8 @@ from tests.bgp import reference_engine
 from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_engine import as_tree
 
+pytestmark = pytest.mark.differential
+
 #: ≥ 20 seeded topologies, per the acceptance criteria.
 DIFFERENTIAL_SEEDS = tuple(range(24))
 

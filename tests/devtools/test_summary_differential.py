@@ -25,6 +25,8 @@ from repro.devtools.analysis.project import ModuleEntries
 
 from tests.devtools import reference_summarizer as reference
 
+pytestmark = pytest.mark.differential
+
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_REPRO = ROOT / "src" / "repro"

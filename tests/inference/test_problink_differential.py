@@ -23,6 +23,8 @@ from repro.inference.problink import ProbLink
 from repro.pipeline.columnar import read_corpus_columns, write_corpus_columns
 from tests.inference.reference_problink import ScalarProbLink
 
+pytestmark = pytest.mark.differential
+
 
 class FixedInference(InferenceAlgorithm):
     """An initial inference that returns given labels and clique."""

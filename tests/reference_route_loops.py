@@ -13,6 +13,9 @@ come from the columns through :mod:`tests.corpus_views`:
   VP sets by direction;
 * :func:`ppdc_cones` — the provider/peer observed customer cones;
 * :func:`write_path_corpus` — the bgpdump-style export.
+
+:func:`read_path_corpus` parses that export back; no code in the
+package reads it, so it lives here as the round-trip test's reader.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
+from repro.bgp.communities import Community
+from repro.datasets import bgpdump
 from repro.datasets.asrel import RelationshipSet
-from repro.datasets.paths import PathCorpus
+from repro.datasets.paths import CollectedRoute, PathCorpus
 from repro.topology.graph import LinkKey, RelType, link_key
 from tests.corpus_views import paths, routes
 
@@ -167,3 +172,42 @@ def write_path_corpus(corpus: PathCorpus, path: Union[str, Path]) -> int:
         lines.append(f"{path_part}|{community_part}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
     return len(lines) - 1
+
+
+def read_path_corpus(path: Union[str, Path]) -> PathCorpus:
+    """Parse a corpus file back into a :class:`PathCorpus`, one line at
+    a time, adding routes in blocks of the writer's
+    ``bgpdump._BLOCK_ROUTES``."""
+    corpus = PathCorpus()
+    block: List[CollectedRoute] = []
+    with open(path, encoding="ascii") as handle:
+        for line_no, text in enumerate(handle, 1):
+            raw = text.rstrip("\n")
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "|" not in line:
+                raise ValueError(
+                    f"{path}:{line_no}: missing '|' separator: {raw!r}"
+                )
+            path_part, community_part = line.split("|", 1)
+            as_path = tuple(map(int, path_part.split()))
+            if not as_path:
+                raise ValueError(f"{path}:{line_no}: empty AS path")
+            communities: List[Community] = []
+            for token in community_part.split():
+                owner_s, value_s = token.split(":", 1)
+                communities.append((int(owner_s), int(value_s)))
+            block.append(
+                CollectedRoute(
+                    vp=as_path[0],
+                    origin=as_path[-1],
+                    path=as_path,
+                    communities=tuple(communities),
+                )
+            )
+            if len(block) == bgpdump._BLOCK_ROUTES:
+                corpus.add_routes(block)
+                block = []
+    corpus.add_routes(block)
+    return corpus

@@ -6,7 +6,7 @@ import pytest
 from repro import ScenarioConfig
 from repro.cli import main, make_parser
 from repro.datasets import bgpdump
-from repro.datasets.bgpdump import read_path_corpus, write_path_corpus
+from repro.datasets.bgpdump import write_path_corpus
 from repro.evolution import (
     EvolutionConfig,
     EvolutionSimulator,
@@ -15,6 +15,7 @@ from repro.evolution import (
 )
 from repro.topology.graph import RelType
 from tests.corpus_views import routes_with_communities
+from tests.reference_route_loops import read_path_corpus
 
 
 def _evo_config() -> ScenarioConfig:

@@ -30,6 +30,8 @@ from repro.pipeline.columnar import read_corpus_columns, write_corpus_columns
 from repro.topology.generator import generate_topology
 from tests import reference_route_loops as reference
 
+pytestmark = pytest.mark.differential
+
 
 class ReferenceClassifier(HardLinkClassifier):
     """The classifier with its two scans read path by path."""

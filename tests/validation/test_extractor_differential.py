@@ -33,6 +33,8 @@ from tests.validation.reference_extractor import (
     extract_community_labels as reference_labels,
 )
 
+pytestmark = pytest.mark.differential
+
 _VALUES = {
     Meaning.LEARNED_FROM_CUSTOMER: 100,
     Meaning.LEARNED_FROM_PEER: 200,

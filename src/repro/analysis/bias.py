@@ -16,7 +16,9 @@ links and the big S-TR / TR° classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.topology.graph import LinkKey
 from repro.validation.cleaning import CleanedValidation
@@ -75,29 +77,54 @@ def bias_profile(
     min_class_links: int = 1,
 ) -> BiasProfile:
     """Compute shares and coverage per class over ``links``."""
-    counts: Dict[str, int] = {}
-    validated: Dict[str, int] = {}
-    total = 0
-    for key in links:
-        label = classifier(key)
-        if label is None:
-            continue
-        total += 1
-        counts[label] = counts.get(label, 0) + 1
-        if key in validation:
-            validated[label] = validated.get(label, 0) + 1
+    links = list(links)
+    names: Dict[str, int] = {}
+    codes = label_codes(map(classifier, links), names)
+    validated = np.array([key in validation for key in links], dtype=bool)
+    return profile_of_codes(list(names), codes, validated, min_class_links)
+
+
+def label_codes(
+    labels: Iterable[Optional[str]], names: Dict[str, int]
+) -> np.ndarray:
+    """Class codes of ``labels`` (``-1`` for ``None``), numbering each
+    new name in ``names`` as it first appears."""
+    return np.array(
+        [
+            -1 if label is None else names.setdefault(label, len(names))
+            for label in labels
+        ],
+        dtype=np.int64,
+    )
+
+
+def profile_of_codes(
+    class_names: Sequence[str],
+    codes: np.ndarray,
+    validated: np.ndarray,
+    min_class_links: int = 1,
+) -> BiasProfile:
+    """Shares and coverage from per-link class codes into
+    ``class_names`` (``-1``: the link has no class and is dropped) and
+    a per-link "has a validation label" mask."""
+    named = codes >= 0
+    n_classes = len(class_names)
+    counts = np.bincount(codes[named], minlength=n_classes)
+    covered = np.bincount(codes[named & validated], minlength=n_classes)
+    total = int(np.count_nonzero(named))
     classes = []
-    for label, n_links in counts.items():
+    for code in np.flatnonzero(counts).tolist():
+        n_links = int(counts[code])
         if n_links < min_class_links:
             continue
-        n_val = validated.get(label, 0)
+        n_val = int(covered[code])
         classes.append(
             ClassBias(
-                class_name=label,
+                class_name=class_names[code],
                 n_links=n_links,
-                share=n_links / total if total else 0.0,
+                share=n_links / total,
                 n_validated=n_val,
-                coverage=n_val / n_links if n_links else 0.0,
+                coverage=n_val / n_links,
             )
         )
     classes.sort(key=lambda c: (-c.share, c.class_name))

@@ -13,11 +13,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import LinkKey, RelType
 from repro.validation.cleaning import CleanedValidation
+
+
+#: Per-link relationship codes: a validation label ("truth") or an
+#: inferred one ("predicted").  ``CODE_NONE`` marks a link the source
+#: lacks.  Predictions are P2P or P2C only (an inferred S2S counts as
+#: P2C); a truth of ``CODE_S2S`` is kept apart so that it counts as
+#: validated coverage but never enters a confusion matrix.
+CODE_NONE, CODE_P2P, CODE_P2C, CODE_S2S = 0, 1, 2, 3
+
+_TRUTH_CODE = {
+    None: CODE_NONE,
+    RelType.P2P: CODE_P2P,
+    RelType.P2C: CODE_P2C,
+    RelType.S2S: CODE_S2S,
+}
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,59 @@ class BinaryConfusion:
         """The same matrix with the positive class swapped."""
         return BinaryConfusion(tp=self.tn, fp=self.fn, tn=self.tp, fn=self.fp)
 
+    @classmethod
+    def of_counts(cls, counts: np.ndarray) -> "BinaryConfusion":
+        """The P2P-positive matrix of one group's ``(truth, predicted)``
+        counts (:func:`confusion_counts`): links with no prediction or
+        with an S2S or missing truth do not enter it."""
+        return cls(
+            tp=int(counts[CODE_P2P, CODE_P2P]),
+            fp=int(counts[CODE_P2C, CODE_P2P]),
+            tn=int(counts[CODE_P2C, CODE_P2C]),
+            fn=int(counts[CODE_P2P, CODE_P2C]),
+        )
+
+
+def truth_codes(
+    links: Sequence[LinkKey], validation: CleanedValidation
+) -> np.ndarray:
+    """The validation label of each link as a relationship code."""
+    return np.fromiter(
+        (_TRUTH_CODE[validation.rel_of(key)] for key in links),
+        dtype=np.int8,
+        count=len(links),
+    )
+
+
+def predicted_codes(
+    links: Sequence[LinkKey], inferred: RelationshipSet
+) -> np.ndarray:
+    """The inferred label of each link: P2P, P2C (any other type) or
+    ``CODE_NONE`` when the inference lacks the link."""
+    codes = {None: CODE_NONE, RelType.P2P: CODE_P2P}
+    return np.fromiter(
+        (codes.get(inferred.rel_of(*key), CODE_P2C) for key in links),
+        dtype=np.int8,
+        count=len(links),
+    )
+
+
+def confusion_counts(
+    groups: np.ndarray,
+    truth: np.ndarray,
+    predicted: np.ndarray,
+    n_groups: int,
+) -> np.ndarray:
+    """Per-group link counts by (truth, predicted) code, as one
+    ``(n_groups, 4, 3)`` integer array; links of group ``-1`` are
+    ignored.  Every confusion matrix of the analysis layer is read from
+    this one tally (:meth:`BinaryConfusion.of_counts`)."""
+    named = groups >= 0
+    cells = (
+        groups[named].astype(np.int64) * 4 + truth[named]
+    ) * 3 + predicted[named]
+    return np.bincount(cells, minlength=n_groups * 12).reshape(n_groups, 4, 3)
+
 
 def confusion_for_links(
     links: Iterable[LinkKey],
@@ -152,26 +222,15 @@ def confusion_for_links(
     """
     if positive not in (RelType.P2C, RelType.P2P):
         raise ValueError("positive class must be P2C or P2P")
-    tp = fp = tn = fn = 0
-    for key in links:
-        true_rel = validation.rel_of(key)
-        if true_rel is None or true_rel is RelType.S2S:
-            continue
-        pred_rel = inferred.rel_of(*key)
-        if pred_rel is None:
-            continue
-        pred_rel = RelType.P2P if pred_rel is RelType.P2P else RelType.P2C
-        truth_positive = true_rel is positive
-        pred_positive = pred_rel is positive
-        if truth_positive and pred_positive:
-            tp += 1
-        elif truth_positive:
-            fn += 1
-        elif pred_positive:
-            fp += 1
-        else:
-            tn += 1
-    return BinaryConfusion(tp=tp, fp=fp, tn=tn, fn=fn)
+    links = list(links)
+    counts = confusion_counts(
+        np.zeros(len(links), dtype=np.int64),
+        truth_codes(links, validation),
+        predicted_codes(links, inferred),
+        1,
+    )
+    conf = BinaryConfusion.of_counts(counts[0])
+    return conf if positive is RelType.P2P else conf.flipped()
 
 
 @dataclass(frozen=True)
@@ -196,8 +255,16 @@ class ClassMetrics:
         inferred: RelationshipSet,
         validation: CleanedValidation,
     ) -> "ClassMetrics":
-        links = list(links)
-        conf_p2p = confusion_for_links(links, inferred, validation, RelType.P2P)
+        return cls.of_confusion(
+            class_name,
+            confusion_for_links(links, inferred, validation, RelType.P2P),
+        )
+
+    @classmethod
+    def of_confusion(
+        cls, class_name: str, conf_p2p: BinaryConfusion
+    ) -> "ClassMetrics":
+        """The row of a class's P2P-positive confusion matrix."""
         conf_p2c = conf_p2p.flipped()
         return cls(
             class_name=class_name,

@@ -20,9 +20,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.metrics import confusion_for_links
+from repro.analysis.metrics import (
+    BinaryConfusion,
+    confusion_counts,
+    predicted_codes,
+    truth_codes,
+)
 from repro.datasets.asrel import RelationshipSet
-from repro.topology.graph import LinkKey, RelType
+from repro.topology.graph import LinkKey
 from repro.validation.cleaning import CleanedValidation
 
 
@@ -89,12 +94,16 @@ def sampling_experiment(
     rng = np.random.Generator(np.random.PCG64(seed))
     points: List[SamplePoint] = []
     n = len(validated)
+    truth = truth_codes(validated, validation)
+    predicted = predicted_codes(validated, inferred)
     for size_percent in sizes_percent:
         sample_size = max(1, int(round(n * size_percent / 100)))
+        one_group = np.zeros(sample_size, dtype=np.int64)
         for _ in range(repetitions):
             chosen = rng.choice(n, size=sample_size, replace=False)
-            subset = [validated[int(i)] for i in chosen]
-            conf = confusion_for_links(subset, inferred, validation, RelType.P2P)
+            conf = BinaryConfusion.of_counts(
+                confusion_counts(one_group, truth[chosen], predicted[chosen], 1)[0]
+            )
             points.append(
                 SamplePoint(
                     size_percent=int(size_percent),

@@ -19,8 +19,16 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.bias import LinkClassifier
-from repro.analysis.metrics import ClassMetrics
+import numpy as np
+
+from repro.analysis.bias import LinkClassifier, label_codes
+from repro.analysis.metrics import (
+    BinaryConfusion,
+    ClassMetrics,
+    confusion_counts,
+    predicted_codes,
+    truth_codes,
+)
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import LinkKey
 from repro.validation.cleaning import CleanedValidation
@@ -134,18 +142,53 @@ def build_table(
     smaller scenarios via the parameter).
     """
     links = list(evaluation_links)
-    grouped: Dict[str, List[LinkKey]] = {}
-    for key in links:
-        for classifier in classifiers:
-            label = classifier(key)
-            if label is not None:
-                grouped.setdefault(label, []).append(key)
+    names: Dict[str, int] = {}
+    groupings = [
+        label_codes(map(classifier, links), names) for classifier in classifiers
+    ]
+    return tabulate(
+        algorithm,
+        list(names),
+        groupings,
+        truth_codes(links, validation),
+        predicted_codes(links, inferred),
+        min_class_links=min_class_links,
+        class_order=class_order,
+    )
 
-    total = ClassMetrics.from_links("Total°", links, inferred, validation)
+
+def tabulate(
+    algorithm: str,
+    class_names: Sequence[str],
+    groupings: Sequence[np.ndarray],
+    truth: np.ndarray,
+    predicted: np.ndarray,
+    min_class_links: int = 20,
+    class_order: Optional[Sequence[str]] = None,
+) -> ValidationTable:
+    """The table from per-link codes.
+
+    Each array of ``groupings`` gives every link's class code into
+    ``class_names`` under one classifier (``-1``: no class); ``truth``
+    and ``predicted`` are the links' relationship codes.  One tally
+    counts the ``Total°`` row and every class row
+    (:func:`~repro.analysis.metrics.confusion_counts`).
+    """
+    n_classes = len(class_names)
+    total_group = np.full(len(truth), n_classes, dtype=np.int64)
+    counts = confusion_counts(
+        np.concatenate([total_group, *groupings]),
+        np.tile(truth, len(groupings) + 1),
+        np.tile(predicted, len(groupings) + 1),
+        n_classes + 1,
+    )
+    total = ClassMetrics.of_confusion(
+        "Total°", BinaryConfusion.of_counts(counts[n_classes])
+    )
     rows: List[TableRow] = []
-    for class_name, class_links in grouped.items():
-        metrics = ClassMetrics.from_links(
-            class_name, class_links, inferred, validation
+    for code in np.flatnonzero(counts[:n_classes].sum(axis=(1, 2))).tolist():
+        metrics = ClassMetrics.of_confusion(
+            class_names[code], BinaryConfusion.of_counts(counts[code])
         )
         if metrics.n_validated < min_class_links:
             continue

@@ -41,8 +41,8 @@ Churn rounds are deltas against the converged round
 (:meth:`RouteCollector.collect_merged`).  Most routes of a churn round
 equal the converged route of their (origin, VP) pair, and the corpus
 would drop them as duplicates.  So the collector holds the converged
-round's routes as :class:`ConvergedRoutes` (pair keys and padded
-hop-id rows) while it runs the churn rounds, and the reducer drops a
+round's routes as :class:`ConvergedRoutes` (pair keys and hop ids in
+CSR layout) while it runs the churn rounds, and the reducer drops a
 walked route whose hop ids equal its pair's converged row before it
 builds hops and tags.  Equal hop ids mean equal bytes: a churned plane
 only lacks links, each hop's route class is its relationship to the
@@ -145,19 +145,20 @@ def assign_community_strippers(
 class ConvergedRoutes:
     """The converged round's exported routes, by (origin, VP) pair.
 
-    Churn rounds fail links and re-collect; most of their routes are
-    the converged ones again, which the corpus already holds.  For each
-    converged route this keeps its pair key ``origin_id * n + vp_id``
-    (plane ids, so chunking does not change it; ``keys`` ascending),
-    its length and its ``-1``-padded int32 row of hop ids — the row the
-    reducer's parent walk builds.  :meth:`unchanged` tells a churn
-    round which routes equal their pair's converged route.
+    Churn rounds only re-collect what a failed link changed: the rest
+    of their routes are the converged ones again, which the corpus
+    already holds.  For each converged route this keeps its pair key
+    ``origin_id * n + vp_id`` (plane ids, so chunking does not change
+    it; ``keys`` ascending) and its hop ids, VP first — the ids the
+    reducer's parent walk visits — in CSR layout: route ``i``'s hops
+    are ``hops[offsets[i]:offsets[i + 1]]``.  :meth:`unchanged` tells a
+    churn round which routes equal their pair's converged route.
     """
 
     n: int
     keys: np.ndarray
-    lengths: np.ndarray
-    rows: np.ndarray
+    offsets: np.ndarray
+    hops: np.ndarray
 
     @classmethod
     def of(
@@ -177,25 +178,34 @@ class ConvergedRoutes:
         starts = ends - lengths
         keys = ids[ends - 1].astype(np.int64) * n + ids[starts]
         order = np.argsort(keys, kind="stable")
-        keys, lengths, starts = keys[order], lengths[order], starts[order]
-        # Filled one hop position at a time, in key order: the
-        # temporaries stay one column of routes wide.
-        rows = np.full((len(keys), int(lengths.max(initial=0))), -1, np.int32)
+        return cls(
+            n, keys[order], *_gather_routes(ids, starts[order], lengths[order])
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Hop count of each route."""
+        return np.diff(self.offsets)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The hop ids as one ``-1``-padded row per route, as wide as
+        the longest route (a copy built on each call)."""
+        lengths = self.lengths
+        rows = np.full((len(lengths), int(lengths.max(initial=0))), -1, np.int32)
         for k in range(rows.shape[1]):
-            on = lengths > k
-            rows[on, k] = ids[starts[on] + k]
-        return cls(n, keys, lengths.astype(np.int32), rows)
+            on = np.flatnonzero(lengths > k)
+            rows[on, k] = self.hops[self.offsets[on] + k]
+        return rows
 
     def restrict(self, origin_ids: np.ndarray) -> "ConvergedRoutes":
         """The routes of ``origin_ids`` only, as one worker's chunk
         needs them."""
-        keep = np.isin(self.keys // self.n, origin_ids)
-        lengths = self.lengths[keep]
+        keep = np.flatnonzero(np.isin(self.keys // self.n, origin_ids))
         return ConvergedRoutes(
             self.n,
             self.keys[keep],
-            lengths,
-            self.rows[keep, : int(lengths.max(initial=0))],
+            *_gather_routes(self.hops, self.offsets[keep], self.lengths[keep]),
         )
 
     def unchanged(
@@ -215,12 +225,31 @@ class ConvergedRoutes:
             return np.zeros(len(ids), dtype=bool)
         keys = origin_ids.astype(np.int64) * self.n + ids[:, 0]
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        width = min(ids.shape[1], self.rows.shape[1])
-        return (
-            (self.keys[at] == keys)
-            & (self.lengths[at] == lengths)
-            & (self.rows[at, :width] == ids[:, :width]).all(axis=1)
+        same = (self.keys[at] == keys) & (
+            self.offsets[at + 1] - self.offsets[at] == lengths
         )
+        # One hop position at a time, over the routes still equal.
+        for k in range(ids.shape[1]):
+            on = np.flatnonzero(same & (lengths > k))
+            if not len(on):
+                break
+            same[on] = self.hops[self.offsets[at[on]] + k] == ids[on, k]
+        return same
+
+
+def _gather_routes(
+    hops: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets, hops)`` of the routes at ``starts``/``lengths`` of
+    ``hops``, in that order, filled one hop position at a time so the
+    temporaries stay one column of routes wide."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    out = np.empty(int(offsets[-1]), dtype=np.int32)
+    for k in range(int(lengths.max(initial=0))):
+        on = np.flatnonzero(lengths > k)
+        out[offsets[on] + k] = hops[starts[on] + k]
+    return offsets, out
 
 
 class RouteReducer:

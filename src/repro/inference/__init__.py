@@ -2,6 +2,7 @@
 
 from repro.inference.asrank import ASRank, infer_asrank
 from repro.inference.base import (
+    FixedInference,
     InferenceAlgorithm,
     distance_to_clique,
     infer_clique,
@@ -25,6 +26,7 @@ from repro.inference.toposcope import TopoScope, infer_toposcope
 __all__ = [
     "ASRank",
     "infer_asrank",
+    "FixedInference",
     "InferenceAlgorithm",
     "distance_to_clique",
     "infer_clique",

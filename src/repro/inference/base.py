@@ -34,6 +34,26 @@ class InferenceAlgorithm(abc.ABC):
         """Infer a relationship for every link visible in ``corpus``."""
 
 
+class FixedInference(InferenceAlgorithm):
+    """A finished inference and its clique, handed to an algorithm that
+    builds on one (ProbLink's ``initial``, TopoScope's full view) so
+    that it does not run the base algorithm on the same corpus again.
+
+    :meth:`infer` returns ``rels`` whatever corpus it is given: the
+    caller must pass the corpus ``rels`` was inferred from.
+    """
+
+    def __init__(
+        self, name: str, rels: RelationshipSet, clique: Sequence[int]
+    ) -> None:
+        self.name = name
+        self.rels = rels
+        self.clique_: List[int] = list(clique)
+
+    def infer(self, corpus: PathCorpus) -> RelationshipSet:
+        return self.rels
+
+
 def infer_clique(
     corpus: PathCorpus,
     max_candidates: int = 25,

@@ -46,6 +46,7 @@ class TopoScope(InferenceAlgorithm):
         agreement_threshold: float = 0.75,
         ixps: Optional[IXPRegistry] = None,
         seed: int = 20,
+        initial: Optional[InferenceAlgorithm] = None,
     ) -> None:
         if n_groups is not None and n_groups < 2:
             raise ValueError("TopoScope needs at least two VP groups")
@@ -56,14 +57,16 @@ class TopoScope(InferenceAlgorithm):
         self.agreement_threshold = agreement_threshold
         self.ixps = ixps
         self.seed = seed
+        #: The full-view base inference (its ``clique_`` too); the
+        #: group votes always run their own ASRank per sub-corpus.
+        self.initial = initial if initial is not None else ASRank()
         self.clique_: List[int] = []
         self.vote_share_: Dict[LinkKey, float] = {}
 
     # ------------------------------------------------------------------
     def infer(self, corpus: PathCorpus) -> RelationshipSet:
-        full_asrank = ASRank()
-        full_rels = full_asrank.infer(corpus)
-        self.clique_ = list(full_asrank.clique_)
+        full_rels = self.initial.infer(corpus)
+        self.clique_ = list(getattr(self.initial, "clique_", []))
 
         votes = self._group_votes(corpus)
         confident = self._reconcile(corpus, votes)

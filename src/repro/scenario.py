@@ -26,11 +26,20 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 if TYPE_CHECKING:
     from repro.adversarial.attacks import AttackEvent
 
-from repro.analysis.bias import BiasProfile, bias_profile
+import numpy as np
+
+from repro.analysis.bias import BiasProfile, profile_of_codes
 from repro.analysis.casestudy import CaseStudyResult, run_case_study
-from repro.analysis.classes import RegionalClassifier, TopologicalClassifier
+from repro.analysis.classes import (
+    CLASS_NAMES,
+    LinkTable,
+    RegionalClassifier,
+    TopologicalClassifier,
+    sibling_mask,
+)
 from repro.analysis.heatmap import ImbalanceHeatmaps, build_heatmaps, metric_values
-from repro.analysis.tables import ValidationTable, build_table
+from repro.analysis.metrics import CODE_NONE, predicted_codes
+from repro.analysis.tables import ValidationTable, tabulate
 from repro.bgp.collectors import (
     VantagePoint,
     collect_rounds,
@@ -41,7 +50,7 @@ from repro.config import ScenarioConfig
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
 from repro.inference.asrank import ASRank
-from repro.inference.base import InferenceAlgorithm
+from repro.inference.base import FixedInference, InferenceAlgorithm, infer_clique
 from repro.inference.gao import GaoInference
 from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
@@ -89,7 +98,10 @@ class Scenario:
     )
     _regional: Optional[RegionalClassifier] = field(default=None, repr=False)
     _topological: Optional[TopologicalClassifier] = field(default=None, repr=False)
-    _inferred_links: Optional[List[LinkKey]] = field(default=None, repr=False)
+    _clique: Optional[List[int]] = field(default=None, repr=False)
+    _sibling: Optional[np.ndarray] = field(default=None, repr=False)
+    _link_table: Optional[LinkTable] = field(default=None, repr=False)
+    _predicted: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # validation
@@ -118,12 +130,28 @@ class Scenario:
         if name == "asrank":
             return ASRank()
         if name == "problink":
-            return ProbLink(ixps=self.topology.ixps)
+            return ProbLink(initial=self._asrank_run(), ixps=self.topology.ixps)
         if name == "toposcope":
-            return TopoScope(ixps=self.topology.ixps)
+            return TopoScope(ixps=self.topology.ixps, initial=self._asrank_run())
         if name == "gao":
             return GaoInference()
         raise ValueError(f"unknown algorithm {name!r}")
+
+    def _asrank_run(self) -> FixedInference:
+        """This scenario's ASRank result and clique, for the algorithms
+        that start from a full-corpus ASRank run."""
+        return FixedInference("asrank", self.infer("asrank"), self.clique())
+
+    def clique(self) -> List[int]:
+        """ASRank's inferred clique: read from this scenario's ASRank
+        run when one happened here, else computed by ASRank's first
+        step alone (:func:`infer_clique` with ASRank's defaults), as
+        when the relationships came from the cache."""
+        if "asrank" in self._algorithms:
+            return list(self._algorithms["asrank"].clique_)
+        if self._clique is None:
+            self._clique = infer_clique(self.corpus)
+        return list(self._clique)
 
     def algorithm(self, name: str) -> InferenceAlgorithm:
         """The (post-run) algorithm object, e.g. for its ``clique_``.
@@ -162,17 +190,43 @@ class Scenario:
     # ------------------------------------------------------------------
     # link universes and classifiers
     # ------------------------------------------------------------------
+    def _sibling_mask(self) -> np.ndarray:
+        """The AS2Org sibling flag of every visible link."""
+        if self._sibling is None:
+            self._sibling = sibling_mask(
+                self.corpus.visible_links(), self.topology.orgs
+            )
+        return self._sibling
+
     def inferred_links(self, exclude_siblings: bool = True) -> List[LinkKey]:
         """The paper's "inferred links": everything visible in the
         (ASRank) data set, minus AS2Org sibling links when requested
         (§4.2 drops 2800 of them)."""
-        if self._inferred_links is None:
-            self._inferred_links = self.corpus.visible_links()
-        links = self._inferred_links
+        links = self.corpus.visible_links()
         if not exclude_siblings:
-            return list(links)
-        orgs = self.topology.orgs
-        return [key for key in links if not orgs.are_siblings(*key)]
+            return links
+        return [links[i] for i in np.flatnonzero(~self._sibling_mask()).tolist()]
+
+    def link_table(self) -> LinkTable:
+        """Every visible link classified once: the table Tables 1-3,
+        Figures 1-2, :meth:`class_links` and the service read."""
+        if self._link_table is None:
+            self._link_table = LinkTable.build(
+                self.corpus.visible_links(),
+                self._sibling_mask(),
+                self.regional_classifier(),
+                self.topological_classifier(),
+                self.validation,
+            )
+        return self._link_table
+
+    def _predicted_codes(self, algorithm: str) -> np.ndarray:
+        """One algorithm's inferred label per link-table row."""
+        if algorithm not in self._predicted:
+            self._predicted[algorithm] = predicted_codes(
+                self.link_table().links, self.infer(algorithm)
+            )
+        return self._predicted[algorithm]
 
     def attack_events(self) -> List["AttackEvent"]:
         """The attack plan polluting this scenario's corpus.
@@ -214,34 +268,25 @@ class Scenario:
     # ------------------------------------------------------------------
     # paper experiments
     # ------------------------------------------------------------------
+    def _bias(self, codes: np.ndarray) -> BiasProfile:
+        table = self.link_table()
+        inferred = ~table.sibling
+        return profile_of_codes(
+            CLASS_NAMES, codes[inferred], (table.truth != CODE_NONE)[inferred]
+        )
+
     def regional_bias(self) -> BiasProfile:
         """Figure 1."""
-        return bias_profile(
-            self.inferred_links(),
-            self.regional_classifier().classify,
-            self.validation,
-        )
+        return self._bias(self.link_table().regional)
 
     def topological_bias(self) -> BiasProfile:
         """Figure 2."""
-        return bias_profile(
-            self.inferred_links(),
-            self.topological_classifier().classify,
-            self.validation,
-        )
+        return self._bias(self.link_table().topological)
 
     def class_links(self, class_name: str) -> List[LinkKey]:
         """All inferred links of one regional or topological class."""
-        regional = self.regional_classifier()
-        topological = self.topological_classifier()
-        out = []
-        for key in self.inferred_links():
-            if (
-                regional.classify(key) == class_name
-                or topological.classify(key) == class_name
-            ):
-                out.append(key)
-        return out
+        table = self.link_table()
+        return table.select(table.class_mask(class_name) & ~table.sibling)
 
     def validation_table(
         self, algorithm: str, min_class_links: Optional[int] = None
@@ -251,15 +296,14 @@ class Scenario:
             # The paper cuts classes below 500 validated links on a
             # ~44k-link validation set; scale proportionally.
             min_class_links = max(10, len(self.validation) // 90)
-        return build_table(
-            algorithm=algorithm,
-            inferred=self.infer(algorithm),
-            validation=self.validation,
-            classifiers=[
-                self.regional_classifier().classify,
-                self.topological_classifier().classify,
-            ],
-            evaluation_links=self.inferred_links(),
+        table = self.link_table()
+        inferred = ~table.sibling
+        return tabulate(
+            algorithm,
+            CLASS_NAMES,
+            [table.regional[inferred], table.topological[inferred]],
+            table.truth[inferred],
+            self._predicted_codes(algorithm)[inferred],
             min_class_links=min_class_links,
         )
 
@@ -275,12 +319,7 @@ class Scenario:
         rendering at simulator scale, where the synthetic Internet's
         degrees are an order of magnitude below the real ones.
         """
-        topological = self.topological_classifier()
-        links = [
-            key
-            for key in self.inferred_links()
-            if topological.classify(key) == "TR°"
-        ]
+        links = self.class_links("TR°")
         values = metric_values(metric, self.corpus, rels=self.infer(algorithm))
         skip = None
         if metric == "ppdc_no_vp":
@@ -309,7 +348,7 @@ class Scenario:
             inferred=self.infer(algorithm),
             validation=self.validation,
             class_links=self.class_links(class_name),
-            clique=self.algorithm("asrank").clique_ or [self.topology.cogent_asn],
+            clique=self.clique() or [self.topology.cogent_asn],
         )
 
 

@@ -63,12 +63,13 @@ class ScenarioView:
             scenario.validation.rels
         )
 
-        regional = scenario.regional_classifier()
-        topological = scenario.topological_classifier()
-        self.classes: Dict[LinkKey, Tuple[Optional[str], Optional[str]]] = {
-            key: (regional.classify(key), topological.classify(key))
-            for key in visible
-        }
+        table = scenario.link_table()
+        self.classes: Dict[LinkKey, Tuple[Optional[str], Optional[str]]] = dict(
+            zip(
+                table.links,
+                zip(table.labels(table.regional), table.labels(table.topological)),
+            )
+        )
 
         self._rels: Dict[str, Dict[LinkKey, Tuple[RelType, Optional[int]]]] = {}
         #: Per-algorithm batch records, aligned with ``_visible_sorted``.

@@ -181,11 +181,13 @@ def truth_codes(
 def predicted_codes(
     links: Sequence[LinkKey], inferred: RelationshipSet
 ) -> np.ndarray:
-    """The inferred label of each link: P2P, P2C (any other type) or
-    ``CODE_NONE`` when the inference lacks the link."""
+    """The inferred label of each canonical link key: P2P, P2C (any
+    other type) or ``CODE_NONE`` when the inference lacks the link."""
     codes = {None: CODE_NONE, RelType.P2P: CODE_P2P}
+    get = inferred.by_key().get
+    missing = (None, None)
     return np.fromiter(
-        (codes.get(inferred.rel_of(*key), CODE_P2C) for key in links),
+        (codes.get(get(key, missing)[0], CODE_P2C) for key in links),
         dtype=np.int8,
         count=len(links),
     )

@@ -43,11 +43,11 @@ equal the converged route of their (origin, VP) pair, and the corpus
 would drop them as duplicates.  So the collector holds the converged
 round's routes as :class:`ConvergedRoutes` (pair keys and hop ids in
 CSR layout) while it runs the churn rounds, and the reducer drops a
-walked route whose hop ids equal its pair's converged row before it
+walked route whose hop ids equal its pair's converged route before it
 builds hops and tags.  Equal hop ids mean equal bytes: a churned plane
 only lacks links, each hop's route class is its relationship to the
 next hop, so the feed filter, tags and strip flags agree too.  Worker
-chunks carry only their own origins' rows.  The reference is dropped
+chunks carry only their own origins' routes.  The reference is dropped
 when the churn rounds end; the attack round and the looking glass never
 see it.  ``tests/bgp/test_delta_rounds_differential.py`` checks the
 merged corpus against the same rounds reduced in full.
@@ -186,17 +186,6 @@ class ConvergedRoutes:
     def lengths(self) -> np.ndarray:
         """Hop count of each route."""
         return np.diff(self.offsets)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The hop ids as one ``-1``-padded row per route, as wide as
-        the longest route (a copy built on each call)."""
-        lengths = self.lengths
-        rows = np.full((len(lengths), int(lengths.max(initial=0))), -1, np.int32)
-        for k in range(rows.shape[1]):
-            on = np.flatnonzero(lengths > k)
-            rows[on, k] = self.hops[self.offsets[on] + k]
-        return rows
 
     def restrict(self, origin_ids: np.ndarray) -> "ConvergedRoutes":
         """The routes of ``origin_ids`` only, as one worker's chunk

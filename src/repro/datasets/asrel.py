@@ -15,7 +15,7 @@ mapping used everywhere downstream.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.topology.graph import LinkKey, RelType, link_key
 
@@ -56,6 +56,11 @@ class RelationshipSet:
     def rel_of(self, a: int, b: int) -> Optional[RelType]:
         entry = self._rels.get(link_key(a, b))
         return entry[0] if entry else None
+
+    def by_key(self) -> Mapping[LinkKey, Tuple[RelType, int]]:
+        """The ``canonical key -> (rel, provider)`` table itself, for
+        callers whose keys are already canonical (read-only)."""
+        return self._rels
 
     def provider_of(self, a: int, b: int) -> Optional[int]:
         """For a P2C link, the provider side; ``None`` otherwise."""
@@ -126,19 +131,24 @@ def write_asrel(
 def read_asrel(path: Union[str, Path]) -> RelationshipSet:
     """Parse a serial-1 as-rel file."""
     rels = RelationshipSet()
+    # Filled in place: one canonical key and one entry per line, as
+    # ``set_p2c``/``set_p2p``/``set_s2s`` would store them.
+    table = rels._rels
+    p2c = RelType.P2C
     for line_no, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split("|")
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: malformed as-rel line: {raw!r}")
         a, b, code = int(parts[0]), int(parts[1]), int(parts[2])
         rel = RelType.from_code(code)
-        if rel is RelType.P2C:
-            rels.set_p2c(provider=a, customer=b)
-        elif rel is RelType.P2P:
-            rels.set_p2p(a, b)
+        if a < b:
+            key, low = (a, b), a
+        elif b < a:
+            key, low = (b, a), b
         else:
-            rels.set_s2s(a, b)
+            raise ValueError(f"self-loop link at AS{a}")
+        table[key] = (rel, a if rel is p2c else low)
     return rels

@@ -21,6 +21,7 @@ Layout (one directory per scenario key under the cache root)::
     <root>/<key>/corpus.npc             binary columnar path corpus
     <root>/<key>/rels-<algorithm>.asrel CAIDA serial-1 as-rel file
     <root>/<key>/validation-<policy>.txt cleaned validation set
+    <root>/<key>/topology.json          generated topology (JSON document)
     <root>/.locks/<key>.lock            advisory per-entry writer lock
 
 The root is ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``.
@@ -74,9 +75,10 @@ every fault deterministically.
 
 The relationship and validation artifacts round-trip through the
 existing text serialisers (:mod:`repro.datasets.asrel`,
-:mod:`repro.datasets.validationset`), so those entries double as
-human-readable exports.  The corpus — by far the largest artifact —
-uses the compact binary section format of
+:mod:`repro.datasets.validationset`), and the topology through one
+sorted-key JSON document (:mod:`repro.topology.document`), so those
+entries double as human-readable exports.  The corpus — by far the
+largest artifact — uses the compact binary section format of
 :mod:`repro.pipeline.columnar` instead and is **memory-mapped** on warm
 reads: a warm ``build_scenario`` adopts the on-disk columns directly
 and never materialises per-route Python tuples.
@@ -97,6 +99,8 @@ from repro.pipeline.columnar import read_corpus_columns, write_corpus_columns
 from repro.datasets.validationset import read_validation_set, write_validation_set
 from repro.pipeline.fsops import CacheFilesystem
 from repro.pipeline.locks import LOCK_DIR_NAME, EntryLock, is_locked
+from repro.topology.document import topology_document, topology_from_document
+from repro.topology.generator import Topology
 from repro.validation.cleaning import CleanedValidation, MultiLabelPolicy
 
 if TYPE_CHECKING:
@@ -108,6 +112,7 @@ PIPELINE_CACHE_VERSION = "2"
 
 _META_FILE = "meta.json"
 _CORPUS_FILE = "corpus.npc"
+_TOPOLOGY_FILE = "topology.json"
 _TMP_SUFFIX = ".tmp"
 
 #: Per-process monotonic sequence making concurrent same-key writers'
@@ -134,6 +139,11 @@ def default_cache_root() -> Path:
 def _read_corpus_artifact(path: Path) -> PathCorpus:
     """Reader for the binary corpus artifact (sections memory-mapped)."""
     return PathCorpus.from_columns(read_corpus_columns(path))
+
+
+def _read_topology_artifact(path: Path) -> Topology:
+    """Reader for the topology document."""
+    return topology_from_document(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _code_version() -> str:
@@ -316,6 +326,25 @@ class ArtifactCache:
         path = self._entry_dir(key) / _CORPUS_FILE
         self._publish_file(
             path, lambda tmp: write_corpus_columns(corpus.columns(), tmp)
+        )
+        return path
+
+    def load_topology(self, key: str) -> Optional[Topology]:
+        """The generated topology, read back from its JSON document."""
+        return self._load(key, _TOPOLOGY_FILE, _read_topology_artifact)
+
+    def store_topology(
+        self, key: str, topology: Topology, config: "ScenarioConfig"
+    ) -> Path:
+        self._write_meta(key, config)
+        path = self._entry_dir(key) / _TOPOLOGY_FILE
+        self._publish_text(
+            path,
+            json.dumps(
+                topology_document(topology),
+                sort_keys=True,
+                separators=(",", ":"),
+            ),
         )
         return path
 

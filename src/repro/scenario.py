@@ -366,23 +366,27 @@ def build_scenario(
     enables the content-addressed artifact cache: ``True`` for the
     default root (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), a path,
     or an :class:`~repro.pipeline.cache.ArtifactCache` instance.  On a
-    warm cache the corpus and cleaned validation set are loaded instead
-    of recomputed — propagation is skipped entirely — and inference
-    results round-trip through the cache as they are requested.  Both
-    knobs are pure execution policy: every artifact is byte-identical
-    to a serial, uncached build (the differential tests in
-    ``tests/pipeline/`` enforce this).
+    warm cache the topology, the corpus and the cleaned validation set
+    are loaded instead of recomputed — generation and propagation are
+    skipped entirely — and inference results round-trip through the
+    cache as they are requested.  Both knobs are pure execution policy:
+    every artifact is byte-identical to a serial, uncached build (the
+    differential tests in ``tests/pipeline/`` enforce this).
     """
     if config is None:
         config = ScenarioConfig.default()
     config.validate()
     cache_obj = resolve_cache(cache)
-    topology = generate_topology(config)
-    # The cheap measurement artefacts are always rebuilt (deterministic
-    # labelled RNG streams); only the expensive propagation product and
-    # its derivatives go through the cache.
-    vps, communities, strippers = measurement_setup(topology, config)
     key = cache_obj.scenario_key(config) if cache_obj is not None else None
+    topology = cache_obj.load_topology(key) if cache_obj is not None else None
+    if topology is None:
+        topology = generate_topology(config)
+        if cache_obj is not None:
+            cache_obj.store_topology(key, topology, config)
+    # The cheap measurement artefacts are always rebuilt (deterministic
+    # labelled RNG streams); the topology, the expensive propagation
+    # product and its derivatives go through the cache.
+    vps, communities, strippers = measurement_setup(topology, config)
     corpus = None
     corpus_from_cache = False
     if cache_obj is not None:

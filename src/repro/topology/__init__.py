@@ -9,7 +9,9 @@ Public surface:
 * :mod:`repro.topology.orgs` — AS-to-Organisation (sibling) model;
 * :mod:`repro.topology.ixp` — IXP registry;
 * :mod:`repro.topology.external_lists` — curated Tier-1/hypergiant lists;
-* :mod:`repro.topology.generator` — the scenario topology generator.
+* :mod:`repro.topology.generator` — the scenario topology generator;
+* :mod:`repro.topology.document` — a generated topology as one JSON
+  document (the artifact cache's ``topology.json``).
 """
 
 from repro.topology.asn import AS_TRANS, is_as_trans, is_reserved, is_routable

@@ -78,10 +78,14 @@ class RelType(enum.Enum):
 
     @classmethod
     def from_code(cls, code: int) -> "RelType":
-        for rel in cls:
-            if rel.value == code:
-                return rel
-        raise ValueError(f"unknown relationship code: {code}")
+        try:
+            return _REL_BY_CODE[code]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown relationship code: {code}") from None
+
+
+#: ``RelType.from_code``'s lookup table.
+_REL_BY_CODE: Dict[int, RelType] = {rel.value: rel for rel in RelType}
 
 
 @dataclass
@@ -213,21 +217,23 @@ class ASGraph:
 
     def add_link(self, link: Link) -> None:
         """Insert a link; both endpoints must exist and be unlinked."""
-        for asn in link.endpoints():
+        provider, customer = link.provider, link.customer
+        for asn in (provider, customer):
             if asn not in self._nodes:
                 raise KeyError(f"AS{asn} not in graph")
-        if link.key in self._links:
-            raise ValueError(f"link {link.key} already present")
-        self._links[link.key] = link
+        key = link.key
+        if key in self._links:
+            raise ValueError(f"link {key} already present")
+        self._links[key] = link
         if link.rel is RelType.P2C:
-            self._customers[link.provider].add(link.customer)
-            self._providers[link.customer].add(link.provider)
+            self._customers[provider].add(customer)
+            self._providers[customer].add(provider)
         elif link.rel is RelType.P2P:
-            self._peers[link.provider].add(link.customer)
-            self._peers[link.customer].add(link.provider)
+            self._peers[provider].add(customer)
+            self._peers[customer].add(provider)
         else:  # S2S
-            self._siblings[link.provider].add(link.customer)
-            self._siblings[link.customer].add(link.provider)
+            self._siblings[provider].add(customer)
+            self._siblings[customer].add(provider)
 
     def remove_link(self, a: int, b: int) -> Link:
         """Remove and return the link between ``a`` and ``b``."""

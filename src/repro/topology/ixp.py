@@ -67,6 +67,11 @@ class IXPRegistry:
     def in_region(self, region: Region) -> List[IXP]:
         return [ixp for ixp in self._ixps.values() if ixp.region is region]
 
+    def memberships(self) -> Iterable[Tuple[int, Set[int]]]:
+        """``(asn, IXP ids)`` per member AS, in first-join order (the
+        registry's own sets; read-only)."""
+        return self._by_member.items()
+
     def memberships_of(self, asn: int) -> Set[int]:
         """IXP ids the AS is a member of."""
         return set(self._by_member.get(asn, set()))

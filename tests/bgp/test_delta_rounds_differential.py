@@ -147,9 +147,9 @@ def test_churn_rounds_reduce_only_changed_routes():
 
 
 def test_the_reference_holds_the_walked_rows():
-    """Each converged route's row is its hop ids, ``-1``-padded, under
-    the key ``origin_id * n + vp_id``; a chunk's cut keeps its origins'
-    rows only."""
+    """Each converged route's CSR slice is its hop ids under the key
+    ``origin_id * n + vp_id``; a chunk's cut keeps its origins' routes
+    only, each with its hops."""
     _, topology, collector = scenario(SCENARIO_SEEDS[0])
     plane = collector.plane
     parts = list(collector._round())
@@ -164,15 +164,24 @@ def test_the_reference_holds_the_walked_rows():
     for path in paths[:: max(1, len(paths) // 200)]:
         ids = plane.ids(path)
         at = int(np.searchsorted(reference.keys, ids[-1] * plane.n + ids[0]))
-        row = reference.rows[at]
+        hops = reference.hops[reference.offsets[at] : reference.offsets[at + 1]]
         assert reference.lengths[at] == len(path)
-        assert row[: len(path)].tolist() == ids.tolist()
-        assert (row[len(path) :] == -1).all()
+        assert hops.tolist() == ids.tolist()
+    assert reference.offsets[0] == 0
+    assert reference.offsets[-1] == len(reference.hops)
     origins = plane.ids(topology.graph.asns()[:5])
     cut = reference.restrict(origins)
     assert np.isin(cut.keys // plane.n, origins).all()
     assert len(cut.keys) == np.isin(reference.keys // plane.n, origins).sum()
-    assert cut.rows.shape[1] == cut.lengths.max()
+    assert cut.offsets[-1] == len(cut.hops)
+    for i, key in enumerate(cut.keys.tolist()):
+        at = int(np.searchsorted(reference.keys, key))
+        assert (
+            cut.hops[cut.offsets[i] : cut.offsets[i + 1]].tolist()
+            == reference.hops[
+                reference.offsets[at] : reference.offsets[at + 1]
+            ].tolist()
+        )
 
 
 # ---------------------------------------------------------------------------

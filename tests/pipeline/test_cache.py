@@ -20,6 +20,7 @@ from repro.datasets.bgpdump import write_path_corpus
 from repro.datasets.validationset import read_validation_set, write_validation_set
 from repro.pipeline.cache import ArtifactCache, default_cache_root, resolve_cache
 from repro.validation.cleaning import MultiLabelPolicy
+from tests.topology.topology_fields import first_difference
 
 SEEDS = (3, 5, 11)
 
@@ -48,6 +49,11 @@ def rels_bytes(rels, tmp_path, name: str) -> bytes:
     path = tmp_path / name
     write_asrel(rels, path)
     return path.read_bytes()
+
+
+def assert_same_topology(got, want) -> None:
+    difference = first_difference(got, want)
+    assert difference is None, difference
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,59 @@ class TestBuildScenarioCaching:
         monkeypatch.setattr(scenario_module, "collect_rounds", boom)
         warm = build_scenario(config, cache=cache)
         assert warm.validation.rels == cold_build(3).validation.rels
+
+    def test_warm_build_skips_generation(self, tmp_path, monkeypatch):
+        config = tiny_config(3)
+        cache = ArtifactCache(root=tmp_path)
+        build_scenario(config, cache=cache)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the topology was generated on a warm cache")
+
+        monkeypatch.setattr(scenario_module, "generate_topology", boom)
+        misses = cache.misses
+        warm = build_scenario(config, cache=cache)
+        assert cache.misses == misses
+        assert_same_topology(warm.topology, cold_build(3).topology)
+        assert warm.validation.rels == cold_build(3).validation.rels
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "missing"])
+    def test_damaged_or_missing_topology_is_regenerated(
+        self, damage, tmp_path
+    ):
+        """A corrupted ``topology.json`` is dropped and rebuilt; an
+        entry written before the topology was cached (no file) gains
+        one.  Either way the outputs equal the cold build's."""
+        config = tiny_config(5)
+        cache = ArtifactCache(root=tmp_path)
+        key = cache.scenario_key(config)
+        build_scenario(config, cache=cache)
+        path = tmp_path / key / "topology.json"
+        text = path.read_text(encoding="utf-8")
+        if damage == "garbage":
+            path.write_text("{not json", encoding="utf-8")
+        elif damage == "truncated":
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+        else:
+            path.unlink()
+        misses = cache.misses
+        rebuilt = build_scenario(config, cache=cache)
+        assert cache.misses == misses + 1
+        assert rebuilt.corpus_from_cache
+        assert path.read_text(encoding="utf-8") == text
+        reference = cold_build(5)
+        assert_same_topology(rebuilt.topology, reference.topology)
+        assert corpus_bytes(rebuilt.corpus, tmp_path, "got") == corpus_bytes(
+            reference.corpus, tmp_path, "ref"
+        )
+        assert rebuilt.validation.rels == reference.validation.rels
+        assert rels_bytes(
+            rebuilt.infer("asrank"), tmp_path, "got"
+        ) == rels_bytes(reference.infer("asrank"), tmp_path, "ref")
+        misses = cache.misses
+        warm = build_scenario(config, cache=cache)
+        assert cache.misses == misses
+        assert_same_topology(warm.topology, reference.topology)
 
     def test_cached_inference_round_trip(self, tmp_path):
         config = tiny_config(3)

@@ -6,7 +6,8 @@ degrades to a recorded miss plus a recompute, never a crash or a wrong
 artifact.**  Three layers of evidence:
 
 * the full fault-injection matrix of :mod:`repro.testing.faults`, one
-  parametrised case per (operation, kind) injection point;
+  parametrised case per (operation, kind) injection point, over the
+  corpus artifact and again over the topology document;
 * advisory :class:`~repro.pipeline.locks.EntryLock` semantics — mutual
   exclusion, timeout degradation, stale-lock recovery — plus the
   in-process proof that concurrent cold builds of one key single-flight;
@@ -24,6 +25,7 @@ import sys
 import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Tuple
 
@@ -36,6 +38,7 @@ from repro.datasets.paths import CollectedRoute, PathCorpus
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.locks import EntryLock, is_locked, lock_path
 from repro.scenario import build_scenario
+from repro.topology.generator import generate_topology
 from repro.testing.faults import (
     INJECTION_MATRIX,
     Fault,
@@ -44,6 +47,7 @@ from repro.testing.faults import (
     full_fault_matrix,
     seeded_fault_plan,
 )
+from tests.topology.topology_fields import first_difference
 
 #: Operations exercised by the store path vs the load path.
 _WRITE_OPS = frozenset({"write_text", "run_writer", "replace"})
@@ -63,6 +67,42 @@ def _canonical_corpus() -> PathCorpus:
 def _corpus_bytes(corpus: PathCorpus, path: Path) -> bytes:
     write_path_corpus(corpus, path)
     return path.read_bytes()
+
+
+def _tiny_topology_config() -> ScenarioConfig:
+    config = ScenarioConfig.small(seed=3)
+    config.topology.n_ases = 160
+    return config
+
+
+@lru_cache(maxsize=None)
+def _generated_topology():
+    return generate_topology(_tiny_topology_config())
+
+
+def _assert_same_topology(got, want) -> None:
+    difference = first_difference(got, want)
+    assert difference is None, difference
+
+
+def _topology_faults() -> List[Fault]:
+    """The fault matrix aimed at the topology document.
+
+    The document is published as text, never through a writer
+    callback, so ``run_writer`` has no topology injection point; a
+    ``read_text`` fault hits the entry's ``meta.json``, the only file a
+    topology load reads through ``read_text``.
+    """
+    return [
+        Fault(
+            op=fault.op,
+            kind=fault.kind,
+            path_substring="meta.json" if fault.op == "read_text"
+            else "topology.json",
+        )
+        for fault in full_fault_matrix()
+        if fault.op != "run_writer"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +166,51 @@ class TestFaultMatrix:
             recovered = clean.load_corpus(key)
         assert recovered is not None
         assert _corpus_bytes(recovered, tmp_path / "out.paths") == ref
+
+    @pytest.mark.parametrize(
+        "fault", _topology_faults(), ids=lambda f: f"{f.op}-{f.kind}"
+    )
+    def test_every_topology_fault_degrades_to_miss_plus_regeneration(
+        self, fault: Fault, tmp_path
+    ):
+        config = _tiny_topology_config()
+        topology = _generated_topology()
+        root = tmp_path / "cache"
+        fs = FaultyFilesystem([fault])
+        faulty = ArtifactCache(root=root, fs=fs)
+        key = faulty.scenario_key(config)
+
+        if fault.op in _WRITE_OPS:
+            try:
+                faulty.store_topology(key, topology, config)
+            except InjectedCrash:
+                pass
+            if fault.kind == "enospc":
+                assert faulty.store_errors >= 1
+        else:
+            ArtifactCache(root=root).store_topology(key, topology, config)
+            if fault.op == "stat_size":
+                assert isinstance(faulty.entries(), list)
+            else:
+                loaded = faulty.load_topology(key)
+                if loaded is not None:
+                    _assert_same_topology(loaded, topology)
+                if fault.op == "run_reader" and fault.kind == "flicker":
+                    assert loaded is not None
+                    assert faulty.read_retries == 1
+
+        assert fs.injected, "the armed fault never fired"
+        assert isinstance(ArtifactCache(root=root).entries(), list)
+
+        # Recovery: a miss regenerates and stores, then a load serves
+        # a topology identical to the generated one.
+        clean = ArtifactCache(root=root)
+        recovered = clean.load_topology(key)
+        if recovered is None:
+            clean.store_topology(key, generate_topology(config), config)
+            recovered = clean.load_topology(key)
+        assert recovered is not None
+        _assert_same_topology(recovered, topology)
 
     def test_crashed_writer_leaves_only_a_visible_straggler(self, tmp_path):
         config = ScenarioConfig.small(seed=3)

@@ -4,8 +4,9 @@ Not paper experiments, and not a report: per-stage numbers come from
 perfbench's traced run (``python perfbench/run.py --trace 1``).  Each
 test here asserts one bar and fails the build when it breaks:
 
-* the vectorized ``:batch`` resolver's per-batch p50 is >= 3x faster
-  than the per-key walk at 256-link batches;
+* the ``:batch`` resolver's per-batch p50 is >= 3x faster than the
+  per-key reference walk (``tests/service/reference_batch.py``) at
+  256-link batches;
 * 4-worker collection is >= 2x faster than serial on a 600-AS,
   no-churn round;
 * a warm-cache build of that config beats the cold build without
@@ -42,6 +43,8 @@ from repro.service.loadgen import LoadgenResult, prepare_plan, run_loadgen
 from repro.service.query import ScenarioView
 from repro.topology.generator import generate_topology
 from repro.utils.rng import make_rng
+# The per-key walk is a test reference, kept out of src/ on purpose.
+from tests.service.reference_batch import batch_payloads_perkey  # repro: noqa[DEP001]
 
 #: Cores a worker pool can actually use on this host.
 USABLE_CORES = resolve_workers(-1)
@@ -67,13 +70,13 @@ def _best_of(runs: int, fn: Callable[[], Any]) -> Tuple[float, Any]:
 
 
 # ---------------------------------------------------------------------------
-# the vectorized batch pass vs the per-key walk
+# the batch resolver vs the per-key reference walk
 # ---------------------------------------------------------------------------
 
 def _batches(view: ScenarioView, n: int, size: int):
     """Realistic batches: mostly visible links, ~6% unknown ones."""
     rng = make_rng(0)
-    visible = view._visible_sorted
+    visible = view.scenario.corpus.visible_links()
     batches = []
     for _ in range(n):
         pairs = [
@@ -86,10 +89,13 @@ def _batches(view: ScenarioView, n: int, size: int):
     return batches
 
 
-def test_batch_vectorized_speedup():
+def test_batch_resolver_speedup():
     view = ScenarioView(build_scenario(ScenarioConfig.small(seed=7)))
     view.build_rel_index("asrank")
     batches = _batches(view, N_BATCHES, BATCH_SIZE)
+
+    def perkey(algorithm, pairs):
+        return batch_payloads_perkey(view, algorithm, pairs)
 
     def per_batch_p50(fn) -> float:
         per_batch = []
@@ -99,13 +105,13 @@ def test_batch_vectorized_speedup():
             per_batch.append(time.perf_counter() - start)
         return statistics.median(per_batch)
 
-    per_batch_p50(view.batch_payloads_perkey)  # warm both paths
+    per_batch_p50(perkey)  # warm both paths
     per_batch_p50(view.batch_payloads)
-    perkey_p50 = per_batch_p50(view.batch_payloads_perkey)
-    vectorized_p50 = per_batch_p50(view.batch_payloads)
-    speedup = perkey_p50 / vectorized_p50
+    perkey_p50 = per_batch_p50(perkey)
+    resolver_p50 = per_batch_p50(view.batch_payloads)
+    speedup = perkey_p50 / resolver_p50
     print(f"\n[batch] per-key p50 {perkey_p50 * 1000:.3f}ms, "
-          f"vectorized p50 {vectorized_p50 * 1000:.3f}ms, "
+          f"resolver p50 {resolver_p50 * 1000:.3f}ms, "
           f"speedup {speedup:.1f}x at {BATCH_SIZE}-link batches")
     assert speedup >= 3.0
 

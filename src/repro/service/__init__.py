@@ -8,8 +8,9 @@ consumer to import Python and rebuild a scenario in-process.
 The subsystem is stdlib-only (``asyncio`` + hand-rolled HTTP/1.1 over
 :func:`asyncio.start_server`, JSON bodies) and splits into:
 
-* :mod:`repro.service.http` — request framing, JSON responses, and the
-  structured :class:`~repro.service.http.ApiError` every handler speaks;
+* :mod:`repro.service.http` — request and response framing, JSON
+  responses, and the structured :class:`~repro.service.http.ApiError`
+  every handler speaks;
 * :mod:`repro.service.pool` — :class:`~repro.service.pool.ScenarioPool`,
   an LRU of built :class:`~repro.scenario.Scenario` objects keyed by
   canonical config fingerprint, with single-flight builds that run in an

@@ -38,7 +38,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Pattern, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Pattern, Set, Tuple
 
 from repro.analysis.export import profile_rows, table_dict
 from repro.config import AdversarialConfig, ConfigError, ScenarioConfig
@@ -57,6 +57,11 @@ from repro.service.query import casestudy_payload
 
 #: Most links accepted by one ``:batch`` request.
 MAX_BATCH_LINKS = 10_000
+
+#: Longest wait, in seconds, for a request's bytes; an idle keep-alive
+#: connection or a stalled head is closed once it passes (checked every
+#: quarter of it, so within 1.25x of it).
+READ_TIMEOUT_S = 60.0
 
 #: Fields accepted by ``POST /v1/scenarios``.
 _SCENARIO_FIELDS = {
@@ -100,6 +105,11 @@ class ReproService:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections' handler tasks; writers waiting for a request
+        #: with the ``time.monotonic()`` the wait began.
+        self._connections: Set["asyncio.Task[None]"] = set()
+        self._idle: Dict[asyncio.StreamWriter, float] = {}
+        self._sweeper: Optional[asyncio.TimerHandle] = None
         self._routes: List[Route] = self._build_routes()
 
     def _build_routes(self) -> List[Route]:
@@ -161,15 +171,35 @@ class ReproService:
             )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
+        self._close_stalled()
+
+    def _close_stalled(self) -> None:
+        """Close connections waiting past ``READ_TIMEOUT_S`` (their read
+        sees EOF); one server-wide timer, as a timer per read cost ~10%
+        of a point query's latency on a 2-core host."""
+        loop = asyncio.get_running_loop()
+        cutoff = time.monotonic() - READ_TIMEOUT_S
+        for writer, since in list(self._idle.items()):
+            if since <= cutoff:
+                writer.close()
+        self._sweeper = loop.call_later(READ_TIMEOUT_S / 4, self._close_stalled)
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Handlers stop reading once ``_server`` is None: a connection
+        # waiting for a request closes now (its read sees EOF), one
+        # with a request in flight after answering it.
+        server, self._server = self._server, None
+        if server is not None:
+            self._sweeper.cancel()
+            server.close()
+            for writer in self._idle:
+                writer.close()
         # aclose (not close): cancel in-flight builds and reap them so
         # shutdown leaves no pending task or orphaned executor thread.
         await self.pool.aclose()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     async def run(
         self,
@@ -207,8 +237,11 @@ class ReproService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while self._server is not None:
+                self._idle[writer] = time.monotonic()
                 try:
                     request = await read_request(reader)
                 except ProtocolError as exc:
@@ -219,6 +252,8 @@ class ReproService:
                     ))
                     await writer.drain()
                     break
+                finally:
+                    del self._idle[writer]
                 if request is None:
                     break
                 status, payload = await self._dispatch(request)
@@ -230,6 +265,7 @@ class ReproService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -465,15 +501,19 @@ class ReproService:
         self, request: Request, algorithm: str, as1: str, as2: str
     ) -> Tuple[int, Any]:
         self._check_algorithm(algorithm)
+        a, b = int(as1), int(as2)
+        if a == b:
+            raise ApiError(400, "invalid_link",
+                           f"link {as1}-{as2} is a self-loop", as1=a, as2=b)
         entry = await self._resolve_entry(request)
         await self._ensure_rel_index(entry, algorithm)
-        payload = entry.view.link_payload(algorithm, int(as1), int(as2))
+        payload = entry.view.link_payload(algorithm, a, b)
         if payload is None:
             raise ApiError(
                 404, "unknown_link",
                 f"link {as1}-{as2} is not visible in scenario "
                 f"{entry.scenario_id}",
-                as1=int(as1), as2=int(as2), scenario=entry.scenario_id,
+                as1=a, as2=b, scenario=entry.scenario_id,
             )
         payload["scenario"] = entry.scenario_id
         return 200, payload
@@ -506,16 +546,18 @@ class ReproService:
                     isinstance(asn, int) and not isinstance(asn, bool)
                     for asn in item
                 )
+                or item[0] == item[1]
             ):
                 raise ApiError(
                     400, "invalid_body",
-                    f"links[{position}] must be a [as1, as2] integer pair",
+                    f"links[{position}] must be a [as1, as2] pair of two "
+                    "different integer ASNs",
                 )
             pairs.append((item[0], item[1]))
         entry = await self._resolve_entry(request)
         await self._ensure_rel_index(entry, algorithm)
-        # One vectorized pass (pack → searchsorted) instead of a
-        # per-key dict walk; see ScenarioView.batch_payloads.
+        # One lookup per pair in the records prebuilt with the index;
+        # see ScenarioView.batch_payloads.
         results, n_unknown = entry.view.batch_payloads(algorithm, pairs)
         return 200, {
             "scenario": entry.scenario_id,

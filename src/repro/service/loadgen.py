@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.service.client import ServiceClient
+from repro.service.http import TruncatedMessage, read_response
 from repro.utils.rng import child_rng, weighted_choice
 
 #: Endpoints the mix may reference.
@@ -159,26 +160,8 @@ def prepare_plan(
 
 
 # ----------------------------------------------------------------------
-# the timed loop (async, minimal HTTP/1.1 client)
+# the timed loop (async; responses framed by repro.service.http)
 # ----------------------------------------------------------------------
-async def _read_response(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
-    line = await reader.readline()
-    if not line:
-        raise ConnectionResetError("server closed the connection")
-    parts = line.decode("latin-1").split()
-    status = int(parts[1])
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value.strip())
-    body = await reader.readexactly(length) if length else b""
-    return status, body
-
-
 def _request_bytes(plan: LoadgenPlan, name: str, rng: Any) -> bytes:
     sid = plan.scenario
     if name == "rel":
@@ -235,12 +218,10 @@ async def _task_loop(
             try:
                 writer.write(request)
                 await writer.drain()
-                status, _body = await _read_response(reader)
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.IncompleteReadError,
-            ):
+                response = await read_response(reader)
+            except (ConnectionResetError, BrokenPipeError, TruncatedMessage):
+                response = None
+            if response is None:
                 # A worker restart (or idle drop) killed the
                 # connection; reconnect and keep going.
                 counters["reconnects"] += 1
@@ -250,6 +231,7 @@ async def _task_loop(
                 writer = None
                 continue
             elapsed_ms = (time.monotonic() - started) * 1000.0
+            status = response[0]
             samples.append((name, elapsed_ms, status))
             if status >= 400:
                 counters["errors"] += 1

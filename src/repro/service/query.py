@@ -12,6 +12,8 @@ point query with plain dict lookups:
 * ``validation`` — link key → the cleaned validation record;
 * ``classes`` — link key → regional and topological class labels.
 
+Building an algorithm's index also prebuilds the JSON record of every
+visible link, so a ``:batch`` request is one dict lookup per pair.
 Point-query latency is therefore O(1) per lookup: after a scenario (and
 an algorithm's index) is built, a thousand ``GET /v1/rel/...`` requests
 run zero inferences — the ``/metrics`` document proves it.
@@ -19,10 +21,7 @@ run zero inferences — the ``/metrics`` document proves it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.analysis.casestudy import CaseStudyResult
 from repro.datasets.paths import PathCorpus
@@ -47,9 +46,6 @@ class ScenarioView:
         self.links: List[LinkKey] = scenario.inferred_links()
         visible = corpus.visible_links()
         self._visible = set(visible)
-        self._visible_sorted: List[LinkKey] = list(visible)
-        self._visible_pack: Optional[np.ndarray] = None
-        self._visible_order: Optional[np.ndarray] = None
 
         adjacency: Dict[int, List[int]] = {}
         for a, b in visible:
@@ -72,8 +68,8 @@ class ScenarioView:
         )
 
         self._rels: Dict[str, Dict[LinkKey, Tuple[RelType, Optional[int]]]] = {}
-        #: Per-algorithm batch records, aligned with ``_visible_sorted``.
-        self._batch_records: Dict[str, List[Dict[str, Any]]] = {}
+        #: Per-algorithm batch records, one per visible link.
+        self._batch_records: Dict[str, Dict[LinkKey, Dict[str, Any]]] = {}
 
     # ------------------------------------------------------------------
     # index construction
@@ -97,20 +93,17 @@ class ScenarioView:
             for key, rel, provider in rels.items():
                 index[key] = (rel, provider if rel is RelType.P2C else None)
             self._rels[algorithm] = index
-            records = []
-            for a, b in self._visible_sorted:
-                record = self.link_payload(algorithm, a, b)
+            records: Dict[LinkKey, Dict[str, Any]] = {}
+            for key in self.scenario.corpus.visible_links():
+                record = self.link_payload(algorithm, *key)
                 record["visible"] = True
-                records.append(record)
+                records[key] = record
             self._batch_records[algorithm] = records
         return self._rels[algorithm]
 
     # ------------------------------------------------------------------
     # point queries (all O(1))
     # ------------------------------------------------------------------
-    def is_visible(self, key: LinkKey) -> bool:
-        return key in self._visible
-
     def link_payload(
         self, algorithm: str, a: int, b: int
     ) -> Optional[Dict[str, Any]]:
@@ -145,7 +138,7 @@ class ScenarioView:
         }
 
     # ------------------------------------------------------------------
-    # batch queries (one vectorized pass)
+    # batch queries (one dict lookup per pair)
     # ------------------------------------------------------------------
     @staticmethod
     def unknown_record(algorithm: str, a: int, b: int) -> Dict[str, Any]:
@@ -162,101 +155,23 @@ class ScenarioView:
             "visible": False,
         }
 
-    def _link_pack(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Visible links as an ascending packed-uint64 array.
-
-        Each ``(as1, as2)`` canonical key packs to ``(as1 << 32) | as2``
-        — an order-preserving encoding, so one ``searchsorted`` resolves
-        a whole batch.  The companion permutation maps a pack position
-        back to the ``_visible_sorted`` index carrying its record.
-        """
-        if self._visible_pack is None:
-            if self._visible_sorted:
-                arr = np.asarray(self._visible_sorted, dtype=np.uint64)
-                pack = (arr[:, 0] << np.uint64(32)) | arr[:, 1]
-                order = np.argsort(pack, kind="stable")
-                self._visible_pack = pack[order]
-                self._visible_order = order
-            else:
-                self._visible_pack = np.empty(0, dtype=np.uint64)
-                self._visible_order = np.empty(0, dtype=np.intp)
-        return self._visible_pack, self._visible_order
-
     def batch_payloads(
         self, algorithm: str, pairs: Sequence[Sequence[int]]
     ) -> Tuple[List[Dict[str, Any]], int]:
-        """Resolve a whole batch of ASN pairs in one vectorized pass.
+        """Resolve a batch of ASN pairs to records, and count the unknown.
 
-        Byte-compatible with :meth:`batch_payloads_perkey` (the
-        pre-vectorization per-key dict walk, kept as the equivalence
-        oracle): pairs pack to uint64 keys, one ``searchsorted`` against
-        the visible-link table finds every known link, and known links
-        reuse records prebuilt at index time.  Falls back to the scalar
-        path for ASNs numpy cannot hold in int64 and for ragged input
-        (every ``pairs`` element must be an ``(a, b)`` pair — the HTTP
-        handler validates this before calling).
+        Known links reuse the records prebuilt at index time; a link
+        never observed gets :meth:`unknown_record`.  A self-loop pair
+        raises ``ValueError`` (see :func:`link_key`).
         """
-        if not pairs:
-            return [], 0
         records = self._batch_records[algorithm]
-        # fromiter over a flattened iterator skips the per-pair sequence
-        # protocol np.asarray pays on list-of-lists (~2x faster here).
-        flat = itertools.chain.from_iterable(pairs)
-        try:
-            arr = np.fromiter(
-                flat, dtype=np.int64, count=2 * len(pairs)
-            ).reshape(-1, 2)
-        except (OverflowError, ValueError, TypeError):
-            return self.batch_payloads_perkey(algorithm, pairs)
-        if next(flat, None) is not None:
-            # Ragged input: let the scalar path raise its usual error.
-            return self.batch_payloads_perkey(algorithm, pairs)
-        self_loops = arr[:, 0] == arr[:, 1]
-        if self_loops.any():
-            # Same contract as link_key() on the per-key path.
-            raise ValueError(
-                f"self-loop link at AS{int(arr[int(np.argmax(self_loops)), 0])}"
-            )
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        valid = (lo >= 0) & (hi <= 0xFFFFFFFF)
-        packed = (
-            np.where(valid, lo, 0).astype(np.uint64) << np.uint64(32)
-        ) | np.where(valid, hi, 0).astype(np.uint64)
-        pack, order = self._link_pack()
-        if len(pack):
-            pos = np.searchsorted(pack, packed)
-            pos_safe = np.minimum(pos, len(pack) - 1)
-            found = valid & (pack[pos_safe] == packed)
-            indices = order[pos_safe]
-        else:
-            found = np.zeros(len(arr), dtype=bool)
-            indices = np.zeros(len(arr), dtype=np.intp)
-        # Plain-int lists beat per-element numpy scalar access in the
-        # assembly comprehension.
-        found_list = found.tolist()
-        index_list = indices.tolist()
-        unknown = self.unknown_record
-        results = [
-            records[index] if ok else unknown(algorithm, pair[0], pair[1])
-            for ok, index, pair in zip(found_list, index_list, pairs)
-        ]
-        return results, len(results) - int(np.count_nonzero(found))
-
-    def batch_payloads_perkey(
-        self, algorithm: str, pairs: Sequence[Sequence[int]]
-    ) -> Tuple[List[Dict[str, Any]], int]:
-        """The original per-key dict walk (equivalence oracle + bench
-        baseline for :meth:`batch_payloads`)."""
         results: List[Dict[str, Any]] = []
         n_unknown = 0
         for a, b in pairs:
-            record = self.link_payload(algorithm, a, b)
+            record = records.get(link_key(a, b))
             if record is None:
                 n_unknown += 1
                 record = self.unknown_record(algorithm, a, b)
-            else:
-                record["visible"] = True
             results.append(record)
         return results, n_unknown
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.service import ReproService, serve_in_thread
+from repro.service.http import MAX_BODY_BYTES, ProtocolError
 from repro.service.loadgen import (
     DEFAULT_MIX,
     LoadgenPlan,
@@ -12,6 +13,7 @@ from repro.service.loadgen import (
     prepare_plan,
     run_loadgen,
 )
+from tests.service.stub_server import response
 
 
 # ---------------------------------------------------------------------------
@@ -95,3 +97,54 @@ def test_metrics_reports_worker_label():
     service.metrics.worker_index = 3
     assert service.metrics.snapshot()["worker"]["index"] == 3
     service.pool.close()
+
+
+# ---------------------------------------------------------------------------
+# response framing against a stub server
+# ---------------------------------------------------------------------------
+
+def _healthz_plan(port: int) -> LoadgenPlan:
+    return LoadgenPlan(
+        host="127.0.0.1", port=port, scenario="x", algorithm="asrank",
+        links=[(1, 2)], asns=[1], mix={"healthz": 1.0},
+        batch_size=1, seed=0,
+    )
+
+
+def test_loadgen_reconnects_after_a_drop_mid_body(serve):
+    body = b'{"status": "ok"}'
+
+    def drop_first_mid_body(server, conn):
+        if server.connections == 1:
+            server.read_request(conn)
+            conn.sendall(response(200, body)[:-5])
+            return
+        while server.read_request(conn):
+            conn.sendall(response(200, body))
+
+    server = serve(drop_first_mid_body)
+    result = run_loadgen(_healthz_plan(server.port), concurrency=1,
+                         duration_s=0.3)
+    assert result.reconnects == 1
+    assert result.errors == 0
+    assert result.total_requests > 0
+    assert server.connections == 2
+
+
+@pytest.mark.parametrize("answer, match", [
+    (b"HTTP/1.1 OK\r\n\r\n", "malformed status line"),
+    (
+        f"HTTP/1.1 200 OK\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+        "\r\n\r\n".encode(),
+        "Content-Length out of range",
+    ),
+])
+def test_loadgen_fails_on_a_malformed_response(serve, answer, match):
+    def garble(server, conn):
+        server.read_request(conn)
+        conn.sendall(answer)
+
+    server = serve(garble)
+    with pytest.raises(ProtocolError, match=match):
+        run_loadgen(_healthz_plan(server.port), concurrency=1,
+                    duration_s=0.3)

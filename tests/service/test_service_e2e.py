@@ -4,12 +4,15 @@ One module-scoped server holds the small seed-7 scenario; every
 relationship the HTTP API serves is cross-checked against the in-process
 ``Scenario.infer`` results (the acceptance criterion of the service PR).
 Separate short-lived servers cover LRU eviction at pool size 1,
-single-flight admission under thread concurrency, and event-loop
-responsiveness while a build is in flight.
+single-flight admission under thread concurrency, event-loop
+responsiveness while a build is in flight, and the read deadline and
+shutdown of idle connections.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
 from typing import Iterator
@@ -19,6 +22,7 @@ import pytest
 from repro import small_scenario
 from repro.analysis.export import profile_rows, table_dict
 from repro.service import ReproService, ServiceClient, ServiceError, serve_in_thread
+from repro.service import app as app_module
 from repro.service.query import REL_NAMES
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -259,6 +263,36 @@ def test_400_shapes(client):
     )
 
 
+def test_self_loop_links_are_structured_400s(client, admitted):
+    error = expect_error(
+        lambda: client.rel("asrank", 174, 174), 400, "invalid_link"
+    )
+    assert error.details == {"as1": 174, "as2": 174}
+    error = expect_error(
+        lambda: client.request(
+            "POST", "/v1/rel/asrank:batch", {"links": [[1, 2], [174, 174]]}
+        ),
+        400,
+        "invalid_body",
+    )
+    assert error.message.startswith("links[1] must be")
+
+
+def test_batch_too_large_shape():
+    """The 413 contract fires before any scenario is even resolved."""
+    service = ReproService(pool_size=1)
+    with serve_in_thread(service) as live:
+        client = ServiceClient(port=live.port)
+        status, body = client.request_bytes(
+            "POST", "/v1/rel/asrank:batch",
+            {"links": [[1, 2]] * 10_001},
+        )
+        client.close()
+    assert status == 413
+    payload = json.loads(body)
+    assert payload["error"]["code"] == "batch_too_large"
+    assert "10000" in payload["error"]["message"]
+
 def test_malformed_json_body_is_a_structured_400(server):
     import http.client
 
@@ -382,3 +416,46 @@ def test_healthz_stays_responsive_during_build():
             finally:
                 builder_thread.join(timeout=120)
             assert build_done.is_set()
+
+
+# ---------------------------------------------------------------------------
+# connection lifetime: the read deadline and shutdown
+# ---------------------------------------------------------------------------
+
+def _idle_keep_alive(port: int) -> http.client.HTTPConnection:
+    """A connection that has had one answer and now waits, kept open."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    conn.request("GET", "/healthz")
+    response = conn.getresponse()
+    response.read()
+    assert response.status == 200
+    return conn
+
+
+@pytest.mark.parametrize("sent", [b"", b"GET /hea"])
+def test_read_deadline_closes_stalled_connections(monkeypatch, sent):
+    """An idle keep-alive connection and a stalled request head are both
+    closed once the read deadline passes."""
+    monkeypatch.setattr(app_module, "READ_TIMEOUT_S", 0.2)
+    with serve_in_thread(ReproService(pool_size=1)) as live:
+        conn = _idle_keep_alive(live.port)
+        conn.sock.sendall(sent)
+        started = time.monotonic()
+        assert conn.sock.recv(1024) == b""
+        assert time.monotonic() - started < 5
+        conn.close()
+
+
+def test_stop_closes_idle_connections_promptly():
+    service = ReproService(pool_size=1)
+    with serve_in_thread(service) as live:
+        idle = _idle_keep_alive(live.port)
+        stalled = _idle_keep_alive(live.port)
+        stalled.sock.sendall(b"GET /hea")
+        started = time.monotonic()
+    # The read deadline is a minute; stop() must not wait for it.
+    assert time.monotonic() - started < 5
+    assert not service._connections
+    for conn in (idle, stalled):
+        assert conn.sock.recv(1024) == b""
+        conn.close()

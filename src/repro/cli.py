@@ -456,44 +456,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.loadgen import (
-        DEFAULT_MIX,
-        parse_mix,
-        prepare_plan,
-        run_loadgen,
-    )
-
-    try:
-        mix = parse_mix(args.mix) if args.mix else dict(DEFAULT_MIX)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"loadgen: preparing scenario (preset={args.preset}, "
-        f"seed={args.seed}) against {args.host}:{args.port} ...",
-        file=sys.stderr,
-    )
-    plan = prepare_plan(
-        args.host, args.port,
-        preset=args.preset, seed=args.seed,
-        ases=args.ases, vps=args.vps,
-        algorithm=args.algorithm, mix=mix,
-        batch_size=args.batch_size,
-        loadgen_seed=args.loadgen_seed,
-    )
-    print(
-        f"loadgen: {args.concurrency} task(s) for {args.duration:.1f}s "
-        f"over {len(plan.links)} links / {len(plan.asns)} ASNs ...",
-        file=sys.stderr,
-    )
-    result = run_loadgen(
-        plan, concurrency=args.concurrency, duration_s=args.duration
-    )
-    print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
-    return 0 if result.total_requests > 0 and result.errors == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 
 def make_parser() -> argparse.ArgumentParser:
@@ -632,40 +594,6 @@ def make_parser() -> argparse.ArgumentParser:
                          help="cache root (default $REPRO_CACHE_DIR "
                               "or ~/.cache/repro)")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="drive a running service with a closed-loop benchmark "
-             "and print its JSON result",
-    )
-    p_loadgen.add_argument("--host", default="127.0.0.1",
-                           help="service address (default 127.0.0.1)")
-    p_loadgen.add_argument("--port", type=int, required=True,
-                           help="service port")
-    p_loadgen.add_argument("--duration", type=float, default=5.0,
-                           help="seconds of timed load (default 5)")
-    p_loadgen.add_argument("--concurrency", type=int, default=8,
-                           help="closed-loop client tasks (default 8)")
-    p_loadgen.add_argument("--mix", default=None,
-                           help="endpoint mix, e.g. 'rel=4,batch=1,"
-                                "neighbors=2' (default)")
-    p_loadgen.add_argument("--batch-size", type=int, default=256,
-                           help="links per :batch request (default 256)")
-    p_loadgen.add_argument("--algorithm", default="asrank",
-                           choices=ALGORITHM_NAMES,
-                           help="algorithm to query (default asrank)")
-    p_loadgen.add_argument("--preset", default="small",
-                           choices=("small", "default"),
-                           help="scenario preset to admit (default small)")
-    p_loadgen.add_argument("--seed", type=int, default=7,
-                           help="scenario seed (default 7)")
-    p_loadgen.add_argument("--ases", type=int, default=None,
-                           help="override the preset's AS count")
-    p_loadgen.add_argument("--vps", type=int, default=None,
-                           help="override the preset's vantage-point count")
-    p_loadgen.add_argument("--loadgen-seed", type=int, default=0,
-                           help="seed for the request streams (default 0)")
-    p_loadgen.set_defaults(func=cmd_loadgen)
 
     return parser
 

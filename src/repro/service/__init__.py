@@ -8,9 +8,9 @@ consumer to import Python and rebuild a scenario in-process.
 The subsystem is stdlib-only (``asyncio`` + hand-rolled HTTP/1.1 over
 :func:`asyncio.start_server`, JSON bodies) and splits into:
 
-* :mod:`repro.service.http` — request and response framing, JSON
-  responses, and the structured :class:`~repro.service.http.ApiError`
-  every handler speaks;
+* :mod:`repro.service.http` — request framing, JSON responses, and
+  the structured :class:`~repro.service.http.ApiError` every handler
+  speaks;
 * :mod:`repro.service.pool` — :class:`~repro.service.pool.ScenarioPool`,
   an LRU of built :class:`~repro.scenario.Scenario` objects keyed by
   canonical config fingerprint, with single-flight builds that run in an
@@ -22,13 +22,15 @@ The subsystem is stdlib-only (``asyncio`` + hand-rolled HTTP/1.1 over
   the routed application plus ``/healthz`` and ``/metrics``;
 * :mod:`repro.service.client` — the small blocking
   :class:`~repro.service.client.ServiceClient` used by tests, examples,
-  and scripts;
+  and scripts, and the package's one HTTP/1.1 client;
 * :mod:`repro.service.supervisor` — the pre-fork
   :class:`~repro.service.supervisor.Supervisor` behind
   ``repro serve --serve-workers N`` (SO_REUSEPORT fan-out, crash
-  restarts with backoff, signal-propagated drain);
-* :mod:`repro.service.loadgen` — the deterministic closed-loop load
-  generator behind ``repro loadgen``.
+  restarts with backoff, signal-propagated drain).
+
+Serving numbers come from perfbench's ``serve_mix`` workload::
+
+    python3 perfbench/run.py --workload serve_mix --seed 1 --seconds 15
 
 Run it from the CLI (``repro serve --port 8787``) or embed it::
 
@@ -43,21 +45,17 @@ Run it from the CLI (``repro serve --port 8787``) or embed it::
 from repro.service.app import ReproService, serve_in_thread
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import ApiError
-from repro.service.loadgen import LoadgenResult, prepare_plan, run_loadgen
 from repro.service.pool import ScenarioPool
 from repro.service.query import ScenarioView
 from repro.service.supervisor import Supervisor
 
 __all__ = [
     "ApiError",
-    "LoadgenResult",
     "ReproService",
     "ScenarioPool",
     "ScenarioView",
     "ServiceClient",
     "ServiceError",
     "Supervisor",
-    "prepare_plan",
-    "run_loadgen",
     "serve_in_thread",
 ]

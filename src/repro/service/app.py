@@ -158,8 +158,8 @@ class ReproService:
         """Bind and start serving; ``port=0`` picks a free port.
 
         ``sock`` serves on an already-bound listening socket instead —
-        the supervisor's pre-fork path, where the parent (or the
-        SO_REUSEPORT kernel machinery) owns port selection.
+        a supervisor worker's own ``SO_REUSEPORT`` listener on the port
+        its parent reserved.
         """
         if sock is not None:
             self._server = await asyncio.start_server(
@@ -257,7 +257,8 @@ class ReproService:
                 if request is None:
                     break
                 status, payload = await self._dispatch(request)
-                keep = request.keep_alive
+                # An answer given during shutdown is the connection's last.
+                keep = request.keep_alive and self._server is not None
                 writer.write(json_response(status, payload, keep_alive=keep))
                 await writer.drain()
                 if not keep:
@@ -283,6 +284,17 @@ class ReproService:
                 status, payload = await route.handler(request, **params)
             except ApiError as exc:
                 status, payload = exc.status, exc.payload()
+            except asyncio.CancelledError:
+                # stop() cancels in-flight builds and executor jobs, not
+                # connections: a handler awaiting one still answers.
+                if self._server is not None:
+                    raise
+                status = 503
+                payload = {"error": {
+                    "code": "shutting_down",
+                    "message": "the service stopped before this request "
+                               "finished",
+                }}
             except Exception as exc:  # never leak a traceback to the wire
                 traceback.print_exc(file=sys.stderr)
                 status = 500

@@ -4,15 +4,15 @@ Just enough of RFC 9112 for a JSON API: request-line + headers +
 ``Content-Length`` bodies in, ``Content-Length``-framed responses out,
 keep-alive by default.  No chunked transfer, no compression, no TLS —
 the service sits on a trusted host or behind a real reverse proxy.
-The server reads requests with :func:`read_request`, the load generator
-responses with :func:`read_response`; both share one header reader.
+:func:`read_request` is the package's one HTTP/1.1 parser; the client
+side, :class:`~repro.service.client.ServiceClient`, reads responses
+with the stdlib's ``http.client``.
 
 Two error channels are distinguished on purpose:
 
-* :class:`ProtocolError` — the bytes on the wire are not HTTP (or blow
-  a size limit).  The connection gets one ``400`` and is closed.
-  :class:`TruncatedMessage`, its subclass, means the peer closed the
-  stream partway through a message.
+* :class:`ProtocolError` — the bytes on the wire are not HTTP, blow a
+  size limit, or stop partway through a request.  The connection gets
+  one ``400`` and is closed.
 * :class:`ApiError` — the request parsed fine but the API rejects it
   (unknown route, unknown scenario, malformed JSON body...).  These
   become structured JSON error bodies, never tracebacks, and the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 #: Hard ceilings that keep one bad client from ballooning memory.
@@ -45,10 +45,6 @@ REASONS = {
 
 class ProtocolError(Exception):
     """The peer sent bytes that cannot be framed as HTTP/1.1."""
-
-
-class TruncatedMessage(ProtocolError):
-    """The peer closed the stream partway through a message."""
 
 
 class ApiError(Exception):
@@ -95,12 +91,26 @@ class Request:
             ) from exc
 
 
-async def _read_headers_and_body(
-    reader: asyncio.StreamReader,
-) -> Tuple[Dict[str, str], bytes]:
-    """Read the header block and its ``Content-Length`` body.  Each
-    line awaits the stream directly (here and in the start-line readers):
-    a helper coroutine per line cost ~2 us per request."""
+async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    """Read one request off the stream; ``None`` on a clean EOF.
+
+    Raises :class:`ProtocolError` for anything that is not well-formed
+    HTTP/1.x — the caller answers 400 once and closes the connection.
+    """
+    try:
+        raw_line = await reader.readline()
+    except (ValueError, asyncio.LimitOverrunError) as exc:
+        raise ProtocolError(f"request line too long: {exc}") from exc
+    if not raw_line:
+        return None
+    line = raw_line.decode("latin-1").strip()
+    if not line:
+        raise ProtocolError("empty request line")
+    parts = line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
+        raise ProtocolError(f"malformed request line: {line!r}")
+    method, target, _version = parts
+
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADER_LINES):
         try:
@@ -108,7 +118,7 @@ async def _read_headers_and_body(
         except (ValueError, asyncio.LimitOverrunError) as exc:
             raise ProtocolError(f"header line too long: {exc}") from exc
         if not raw_header:
-            raise TruncatedMessage("connection closed mid-headers")
+            raise ProtocolError("connection closed mid-headers")
         header = raw_header.decode("latin-1").rstrip("\r\n")
         if header == "":
             break
@@ -133,30 +143,7 @@ async def _read_headers_and_body(
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
-            raise TruncatedMessage("connection closed mid-body") from exc
-    return headers, body
-
-
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Read one request off the stream; ``None`` on a clean EOF.
-
-    Raises :class:`ProtocolError` for anything that is not well-formed
-    HTTP/1.x — the caller answers 400 once and closes the connection.
-    """
-    try:
-        raw_line = await reader.readline()
-    except (ValueError, asyncio.LimitOverrunError) as exc:
-        raise ProtocolError(f"request line too long: {exc}") from exc
-    if not raw_line:
-        return None
-    line = raw_line.decode("latin-1").strip()
-    if not line:
-        raise ProtocolError("empty request line")
-    parts = line.split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-        raise ProtocolError(f"malformed request line: {line!r}")
-    method, target, _version = parts
-    headers, body = await _read_headers_and_body(reader)
+            raise ProtocolError("connection closed mid-body") from exc
 
     split = urlsplit(target)
     query = {
@@ -171,34 +158,6 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         headers=headers,
         body=body,
     )
-
-
-async def read_response(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[int, Dict[str, str], bytes]]:
-    """Read one response as ``(status, headers, body)``; ``None`` on a
-    clean EOF before the status line.
-
-    Raises :class:`ProtocolError` under the same rules and limits as
-    :func:`read_request`.
-    """
-    try:
-        raw_line = await reader.readline()
-    except (ValueError, asyncio.LimitOverrunError) as exc:
-        raise ProtocolError(f"status line too long: {exc}") from exc
-    if not raw_line:
-        return None
-    line = raw_line.decode("latin-1").strip()
-    parts = line.split(None, 2)
-    if (
-        len(parts) < 2
-        or not parts[0].startswith("HTTP/1")
-        or len(parts[1]) != 3
-        or not parts[1].isdecimal()
-    ):
-        raise ProtocolError(f"malformed status line: {line!r}")
-    headers, body = await _read_headers_and_body(reader)
-    return int(parts[1]), headers, body
 
 
 def json_response(status: int, payload: Any, keep_alive: bool = True) -> bytes:

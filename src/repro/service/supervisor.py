@@ -1,18 +1,13 @@
 """Pre-fork multi-process serving: ``repro serve --serve-workers N``.
 
 One :class:`Supervisor` parent binds the service port, forks N worker
-processes, and babysits them:
-
-* **SO_REUSEPORT path** (Linux, modern BSDs) — the parent binds a
-  non-listening *reservation* socket (resolving ``port=0`` and holding
-  the port), and every worker opens its own ``SO_REUSEPORT`` listening
-  socket on the resolved address.  The kernel hashes incoming
-  connections across the listening sockets, so load spreads with no
-  accept-lock in userspace, and a dead worker's backlog dies with it.
-* **Fallback path** — the parent opens one listening socket before
-  forking; every worker inherits it and serves ``accept`` races off the
-  shared queue.  Functionally identical, just kernel-balanced less
-  evenly.
+processes, and babysits them.  The parent binds a non-listening
+``SO_REUSEPORT`` *reservation* socket (resolving ``port=0`` and holding
+the port), and every worker opens its own ``SO_REUSEPORT`` listening
+socket on the resolved address.  The kernel hashes incoming connections
+across the listening sockets, so load spreads with no accept-lock in
+userspace, and a dead worker's backlog dies with it.  Every platform
+with ``os.fork`` has ``SO_REUSEPORT``.
 
 Workers run the ordinary :class:`~repro.service.ReproService` event
 loop (``announce=False`` — the parent prints the single canonical
@@ -55,11 +50,6 @@ POLL_S = 0.05
 READY_TIMEOUT_S = 15.0
 
 
-def reuseport_available() -> bool:
-    """Whether this platform can spread accepts via ``SO_REUSEPORT``."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 def _reuseport_socket(host: str, port: int, listen: bool) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
@@ -67,18 +57,6 @@ def _reuseport_socket(host: str, port: int, listen: bool) -> socket.socket:
         sock.bind((host, port))
         if listen:
             sock.listen(128)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
-def _listening_socket(host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
     except BaseException:
         sock.close()
         raise
@@ -125,7 +103,6 @@ class Supervisor:
         self._slots: List[_WorkerSlot] = [
             _WorkerSlot(i) for i in range(serve_workers)
         ]
-        self._reuseport = reuseport_available()
         self._parent_sock: Optional[socket.socket] = None
         self._shutdown = False
         self._signum = signal.SIGTERM
@@ -136,19 +113,14 @@ class Supervisor:
     def _bind(self) -> None:
         """Resolve and hold the service port in the parent.
 
-        With ``SO_REUSEPORT`` the parent's socket is bound but **not**
-        listening — TCP only delivers connections to listening members
-        of a reuseport group, so this is a pure port reservation and
-        every worker's own listening socket receives the traffic.
+        The parent's socket is bound but **not** listening — TCP only
+        delivers connections to listening members of a reuseport group,
+        so this is a pure port reservation and every worker's own
+        listening socket receives the traffic.
         """
-        if self._reuseport:
-            self._parent_sock = _reuseport_socket(
-                self.requested_host, self.requested_port, listen=False
-            )
-        else:
-            self._parent_sock = _listening_socket(
-                self.requested_host, self.requested_port
-            )
+        self._parent_sock = _reuseport_socket(
+            self.requested_host, self.requested_port, listen=False
+        )
         bound = self._parent_sock.getsockname()
         self.host, self.port = bound[0], bound[1]
 
@@ -191,10 +163,7 @@ class Supervisor:
             # propagation code inside the child.
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             signal.signal(signal.SIGINT, signal.SIG_DFL)
-            if self._reuseport:
-                sock = _reuseport_socket(self.host, self.port, listen=True)
-            else:
-                sock = self._parent_sock
+            sock = _reuseport_socket(self.host, self.port, listen=True)
             # The port now queues connections for this worker; tell the
             # parent before the (comparatively slow) service build.
             os.write(ready_fd, b"1")

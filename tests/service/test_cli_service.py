@@ -203,28 +203,6 @@ def test_serve_subprocess_smoke():
 
 
 # ---------------------------------------------------------------------------
-# repro loadgen
-# ---------------------------------------------------------------------------
-
-def test_loadgen_cli_prints_json_and_writes_nothing(
-    tmp_path, monkeypatch, capsys
-):
-    from repro.service import ReproService, serve_in_thread
-
-    monkeypatch.chdir(tmp_path)
-    with serve_in_thread(ReproService(pool_size=1)) as live:
-        rc = cli.main([
-            "loadgen", "--port", str(live.port),
-            "--duration", "0.5", "--concurrency", "2",
-        ])
-    assert rc == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["total_requests"] > 0
-    assert result["errors"] == 0
-    assert list(tmp_path.iterdir()) == []
-
-
-# ---------------------------------------------------------------------------
 # repro corpus stats
 # ---------------------------------------------------------------------------
 

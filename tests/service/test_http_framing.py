@@ -1,8 +1,7 @@
-"""HTTP/1.1 framing of requests and responses, fed from raw bytes.
+"""HTTP/1.1 request framing, fed from raw bytes.
 
-``read_request`` (the server's side) and ``read_response`` (the load
-generator's side) share one header-and-body reader, so each framing
-rule and size limit is checked on both.
+``read_request`` is the package's one HTTP/1.1 parser; each framing
+rule and size limit is checked against it.
 """
 
 from __future__ import annotations
@@ -15,19 +14,14 @@ from repro.service.http import (
     MAX_BODY_BYTES,
     MAX_HEADER_LINES,
     ProtocolError,
-    TruncatedMessage,
-    json_response,
     read_request,
-    read_response,
 )
 
 REQUEST_LINE = b"POST /v1/rel/asrank:batch?scenario=ab12 HTTP/1.1\r\n"
-STATUS_LINE = b"HTTP/1.1 200 OK\r\n"
 
-#: Each reader with a well-formed start line for it.
+#: The reader with a well-formed start line for it.
 READERS = [
     pytest.param(read_request, REQUEST_LINE, id="request"),
-    pytest.param(read_response, STATUS_LINE, id="response"),
 ]
 
 
@@ -56,20 +50,6 @@ def test_well_formed_request():
     assert request.keep_alive
 
 
-def test_well_formed_response():
-    status, headers, body = feed(
-        read_response, json_response(404, {"error": "gone"}, keep_alive=False)
-    )
-    assert status == 404
-    assert headers["connection"] == "close"
-    assert headers["content-length"] == str(len(body))
-    assert body == b'{"error": "gone"}'
-
-
-def test_response_reason_phrase_is_optional():
-    assert feed(read_response, b"HTTP/1.1 204\r\n\r\n") == (204, {}, b"")
-
-
 @pytest.mark.parametrize("read, start", READERS)
 def test_clean_eof_is_none(read, start):
     assert feed(read, b"") is None
@@ -79,10 +59,6 @@ def test_clean_eof_is_none(read, start):
     (read_request, b"GET /\r\n"),
     (read_request, b"GET / SPDY/3\r\n"),
     (read_request, b"\r\n"),
-    (read_response, b"HTTP/1.1\r\n"),
-    (read_response, b"HTTP/1.1 OK 200\r\n"),
-    (read_response, b"HTTP/1.1 2000 OK\r\n"),
-    (read_response, b"ICY 200 OK\r\n"),
 ])
 def test_malformed_start_line(read, line):
     with pytest.raises(ProtocolError, match="line"):
@@ -113,13 +89,13 @@ def test_bad_content_length(read, start, length):
 
 @pytest.mark.parametrize("read, start", READERS)
 def test_truncated_body(read, start):
-    with pytest.raises(TruncatedMessage, match="mid-body"):
+    with pytest.raises(ProtocolError, match="connection closed mid-body"):
         feed(read, start + b"Content-Length: 10\r\n\r\n{}")
 
 
 @pytest.mark.parametrize("read, start", READERS)
 def test_truncated_headers(read, start):
-    with pytest.raises(TruncatedMessage, match="mid-headers"):
+    with pytest.raises(ProtocolError, match="connection closed mid-headers"):
         feed(read, start + b"Content-Length: 10\r\n")
 
 

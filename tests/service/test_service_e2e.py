@@ -5,14 +5,17 @@ relationship the HTTP API serves is cross-checked against the in-process
 ``Scenario.infer`` results (the acceptance criterion of the service PR).
 Separate short-lived servers cover LRU eviction at pool size 1,
 single-flight admission under thread concurrency, event-loop
-responsiveness while a build is in flight, and the read deadline and
-shutdown of idle connections.
+responsiveness while a build is in flight, the worker label in
+``/metrics``, and the read deadline and shutdown of idle and building
+connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import logging
+import os
 import threading
 import time
 from typing import Iterator
@@ -418,6 +421,15 @@ def test_healthz_stays_responsive_during_build():
             assert build_done.is_set()
 
 
+def test_metrics_reports_worker_label():
+    service = ReproService(pool_size=1)
+    snapshot = service.metrics.snapshot(service.pool)
+    assert snapshot["worker"] == {"index": 0, "pid": os.getpid()}
+    service.metrics.worker_index = 3
+    assert service.metrics.snapshot()["worker"]["index"] == 3
+    service.pool.close()
+
+
 # ---------------------------------------------------------------------------
 # connection lifetime: the read deadline and shutdown
 # ---------------------------------------------------------------------------
@@ -459,3 +471,37 @@ def test_stop_closes_idle_connections_promptly():
     for conn in (idle, stalled):
         assert conn.sock.recv(1024) == b""
         conn.close()
+
+
+def test_stop_mid_build_answers_503(capfd, caplog):
+    """A build cut short by stop() answers 503 and closes; nothing is
+    printed and no callback error is logged."""
+    prebuilt = small_scenario()
+
+    def slow_builder(config, workers=0, cache=None):
+        time.sleep(2.0)
+        return prebuilt
+
+    answers = []
+
+    def build(port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request("POST", "/v1/scenarios", body=b'{"preset": "small"}')
+        response = conn.getresponse()
+        answers.append((response.status, response.getheader("Connection"),
+                        json.loads(response.read())))
+        conn.close()
+
+    capfd.readouterr()
+    with serve_in_thread(ReproService(pool_size=1, builder=slow_builder)) as live:
+        requester = threading.Thread(target=build, args=(live.port,))
+        requester.start()
+        time.sleep(0.5)
+    requester.join(timeout=30)
+    assert len(answers) == 1
+    status, connection, body = answers[0]
+    assert status == 503
+    assert connection == "close"
+    assert body["error"]["code"] == "shutting_down"
+    assert capfd.readouterr().err == ""
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

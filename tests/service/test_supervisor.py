@@ -25,7 +25,7 @@ from repro.config import ScenarioConfig
 from repro.scenario import build_scenario
 from repro.pipeline.cache import ArtifactCache
 from repro.service.client import ServiceClient
-from repro.service.supervisor import Supervisor, reuseport_available
+from repro.service.supervisor import Supervisor
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -88,10 +88,6 @@ def _worker_pids(port: int, attempts: int = 60) -> set:
     return pids
 
 
-@pytest.mark.skipif(
-    not reuseport_available(),
-    reason="SO_REUSEPORT spread is kernel-dependent",
-)
 def test_connections_spread_across_workers(supervised):
     _proc, port, _sid, _cache_dir = supervised
     pids = _worker_pids(port)

@@ -108,6 +108,12 @@ class ServiceClient:
                 self.close()
                 if attempt:
                     raise
+            except BaseException:
+                # Any other failure (a garbled or truncated answer)
+                # leaves the connection mid-exchange; drop it so the
+                # next call starts fresh instead of CannotSendRequest.
+                self.close()
+                raise
         return response.status, data
 
     @staticmethod

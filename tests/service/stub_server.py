@@ -1,4 +1,4 @@
-"""A one-thread stub HTTP server for the client and load-generator tests.
+"""A one-thread stub HTTP server for the client tests.
 
 It accepts connections one at a time on a localhost port and hands
 every connection to a handler, counting connections and the requests

@@ -1,7 +1,8 @@
-"""HTTP/1.1 request framing, fed from raw bytes.
+"""HTTP/1.1 request framing, fed from raw bytes, and response framing.
 
 ``read_request`` is the package's one HTTP/1.1 parser; each framing
-rule and size limit is checked against it.
+rule and size limit is checked against it.  ``json_response`` writes
+every answer the service sends.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import pytest
 from repro.service.http import (
     MAX_BODY_BYTES,
     MAX_HEADER_LINES,
+    ApiError,
     ProtocolError,
+    json_response,
     read_request,
 )
 
@@ -48,6 +51,63 @@ def test_well_formed_request():
     assert request.headers == {"host": "x", "content-length": "2"}
     assert request.body == b"{}"
     assert request.keep_alive
+
+
+def test_target_query_and_headers_are_normalised():
+    target = b"/v1/as/%31%32/neighbors?scenario=a&scenario=b&flag="
+    request = feed(
+        read_request,
+        b"get " + target + b" HTTP/1.1\r\n"
+        b"X-Tag:  one \r\nx-tag: two\r\n\r\n",
+    )
+    assert request.method == "GET"
+    assert request.target == target.decode()
+    assert request.path == "/v1/as/12/neighbors"
+    # The last of a repeated key wins; blank values are kept.
+    assert request.query == {"scenario": "b", "flag": ""}
+    assert request.headers == {"x-tag": "two"}
+    assert request.body == b""
+
+
+@pytest.mark.parametrize("connection, keep_alive", [
+    (None, True),
+    (b"keep-alive", True),
+    (b"close", False),
+    (b"Close", False),
+])
+def test_connection_header_decides_keep_alive(connection, keep_alive):
+    header = b"Connection: " + connection + b"\r\n" if connection else b""
+    request = feed(read_request, REQUEST_LINE + header + b"\r\n")
+    assert request.keep_alive is keep_alive
+
+
+def test_empty_body_decodes_to_empty_object():
+    assert feed(read_request, REQUEST_LINE + b"\r\n").json() == {}
+
+
+@pytest.mark.parametrize("body", [b"{", b"\xff\xfe"], ids=["json", "utf-8"])
+def test_undecodable_body_is_an_api_error(body):
+    request = feed(
+        read_request,
+        REQUEST_LINE + f"Content-Length: {len(body)}\r\n\r\n".encode() + body,
+    )
+    with pytest.raises(ApiError) as caught:
+        request.json()
+    assert (caught.value.status, caught.value.code) == (400, "invalid_json")
+
+
+@pytest.mark.parametrize("keep_alive", [True, False])
+def test_json_response_framing(keep_alive):
+    raw = json_response(418, {"b": 1, "a": [2]}, keep_alive=keep_alive)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0] == "HTTP/1.1 418 Unknown"
+    assert sorted(lines[1:]) == sorted([
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: " + ("keep-alive" if keep_alive else "close"),
+    ])
+    assert body == b'{"a": [2], "b": 1}'
 
 
 @pytest.mark.parametrize("read, start", READERS)

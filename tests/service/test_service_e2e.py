@@ -326,6 +326,25 @@ def test_metrics_counters_move(client):
     assert after["pool"]["capacity"] == 2
 
 
+def test_mixed_endpoints_share_one_keep_alive_connection(server, admitted):
+    """Point, batch, neighbour and health requests, interleaved, all
+    answer 200 on the one connection they arrived on."""
+    a, b = admitted["sample_links"][0]
+    mix = [
+        ("GET", f"/v1/rel/asrank/{a}/{b}", None),
+        ("POST", "/v1/rel/asrank:batch", {"links": [[a, b], [b, a]]}),
+        ("GET", f"/v1/as/{a}/neighbors", None),
+        ("GET", "/healthz", None),
+    ]
+    with ServiceClient(port=server.port) as fresh:
+        assert fresh.request_bytes("GET", "/healthz")[0] == 200
+        sock = fresh._conn.sock
+        for _ in range(5):
+            for method, path, body in mix:
+                assert fresh.request_bytes(method, path, body)[0] == 200
+        assert fresh._conn.sock is sock
+
+
 # ---------------------------------------------------------------------------
 # pool behaviour through the API: eviction, single-flight, liveness
 # ---------------------------------------------------------------------------

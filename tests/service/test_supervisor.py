@@ -13,6 +13,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -25,7 +26,8 @@ from repro.config import ScenarioConfig
 from repro.scenario import build_scenario
 from repro.pipeline.cache import ArtifactCache
 from repro.service.client import ServiceClient
-from repro.service.supervisor import Supervisor
+from repro.service import supervisor as supervisor_module
+from repro.service.supervisor import Supervisor, _WorkerSlot
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -239,3 +241,68 @@ def test_multi_worker_requires_cache(capsys):
 def test_supervisor_rejects_bad_worker_count():
     with pytest.raises(ValueError, match="at least 1"):
         Supervisor(lambda: None, serve_workers=0)
+
+
+# ---------------------------------------------------------------------------
+# socket plumbing and restart backoff (no processes spawned)
+# ---------------------------------------------------------------------------
+
+def test_parent_reserves_the_port_and_worker_listeners_take_connections():
+    supervisor = Supervisor(lambda: None, port=0)
+    supervisor._bind()
+    reservation = supervisor._parent_sock
+    try:
+        assert supervisor.port == reservation.getsockname()[1] != 0
+        # The reservation does not listen: nothing answers yet.
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((supervisor.host, supervisor.port), 5)
+        listener = supervisor_module._reuseport_socket(
+            supervisor.host, supervisor.port, listen=True
+        )
+        with listener, socket.create_connection(
+            (supervisor.host, supervisor.port), 5
+        ):
+            accepted, _ = listener.accept()
+            accepted.close()
+    finally:
+        reservation.close()
+
+
+def test_reservation_keeps_other_sockets_off_the_port():
+    supervisor = Supervisor(lambda: None, port=0)
+    supervisor._bind()
+    try:
+        with socket.socket() as plain, pytest.raises(OSError):
+            plain.bind((supervisor.host, supervisor.port))
+    finally:
+        supervisor._parent_sock.close()
+
+
+def test_failed_bind_closes_the_socket(monkeypatch):
+    made = []
+
+    class Recorded(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        monkeypatch.setattr(supervisor_module.socket, "socket", Recorded)
+        with pytest.raises(OSError):
+            supervisor_module._reuseport_socket(
+                "127.0.0.1", taken.getsockname()[1], listen=True
+            )
+    assert len(made) == 1
+    assert made[0].fileno() == -1
+
+
+def test_restart_backoff_doubles_up_to_the_cap():
+    slot = _WorkerSlot(0)
+    delays = []
+    for restarts in range(12):
+        slot.restarts = restarts
+        delays.append(slot.backoff())
+    assert delays[:5] == [0.0, 0.5, 1.0, 2.0, 4.0]
+    assert max(delays) == delays[-1] == supervisor_module.BACKOFF_CAP_S

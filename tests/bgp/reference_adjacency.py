@@ -5,9 +5,10 @@ plane used to be compiled from; :func:`compile_plane` is that compile
 (ASN-sorted ids, per-table CSR, a per-link partial-transit lookup).
 Both are kept verbatim as oracles:
 
-* the dict reference engine (``reference_engine.py``) and the
-  invariant checks of ``test_propagation_differential.py`` read the
-  tables;
+* the propagation oracle (``reference_engine.py``, a path-vector
+  simulation written from the policy rules) reads the tables as each
+  AS's neighbour sets, and the invariant checks of
+  ``test_propagation_differential.py`` read them too;
 * ``test_plane_build_differential.py`` checks that
   :class:`~repro.bgp.propagation.PropagationPlane`, built from the
   graph's links with numpy, holds exactly the compiled arrays.

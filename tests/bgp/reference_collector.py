@@ -7,8 +7,10 @@ the informational tag of every hop but the last survives iff no
 earlier hop strips foreign communities.  It reads routes through the
 per-origin protocol only (``has_route`` / ``pref[asn]`` /
 ``path_from``), so it runs on shipped
-:class:`~repro.bgp.propagation.RouteArrays` rows, on the reference
-engine's dict trees, and on :class:`AttackTreeView` below.
+:class:`~repro.bgp.propagation.RouteArrays` rows, on the dict trees of
+the propagation oracle (``reference_engine.py``, a path-vector
+simulation written from the policy rules, not from the plane), and on
+:class:`AttackTreeView` below.
 
 The shipped :class:`~repro.bgp.collectors.RouteReducer` is checked
 against it route for route in ``test_collection_differential.py``.

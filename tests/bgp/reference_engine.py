@@ -1,25 +1,38 @@
-"""Test-only reference engine for Gao-Rexford route propagation.
+"""Test-only propagation oracle: a path-vector simulation of Gao-Rexford.
 
-A plain per-origin dict BFS with the same three-stage semantics and
-tie-breaks as :class:`repro.bgp.propagation.PropagationPlane`: customer
-routes up (partial-transit routes stop exporting), one peer-offer pass,
-then provider routes down through a bucket queue by path length; ties
-go to the shorter path, then the lower neighbour ASN.  It ships with
-the tests only, as the fixed reference the vectorized plane is checked
-against AS-for-AS (``test_propagation_differential.py``,
-``test_routingtable.py`` and, for joint two-source routes,
-``tests/adversarial/test_attacks.py`` and
-``tests/adversarial/test_engine_differential.py``).
+Each AS keeps an Adj-RIB-In holding the last route every neighbour
+offered it.  A queue of ASes whose best route changed drives re-offers
+and withdrawals, neighbour by neighbour, until no best route changes
+(the shape of bgpsec-sim's ``find_routes_to``).  The policy is written
+from its definition, not taken from :mod:`repro.bgp.propagation`:
 
-Its results are :class:`RouteTree` dicts; :func:`as_tree` converts the
-shipped :class:`~repro.bgp.propagation.RouteArrays` into the same type
-so value-based tests compare like with like.
+* best route: customer over peer over provider, then the shorter AS
+  path, then the lower next-hop ASN;
+* export: an originator's own route and customer routes go to every
+  neighbour, every route goes to customers; a customer route learned
+  over a partial-transit ``(provider, customer)`` link is *restricted*
+  to customers; siblings exchange routes as peers;
+* loop detection: an AS drops an offer whose path already holds it.
+
+Joint (attack) routes add a second originator, the attacker, whose
+route starts at the forged length ``claim_dist`` with provenance 1;
+ASes in ``blocked`` refuse offers of provenance 1.
+
+With strict tie-breaks and no provider-customer cycle the stable state
+is unique whatever order offers arrive in, so this loop, with no stages
+and no bucket queue, must land on the routes of the staged passes of
+:class:`~repro.bgp.propagation.PropagationPlane`.  Sharing no structure
+with them, it does not agree by construction, so a fault in the plane
+shows as a disagreement; ``test_reference_engine.py`` checks it by hand.
+:func:`as_tree` turns :class:`~repro.bgp.propagation.RouteArrays` into
+the same :class:`RouteTree` dicts so tests compare like with like.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import RouteArrays
@@ -76,126 +89,101 @@ def as_tree(routes: RouteArrays) -> RouteTree:
     not BFS-discovery order; the tests compare by value).
     """
     routed = routes.routed_ids()
-    asns = routes.plane.asns[routed].tolist()
-    prefs = routes.pref_arr[routed].tolist()
-    dists = routes.dist_arr[routed].tolist()
-    parents = routes.parent_arr[routed].tolist()
-    restr = routes.restricted_arr[routed].tolist()
     plane_asns = routes.plane.asns
-    pref: Dict[int, RouteClass] = {}
-    dist: Dict[int, int] = {}
-    parent: Dict[int, Optional[int]] = {}
-    restricted: Dict[int, bool] = {}
-    for asn, p, d, par, r in zip(asns, prefs, dists, parents, restr):
-        pref[asn] = RouteClass(p)
-        dist[asn] = d
-        parent[asn] = int(plane_asns[par]) if par >= 0 else None
-        restricted[asn] = bool(r)
-    src: Optional[Dict[int, int]] = None
-    if routes.src_arr is not None:
-        src_values = routes.src_arr[routed].tolist()
-        src = dict(zip(asns, (int(s) for s in src_values)))
+    asns = plane_asns[routed].tolist()
+
+    def column(arr, convert):
+        return {a: convert(v) for a, v in zip(asns, arr[routed].tolist())}
+
     return RouteTree(
         origin=routes.origin,
-        pref=pref,
-        dist=dist,
-        parent=parent,
-        restricted=restricted,
-        src=src,
+        pref=column(routes.pref_arr, RouteClass),
+        dist=column(routes.dist_arr, int),
+        parent=column(
+            routes.parent_arr,
+            lambda par: int(plane_asns[par]) if par >= 0 else None,
+        ),
+        restricted=column(routes.restricted_arr, bool),
+        src=None if routes.src_arr is None else column(routes.src_arr, int),
     )
+
+
+class _Route(NamedTuple):
+    """A route as its holder sees it; ``(pref, dist, hop)`` is the
+    preference key, and ``hop`` (the sender) is unique per receiver."""
+
+    pref: RouteClass
+    dist: int
+    hop: Optional[int]  # None at an originator
+    path: Tuple[int, ...]  # holder first, originator last
+    src: int
+    restricted: bool
+
+
+def _simulate(
+    adj: AdjacencyIndex, seeds: Dict[int, _Route], blocked: Set[int]
+) -> Dict[int, _Route]:
+    """Best route of every AS once no best route changes any more."""
+    # learned_as[receiver][sender]: class of a route sender offers receiver
+    learned_as: Dict[int, Dict[int, RouteClass]] = {a: {} for a in adj.asns}
+    for table, pref in ((adj.customers, RouteClass.CUSTOMER),
+                        (adj.peers, RouteClass.PEER),
+                        (adj.providers, RouteClass.PROVIDER)):
+        for asn, neighbours in table.items():
+            learned_as[asn].update(dict.fromkeys(neighbours, pref))
+    rib_in: Dict[int, Dict[int, Optional[_Route]]] = {a: {} for a in adj.asns}
+    best: Dict[int, Optional[_Route]] = dict(seeds)
+    changed = deque(sorted(seeds))
+    while changed:
+        sender = changed.popleft()
+        route = best.get(sender)
+        for receiver in sorted(learned_as[sender]):
+            offer = None
+            if (
+                route is not None
+                and (
+                    learned_as[sender][receiver] is RouteClass.CUSTOMER
+                    or route.pref is RouteClass.SELF
+                    or (route.pref is RouteClass.CUSTOMER
+                        and not route.restricted)
+                )
+                and receiver not in route.path
+                and not (route.src == 1 and receiver in blocked)
+            ):
+                pref = learned_as[receiver][sender]
+                restricted = (pref is RouteClass.CUSTOMER
+                              and (receiver, sender) in adj.partial)
+                offer = _Route(pref, route.dist + 1, sender,
+                               (receiver,) + route.path, route.src, restricted)
+            if rib_in[receiver].get(sender) == offer:
+                continue
+            rib_in[receiver][sender] = offer  # None is a withdrawal
+            if receiver in seeds:
+                continue  # originators never adopt another route
+            new_best = min(filter(None, rib_in[receiver].values()),
+                           default=None)
+            if new_best != best.get(receiver):
+                best[receiver] = new_best
+                changed.append(receiver)
+    return {a: r for a, r in best.items() if r is not None}
+
+
+def _originator(asn: int, dist: int, src: int) -> _Route:
+    return _Route(RouteClass.SELF, dist, None, (asn,), src, False)
+
+
+def _tree(origin: int, best: Dict[int, _Route], joint: bool) -> RouteTree:
+    def column(field: str) -> dict:
+        return {a: getattr(r, field) for a, r in best.items()}
+
+    return RouteTree(origin, column("pref"), column("dist"), column("hop"),
+                     column("restricted"), column("src") if joint else None)
 
 
 def compute_route_tree(adj: AdjacencyIndex, origin: int) -> RouteTree:
-    """The per-origin dict BFS (honest single-source routes)."""
-    pref: Dict[int, RouteClass] = {origin: RouteClass.SELF}
-    dist: Dict[int, int] = {origin: 0}
-    parent: Dict[int, Optional[int]] = {origin: None}
-    restricted: Dict[int, bool] = {origin: False}
-
-    providers = adj.providers
-    customers = adj.customers
-    peers = adj.peers
-    partial = adj.partial
-
-    # ---- stage 1: customer routes ------------------------------------
-    # Level-synchronous BFS upward.  ``frontier`` holds ASes whose route
-    # is export-all; restricted holders are recorded but not expanded.
-    frontier: List[int] = [origin]
-    level = 0
-    while frontier:
-        level += 1
-        candidates: Dict[int, int] = {}
-        for asn in frontier:
-            for provider in providers[asn]:
-                if provider in pref:
-                    continue
-                best = candidates.get(provider)
-                if best is None or asn < best:
-                    candidates[provider] = asn
-        next_frontier: List[int] = []
-        for provider, chosen_child in candidates.items():
-            pref[provider] = RouteClass.CUSTOMER
-            dist[provider] = level
-            parent[provider] = chosen_child
-            is_restricted = (provider, chosen_child) in partial
-            restricted[provider] = is_restricted
-            if not is_restricted:
-                next_frontier.append(provider)
-        frontier = next_frontier
-
-    # ---- stage 2: peer routes ----------------------------------------
-    # Offers come only from export-all holders (SELF or unrestricted
-    # CUSTOMER routes).  Each receiver takes the best offer.
-    offers: Dict[int, Tuple[int, int]] = {}  # receiver -> (dist, sender)
-    for sender, sender_pref in pref.items():
-        if sender_pref is RouteClass.CUSTOMER and restricted.get(sender):
-            continue
-        sender_dist = dist[sender]
-        for receiver in peers[sender]:
-            if receiver in pref:
-                continue
-            offer = offers.get(receiver)
-            candidate = (sender_dist, sender)
-            if offer is None or candidate < offer:
-                offers[receiver] = candidate
-    for receiver, (sender_dist, sender) in offers.items():
-        pref[receiver] = RouteClass.PEER
-        dist[receiver] = sender_dist + 1
-        parent[receiver] = sender
-        restricted[receiver] = False
-
-    # ---- stage 3: provider routes ------------------------------------
-    # Everyone with a route exports it to customers.  A bucket queue by
-    # path length realises within-class shortest-path tie-breaking.
-    buckets: Dict[int, List[int]] = {}
-    for asn, asn_dist in dist.items():
-        buckets.setdefault(asn_dist, []).append(asn)
-    current_level = 0
-    max_level = max(buckets) if buckets else 0
-    while current_level <= max_level:
-        senders = buckets.get(current_level)
-        if senders:
-            candidates = {}
-            for sender in senders:
-                for customer in customers[sender]:
-                    if customer in pref:
-                        continue
-                    best = candidates.get(customer)
-                    if best is None or sender < best:
-                        candidates[customer] = sender
-            for customer, sender in candidates.items():
-                pref[customer] = RouteClass.PROVIDER
-                dist[customer] = current_level + 1
-                parent[customer] = sender
-                restricted[customer] = False
-                buckets.setdefault(current_level + 1, []).append(customer)
-                if current_level + 1 > max_level:
-                    max_level = current_level + 1
-        current_level += 1
-
-    return RouteTree(
-        origin=origin, pref=pref, dist=dist, parent=parent, restricted=restricted
-    )
+    """Honest single-source routes towards ``origin``."""
+    best = _simulate(adj, {origin: _originator(origin, 0, 0)}, set())
+    return _tree(origin, best, joint=False)
 
 
 def compute_attack_tree(
@@ -205,116 +193,8 @@ def compute_attack_tree(
     claim_dist: int,
     blocked: Set[int],
 ) -> RouteTree:
-    """The dict mirror of the joint two-source pass.
-
-    Same stage structure and tie-breaks as :func:`compute_route_tree`;
-    the attack source is pre-claimed with an export-all route of length
-    ``claim_dist``, offers from attack-descended routes are dropped at
-    ``blocked`` ASes, and the ``src`` column records provenance.
-    """
-    pref: Dict[int, RouteClass] = {origin: RouteClass.SELF}
-    dist: Dict[int, int] = {origin: 0}
-    parent: Dict[int, Optional[int]] = {origin: None}
-    restricted: Dict[int, bool] = {origin: False}
-    src: Dict[int, int] = {origin: 0}
-    pref[attacker] = RouteClass.SELF
-    dist[attacker] = claim_dist
-    parent[attacker] = None
-    restricted[attacker] = False
-    src[attacker] = 1
-
-    providers = adj.providers
-    customers = adj.customers
-    peers = adj.peers
-    partial = adj.partial
-
-    # ---- stage 1: customer routes ------------------------------------
-    # Level-bucketed BFS upward; the attack source enters its bucket at
-    # the forged claim length.
-    pending: Dict[int, List[int]] = {0: [origin]}
-    pending.setdefault(claim_dist, []).append(attacker)
-    level = 0
-    while pending:
-        if level not in pending:
-            level = min(pending)
-        frontier = pending.pop(level)
-        candidates: Dict[int, int] = {}
-        for asn in frontier:
-            from_attack = src[asn] == 1
-            for provider in providers[asn]:
-                if provider in pref:
-                    continue
-                if from_attack and provider in blocked:
-                    continue
-                best = candidates.get(provider)
-                if best is None or asn < best:
-                    candidates[provider] = asn
-        for provider, chosen_child in candidates.items():
-            pref[provider] = RouteClass.CUSTOMER
-            dist[provider] = level + 1
-            parent[provider] = chosen_child
-            src[provider] = src[chosen_child]
-            is_restricted = (provider, chosen_child) in partial
-            restricted[provider] = is_restricted
-            if not is_restricted:
-                pending.setdefault(level + 1, []).append(provider)
-        level += 1
-
-    # ---- stage 2: peer routes ----------------------------------------
-    offers: Dict[int, Tuple[int, int]] = {}  # receiver -> (dist, sender)
-    for sender, sender_pref in pref.items():
-        if sender_pref is RouteClass.CUSTOMER and restricted.get(sender):
-            continue
-        sender_dist = dist[sender]
-        from_attack = src[sender] == 1
-        for receiver in peers[sender]:
-            if receiver in pref:
-                continue
-            if from_attack and receiver in blocked:
-                continue
-            offer = offers.get(receiver)
-            candidate = (sender_dist, sender)
-            if offer is None or candidate < offer:
-                offers[receiver] = candidate
-    for receiver, (sender_dist, sender) in offers.items():
-        pref[receiver] = RouteClass.PEER
-        dist[receiver] = sender_dist + 1
-        parent[receiver] = sender
-        restricted[receiver] = False
-        src[receiver] = src[sender]
-
-    # ---- stage 3: provider routes ------------------------------------
-    buckets: Dict[int, List[int]] = {}
-    for asn, asn_dist in dist.items():
-        buckets.setdefault(asn_dist, []).append(asn)
-    current_level = 0
-    max_level = max(buckets) if buckets else 0
-    while current_level <= max_level:
-        senders = buckets.get(current_level)
-        if senders:
-            candidates = {}
-            for sender in senders:
-                from_attack = src[sender] == 1
-                for customer in customers[sender]:
-                    if customer in pref:
-                        continue
-                    if from_attack and customer in blocked:
-                        continue
-                    best = candidates.get(customer)
-                    if best is None or sender < best:
-                        candidates[customer] = sender
-            for customer, sender in candidates.items():
-                pref[customer] = RouteClass.PROVIDER
-                dist[customer] = current_level + 1
-                parent[customer] = sender
-                restricted[customer] = False
-                src[customer] = src[sender]
-                buckets.setdefault(current_level + 1, []).append(customer)
-                if current_level + 1 > max_level:
-                    max_level = current_level + 1
-        current_level += 1
-
-    return RouteTree(
-        origin=origin, pref=pref, dist=dist, parent=parent,
-        restricted=restricted, src=src,
-    )
+    """Joint routes for ``origin``'s prefix when ``attacker`` announces
+    it at forged length ``claim_dist``; ``src`` records provenance."""
+    seeds = {origin: _originator(origin, 0, 0),
+             attacker: _originator(attacker, claim_dist, 1)}
+    return _tree(origin, _simulate(adj, seeds, set(blocked)), joint=True)

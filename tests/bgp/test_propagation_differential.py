@@ -1,8 +1,11 @@
 """Differential and invariant proofs for the propagation engine.
 
-Three layers of evidence that the vectorized frontier-pass engine is
-the *same function* as the test-only dict reference engine
-(``reference_engine.py``), not merely similar:
+Three layers of evidence that the vectorized frontier-pass engine
+computes Gao-Rexford routes, checked against an oracle that shares
+none of its structure: the test-only reference engine
+(``reference_engine.py``) is a path-vector simulation written from the
+policy rules, whose unique stable state the plane's staged passes must
+reach, so agreement is not agreement by construction:
 
 1. **Differential matrix** — randomized topologies over many seeds
    (partial-transit links, peering-dense cores, multi-homed stubs,

@@ -199,7 +199,9 @@ def test_serve_subprocess_smoke():
             assert record["relationship"] in {"p2p", "p2c", "s2s", None}
     finally:
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=60) == 0
+        returncode = proc.wait(timeout=60)
+        proc.stdout.close()
+        assert returncode == 0
 
 
 # ---------------------------------------------------------------------------

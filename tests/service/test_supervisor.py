@@ -76,6 +76,7 @@ def supervised(tmp_path_factory):
         if proc.poll() is None:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=30)
+        proc.stdout.close()
 
 
 def _worker_pids(port: int, attempts: int = 60) -> set:
@@ -212,7 +213,9 @@ def test_sigterm_drains_cleanly(tmp_path):
     banner = proc.stdout.readline().strip()
     assert "listening on" in banner
     proc.send_signal(signal.SIGTERM)
-    assert proc.wait(timeout=30) == 0
+    returncode = proc.wait(timeout=30)
+    proc.stdout.close()
+    assert returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,12 @@ class HardLinkClassifier:
         directions across paths is a conflict.
         """
         index = self.corpus.columnar_index()
-        occ_pos, occ_route, pair_a, _ = index._pair_arrays()
-        _, link_lo, link_hi, occ_link = index._link_arrays()
+        occ_pos, occ_route = index._pair_arrays()
+        _, link_lo, link_hi, occ_link, _ = index._link_arrays()
         apex = index.route_apexes(index.transit_degree_array())[occ_route]
         down = occ_pos >= apex
         links = occ_link[down]
-        forward = pair_a[down] == link_lo[links]
+        forward = ~index._backward()[down]
         read = np.zeros((index.n_links, 2), dtype=bool)
         read[links, forward.astype(np.int64)] = True
         both = np.flatnonzero(read.all(axis=1))

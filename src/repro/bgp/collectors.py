@@ -343,7 +343,8 @@ class RouteReducer:
 
         # Parent walk into a -1-padded id matrix: one gather per hop for
         # every route at once; a finished path reads the trailing -1
-        # cell until the longest one ends.
+        # cell until the longest one ends.  A loop-free path holds at
+        # most n hops, so a longer walk means a parent cycle.
         end = rows * n
         parent = np.append(routes.parent_arr, -1)
         hop = self.vp_ids[vp_col]
@@ -353,6 +354,8 @@ class RouteReducer:
             if (hop < 0).all():
                 break
             steps.append(hop)
+            if len(steps) > n:
+                raise ValueError("parent pointers of the block form a cycle")
         ids = np.stack(steps, axis=1)
         on_path = ids >= 0
         lengths = on_path.sum(axis=1)

@@ -57,8 +57,11 @@ and holds every peer-route and customer-route source, so each VP's
 route and path come out exactly as on the full row.  The looking glass,
 routing tables and the attack pass keep full rows.
 
-``tests/bgp/reference_engine.py`` holds a plain dict BFS of the same
-semantics over dict adjacency tables; the differential suite in
+``tests/bgp/reference_engine.py`` holds an event-driven path-vector
+simulation written from the same policy rules over dict adjacency
+tables, sharing no stage with the plane: each AS keeps one offer per
+neighbour, picks the best, and re-offers or withdraws it when its
+choice changes.  The differential suite in
 ``tests/bgp/test_propagation_differential.py`` checks the plane
 against it AS-for-AS on randomized topologies, and pinned sha256
 digests hold full scenario artifacts fixed.
@@ -74,8 +77,10 @@ provenance bit (``src``: 0 = legitimate, 1 = attack) propagated along
 parent pointers, and a per-AS ``blocked`` mask — security-policy
 deployments plus AS-path loop detection — drops attack-source offers in
 all three stages while leaving legitimate offers untouched.  The test-only
-reference engine mirrors the joint pass, and pinned digests hold the
-polluted corpora of ``tests/adversarial/`` fixed.  With no attack the
+path-vector simulation seeds the attack source as a second originator
+with the same claim and blocking rules and is checked against the
+joint pass, and pinned digests hold the polluted corpora of
+``tests/adversarial/`` fixed.  With no attack the
 passes are bit-identical to the honest code path.
 """
 

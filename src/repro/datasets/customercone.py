@@ -81,8 +81,9 @@ def ppdc_cones(
     Figure 8 variant that removes the collector-peer bias.
     """
     index = corpus.columnar_index()
-    occ_pos, occ_route, pair_a, pair_b = index._pair_arrays()
-    _, link_lo, _, occ_link = index._link_arrays()
+    occ_pos, occ_route = index._pair_arrays()
+    pair_a, pair_b = index._pair_hops()
+    _, link_lo, _, occ_link, _ = index._link_arrays()
     offsets = corpus.columns().offsets
     ends = offsets[1:][occ_route]
     # Transit positions: the pair's downstream AS is not the origin.

@@ -107,7 +107,18 @@ class PathCorpus:
         once: the first one seen is kept, later ones are dropped.  This
         keeps multi-round (churn) collection linear in the number of
         *distinct* routes.
+
+        A path that repeats a hop consecutively (a self-loop link) is
+        refused with :class:`ValueError`, so every visible link joins
+        two distinct ASes.
         """
+        hops = columns.hops
+        repeats = hops[1:] == hops[:-1]
+        # A route's last hop and the next route's first form no pair.
+        repeats[columns.offsets[1:-1] - 1] = False
+        if repeats.any():
+            asn = int(hops[int(np.argmax(repeats))])
+            raise ValueError(f"AS path repeats AS{asn} consecutively")
         if self._seen is None:
             self._seen = set(self.columns().path_keys())
         seen = self._seen

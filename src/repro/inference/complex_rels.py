@@ -182,9 +182,9 @@ class ComplexRelationshipDetector:
         """Per link: how many distinct VPs' paths used it left-to-right
         vs right-to-left (canonical key order)."""
         index = corpus.columnar_index()
-        _, occ_route, pair_a, _ = index._pair_arrays()
-        _, link_lo, _, occ_link = index._link_arrays()
-        backward = (pair_a != link_lo[occ_link]).astype(np.int64)
+        _, occ_route = index._pair_arrays()
+        _, _, _, occ_link, _ = index._link_arrays()
+        backward = index._backward().astype(np.int64)
         slots = 2 * occ_link.astype(np.int64) + backward
         vps = corpus.columns().vp_column()[occ_route].astype(np.int64)
         # Distinct (link, direction, vp) triples, counted per slot the

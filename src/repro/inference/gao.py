@@ -36,8 +36,9 @@ class GaoInference(InferenceAlgorithm):
     def infer(self, corpus: PathCorpus) -> RelationshipSet:
         degrees = corpus.node_degrees()
         index = corpus.columnar_index()
-        occ_pos, occ_route, pair_a, pair_b = index._pair_arrays()
-        _, link_lo, link_hi, occ_link = index._link_arrays()
+        occ_pos, occ_route = index._pair_arrays()
+        pair_a, pair_b = index._pair_hops()
+        _, link_lo, link_hi, occ_link, _ = index._link_arrays()
         # Each pair's route apex: its first hop of highest degree.
         top = index.route_apexes(index.node_degree_array())[occ_route]
         # Pairs before the top AS ascend: the right-hand AS provides

@@ -14,9 +14,7 @@ storage with a numpy-backed columnar representation:
   needs (visible links, per-link VP visibility, transit/node degrees,
   triplets, left/right/origin link sides, clique evidence scans),
   computed lazily with vectorized array passes instead of per-route
-  Python loops.  Link and AS ids are interned via sorted unique arrays;
-  directed pairs and (link, vp) pairs are packed into ``uint64`` words
-  so deduplication is a single ``np.unique``.
+  Python loops (see *Sorts* below).
 * :func:`write_corpus_columns` / :func:`read_corpus_columns` — a
   compact binary artifact format (magic + JSON section directory +
   64-byte-aligned little-endian sections) that the artifact cache
@@ -41,6 +39,35 @@ are observable:
 view by view against such a reference index
 (``tests/pipeline/reference_corpus.py``) and pins the resulting
 artifact and as-rel bytes.
+
+Sorts
+-----
+The index sorts all pair occurrences (one per consecutive hop pair)
+once, for the link table; every other core view comes from that table
+or from one sort of far fewer, smaller keys:
+
+* **links** — one ``argsort`` of the packed ``lo << 32 | hi`` keys of
+  every occurrence gives ``link_pack`` (the sorted distinct keys), the
+  per-occurrence link id ``occ_link``, and each link's first
+  occurrence;
+* **visible ASes** — the distinct link endpoints (one sort of 2·L
+  values).  An AS's first-seen position is the minimum, over its
+  links, of ``2 * first_occurrence + side`` (``side`` 0 when it is the
+  left hop there), and an ``argsort`` of those n positions gives the
+  first-seen order;
+* **degrees** — node degree counts link endpoints; transit degree
+  counts the links whose endpoint sits in a transit position (neither
+  first nor last hop) in at least one occurrence, flagged with
+  ``bincount`` over ``occ_link``.  Ingest refuses self-loop hops, so
+  both endpoints of a link are distinct ASes;
+* **triplets** — two consecutive occurrences in one route, keyed in
+  int64 by dense AS ids (positions in the sorted visible-AS table) as
+  ``(a * n + x) * n + b``, then sorted and deduplicated.  The key fits
+  for ``n < 2**21`` visible ASes; at ``n >= 2**21`` building triplets
+  raises :class:`ValueError`;
+* **link-VP pairs, left/right/origin sides, clique scans** — packed
+  ``uint64`` words deduplicated by a sort and an adjacent-difference
+  mask (:func:`_distinct`).
 """
 
 from __future__ import annotations
@@ -78,11 +105,28 @@ _U64 = np.uint64
 _SHIFT32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MAX_U32 = 0xFFFFFFFF
+#: Visible-AS count from which dense ``(a * n + x) * n + b`` triplet
+#: keys overflow int64.
+_MAX_TRIPLET_ASES = 1 << 21
 
 
 def _pack32(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Pack two uint32-valued arrays into one uint64 word per element."""
     return (high.astype(_U64) << _SHIFT32) | low.astype(_U64)
+
+
+def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    starts = np.empty(len(sorted_values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending: one sort and a mask."""
+    ordered = np.sort(values)
+    return ordered[_group_starts(ordered)]
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -261,14 +305,15 @@ class ColumnarIndices:
     """Lazily-built vectorized derived views over one set of columns.
 
     Every attribute is computed at most once; queries after that are
-    binary searches or array lookups.  Derivations use only stable
-    primitives (``np.unique``, ``searchsorted``, ``bincount``,
-    ``repeat``), so equal columns always yield byte-equal indices.
+    binary searches or array lookups.  Derivations use only
+    deterministic primitives (sorts of whole keys, ``searchsorted``,
+    ``bincount``, ``repeat``), so equal columns always yield byte-equal
+    indices.
     """
 
     def __init__(self, columns: CorpusColumns) -> None:
         self.columns = columns
-        self._pairs: Optional[Tuple[np.ndarray, ...]] = None
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._links: Optional[Tuple[np.ndarray, ...]] = None
         self._link_vp: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._as_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -281,51 +326,67 @@ class ColumnarIndices:
     # ------------------------------------------------------------------
     # core derivations
     # ------------------------------------------------------------------
-    def _pair_arrays(self) -> Tuple[np.ndarray, ...]:
+    def _pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Directed consecutive pairs in path-major order.
 
-        Returns ``(occ_pos, occ_route, pair_a, pair_b)`` where
-        ``occ_pos`` indexes the left hop of each pair in ``hops``.
+        Returns ``(occ_pos, occ_route)`` where ``occ_pos`` indexes the
+        left hop of each pair in ``hops``; :meth:`_pair_hops` gathers
+        the hops themselves.
         """
         if self._pairs is None:
             cols = self.columns
-            lengths = cols.lengths()
-            pair_counts = np.maximum(lengths - 1, 0)
-            occ_pos = _concat_ranges(cols.offsets[:-1], pair_counts)
+            # Every hop but its route's last starts a pair.
+            starts_pair = np.ones(len(cols.hops), dtype=bool)
+            starts_pair[cols.offsets[1:] - 1] = False
+            occ_pos = np.flatnonzero(starts_pair)
             occ_route = np.repeat(
-                np.arange(cols.n_routes, dtype=np.int64), pair_counts
+                np.arange(cols.n_routes, dtype=np.int64),
+                np.maximum(cols.lengths() - 1, 0),
             )
-            pair_a = cols.hops[occ_pos] if len(occ_pos) else cols.hops[:0]
-            pair_b = cols.hops[occ_pos + 1] if len(occ_pos) else cols.hops[:0]
-            self._pairs = (occ_pos, occ_route, pair_a, pair_b)
+            self._pairs = (occ_pos, occ_route)
         return self._pairs
 
+    def _pair_hops(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pair_a, pair_b)``: the left and right hop of every pair,
+        gathered on each call and not held by the index."""
+        occ_pos, _ = self._pair_arrays()
+        hops = self.columns.hops
+        return hops[occ_pos], hops[occ_pos + 1]
+
     def _link_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Interned links: ``(link_pack, link_lo, link_hi, occ_link)``.
+        """Interned links:
+        ``(link_pack, link_lo, link_hi, occ_link, link_first)``.
 
         ``link_pack`` is sorted ascending, which is exactly the
-        lexicographic ``(lo, hi)`` order of canonical link keys.
+        lexicographic ``(lo, hi)`` order of canonical link keys;
+        ``link_first`` is each link's first pair occurrence.
         """
         if self._links is None:
-            _, _, pair_a, pair_b = self._pair_arrays()
-            lo = np.minimum(pair_a, pair_b)
-            hi = np.maximum(pair_a, pair_b)
-            link_pack, occ_link = np.unique(
-                _pack32(lo, hi), return_inverse=True
+            pair_a, pair_b = self._pair_hops()
+            keys = _pack32(
+                np.minimum(pair_a, pair_b), np.maximum(pair_a, pair_b)
             )
+            del pair_a, pair_b
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = _group_starts(keys)
+            occ_link = np.empty(len(order), dtype=np.int64)
+            occ_link[order] = np.cumsum(starts) - 1
+            first_at = np.flatnonzero(starts)
+            link_pack = keys[first_at]
+            link_first = np.minimum.reduceat(order, first_at)
             link_lo = (link_pack >> _SHIFT32).astype(np.uint32)
             link_hi = (link_pack & _MASK32).astype(np.uint32)
-            self._links = (link_pack, link_lo, link_hi, occ_link)
+            self._links = (link_pack, link_lo, link_hi, occ_link, link_first)
         return self._links
 
     def _link_vp_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct (link id, vp) pairs and per-link distinct-VP counts."""
         if self._link_vp is None:
-            _, occ_route, _, _ = self._pair_arrays()
-            _, _, _, occ_link = self._link_arrays()
-            vp_occ = self.columns.vp_column()[occ_route] if len(occ_route) \
-                else self.columns.hops[:0]
-            pairs = np.unique(_pack32(occ_link.astype(np.uint32), vp_occ))
+            _, occ_route = self._pair_arrays()
+            _, _, _, occ_link, _ = self._link_arrays()
+            vp_occ = self.columns.vp_column()[occ_route]
+            pairs = _distinct(_pack32(occ_link.astype(np.uint32), vp_occ))
             counts = np.bincount(
                 (pairs >> _SHIFT32).astype(np.int64), minlength=self.n_links
             )
@@ -340,47 +401,69 @@ class ColumnarIndices:
         endpoints ``a0, b0, a1, b1, ...``.
         """
         if self._as_table is None:
-            _, _, pair_a, pair_b = self._pair_arrays()
-            interleaved = np.empty(2 * len(pair_a), dtype=np.uint32)
-            interleaved[0::2] = pair_a
-            interleaved[1::2] = pair_b
-            as_sorted, first_index = np.unique(interleaved, return_index=True)
-            perm = np.argsort(first_index, kind="stable")
-            self._as_table = (as_sorted, perm)
+            occ_pos, _ = self._pair_arrays()
+            _, link_lo, link_hi, _, link_first = self._link_arrays()
+            as_sorted = _distinct(np.concatenate((link_lo, link_hi)))
+            # At its first occurrence a link's lower AS is the left hop
+            # (interleaved position 2f) or the right one (2f + 1).
+            lo_right = self.columns.hops[occ_pos[link_first]] != link_lo
+            seen = np.full(len(as_sorted), np.iinfo(np.int64).max)
+            lo_id = np.searchsorted(as_sorted, link_lo)
+            hi_id = np.searchsorted(as_sorted, link_hi)
+            np.minimum.at(seen, lo_id, 2 * link_first + lo_right)
+            np.minimum.at(seen, hi_id, 2 * link_first + ~lo_right)
+            self._as_table = (as_sorted, np.argsort(seen, kind="stable"))
         return self._as_table
+
+    def _link_as_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per link: the dense ids (positions in the sorted visible-AS
+        table) of its lower and higher AS."""
+        as_sorted, _ = self._as_arrays()
+        _, link_lo, link_hi, _, _ = self._link_arrays()
+        return (
+            np.searchsorted(as_sorted, link_lo),
+            np.searchsorted(as_sorted, link_hi),
+        )
+
+    def _backward(self) -> np.ndarray:
+        """Per pair occurrence: its left hop is its link's higher AS."""
+        pair_a, pair_b = self._pair_hops()
+        return pair_a > pair_b
+
+    def _continued(self) -> np.ndarray:
+        """Occurrences ``i`` whose route goes on with occurrence
+        ``i + 1``: the AS between them (right hop of ``i``, left hop of
+        ``i + 1``) sits in a transit position."""
+        occ_pos, _ = self._pair_arrays()
+        return np.flatnonzero(occ_pos[1:] == occ_pos[:-1] + 1)
 
     def _degree_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-AS (transit degree, node degree), aligned to as_sorted."""
         if self._degrees is None:
-            as_sorted, _ = self._as_arrays()
-            n_ases = len(as_sorted)
-            _, link_lo, link_hi, _ = self._link_arrays()
-            if n_ases:
-                node = np.bincount(
-                    np.searchsorted(as_sorted, link_lo), minlength=n_ases
-                ) + np.bincount(
-                    np.searchsorted(as_sorted, link_hi), minlength=n_ases
+            n_ases = self.n_ases
+            lo_id, hi_id = self._link_as_ids()
+            node = np.bincount(lo_id, minlength=n_ases) + np.bincount(
+                hi_id, minlength=n_ases
+            )
+            # Flag (link, side) slots — side 0 the lower AS, 1 the
+            # higher — whose AS sits in transit on that link; each
+            # flagged slot is one distinct transit neighbour of its AS.
+            _, _, _, occ_link, _ = self._link_arrays()
+            backward = self._backward()
+            continued = self._continued()
+            after = continued + 1
+            slots = np.concatenate(
+                (
+                    2 * occ_link[continued] + ~backward[continued],
+                    2 * occ_link[after] + backward[after],
                 )
-            else:
-                node = np.zeros(0, dtype=np.int64)
-            mid_pos = self._mid_positions()
-            if len(mid_pos):
-                hops = self.columns.hops
-                mid_x = hops[mid_pos]
-                transit_pairs = np.unique(
-                    np.concatenate(
-                        (
-                            _pack32(mid_x, hops[mid_pos - 1]),
-                            _pack32(mid_x, hops[mid_pos + 1]),
-                        )
-                    )
-                )
-                xs = np.searchsorted(
-                    as_sorted, (transit_pairs >> _SHIFT32).astype(np.uint32)
-                )
-                transit = np.bincount(xs, minlength=n_ases)
-            else:
-                transit = np.zeros(n_ases, dtype=np.int64)
+            )
+            flagged = (
+                np.bincount(slots, minlength=2 * self.n_links).reshape(-1, 2) > 0
+            )
+            transit = np.bincount(
+                lo_id[flagged[:, 0]], minlength=n_ases
+            ) + np.bincount(hi_id[flagged[:, 1]], minlength=n_ases)
             self._degrees = (transit.astype(np.int64), node.astype(np.int64))
         return self._degrees
 
@@ -409,11 +492,6 @@ class ColumnarIndices:
         apex[routes] = positions[hits[np.searchsorted(hits, seg_starts)]]
         return apex
 
-    def _mid_positions(self) -> np.ndarray:
-        """Hop positions that are neither first nor last in their route."""
-        cols = self.columns
-        return _concat_ranges(cols.offsets[:-1] + 1, cols.lengths() - 2)
-
     def _triplet_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct directed triplets, lexicographically sorted.
 
@@ -422,22 +500,34 @@ class ColumnarIndices:
         grouped continuations are binary searches.
         """
         if self._triplets is None:
-            mid_pos = self._mid_positions()
-            if len(mid_pos) == 0:
-                empty = np.empty(0, dtype=_U64)
-                self._triplets = (empty, np.empty(0, dtype=np.uint32))
-                return self._triplets
-            hops = self.columns.hops
-            mid_a = hops[mid_pos - 1]
-            mid_x = hops[mid_pos]
-            mid_b = hops[mid_pos + 1]
-            order = np.lexsort((mid_b, mid_x, mid_a))
-            p1 = _pack32(mid_a, mid_x)[order]
-            b = mid_b[order]
-            keep = np.empty(len(order), dtype=bool)
-            keep[0] = True
-            keep[1:] = (p1[1:] != p1[:-1]) | (b[1:] != b[:-1])
-            self._triplets = (p1[keep], b[keep])
+            as_sorted, _ = self._as_arrays()
+            n = len(as_sorted)
+            if n >= _MAX_TRIPLET_ASES:
+                raise ValueError(
+                    f"{n} visible ASes overflow the int64 triplet key "
+                    f"(limit {_MAX_TRIPLET_ASES - 1})"
+                )
+            # Occurrences i and i + 1 of one route form the triplet
+            # (left hop of i, transit AS, right hop of i + 1).
+            continued = self._continued()
+            lo_id, hi_id = self._link_as_ids()
+            _, _, _, occ_link, _ = self._link_arrays()
+            backward = self._backward()
+            lo_occ = lo_id[occ_link]
+            hi_occ = hi_id[occ_link]
+            a_id = np.where(backward, hi_occ, lo_occ)
+            b_id = np.where(backward, lo_occ, hi_occ)
+            del backward, lo_occ, hi_occ
+            after = continued + 1
+            keys = _distinct(
+                (a_id[continued] * n + b_id[continued]) * n + b_id[after]
+            )
+            ax, b = np.divmod(keys, n)
+            a, x = np.divmod(ax, n)
+            self._triplets = (
+                _pack32(as_sorted[a], as_sorted[x]),
+                as_sorted[b],
+            )
         return self._triplets
 
     # ------------------------------------------------------------------
@@ -445,37 +535,36 @@ class ColumnarIndices:
     # ------------------------------------------------------------------
     def _left_of_pack(self) -> np.ndarray:
         if self._left_pack is None:
-            occ_pos, occ_route, _, _ = self._pair_arrays()
-            _, _, _, occ_link = self._link_arrays()
+            occ_pos, occ_route = self._pair_arrays()
+            _, _, _, occ_link, _ = self._link_arrays()
             starts = self.columns.offsets[:-1][occ_route]
             counts = occ_pos - starts
             positions = _concat_ranges(starts, counts)
             link_ids = np.repeat(occ_link.astype(np.uint32), counts)
-            self._left_pack = np.unique(
+            self._left_pack = _distinct(
                 _pack32(link_ids, self.columns.hops[positions])
             )
         return self._left_pack
 
     def _right_of_pack(self) -> np.ndarray:
         if self._right_pack is None:
-            occ_pos, occ_route, _, _ = self._pair_arrays()
-            _, _, _, occ_link = self._link_arrays()
+            occ_pos, occ_route = self._pair_arrays()
+            _, _, _, occ_link, _ = self._link_arrays()
             starts = occ_pos + 2
             counts = self.columns.offsets[1:][occ_route] - starts
             positions = _concat_ranges(starts, counts)
             link_ids = np.repeat(occ_link.astype(np.uint32), np.maximum(counts, 0))
-            self._right_pack = np.unique(
+            self._right_pack = _distinct(
                 _pack32(link_ids, self.columns.hops[positions])
             )
         return self._right_pack
 
     def _origins_pack(self) -> np.ndarray:
         if self._origin_pack is None:
-            _, occ_route, _, _ = self._pair_arrays()
-            _, _, _, occ_link = self._link_arrays()
-            origins = self.columns.origin_column()[occ_route] if len(occ_route) \
-                else self.columns.hops[:0]
-            self._origin_pack = np.unique(
+            _, occ_route = self._pair_arrays()
+            _, _, _, occ_link, _ = self._link_arrays()
+            origins = self.columns.origin_column()[occ_route]
+            self._origin_pack = _distinct(
                 _pack32(occ_link.astype(np.uint32), origins)
             )
         return self._origin_pack
@@ -503,7 +592,7 @@ class ColumnarIndices:
     # queries (corpus-facing)
     # ------------------------------------------------------------------
     def link_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        _, link_lo, link_hi, _ = self._link_arrays()
+        _, link_lo, link_hi, _, _ = self._link_arrays()
         return link_lo, link_hi
 
     def link_keys_list(self) -> List[Tuple[int, int]]:
@@ -594,13 +683,14 @@ class ColumnarIndices:
         tri_p1, tri_b = self._triplet_arrays()
         if len(tri_p1) == 0:
             return {}
-        group_keys, group_starts = np.unique(tri_p1, return_index=True)
+        group_starts = np.flatnonzero(_group_starts(tri_p1))
+        group_keys = tri_p1[group_starts]
         bounds = np.append(group_starts, len(tri_p1)).tolist()
         lefts = (group_keys >> _SHIFT32).astype(np.int64).tolist()
         middles = (group_keys & _MASK32).astype(np.int64).tolist()
         bs = tri_b.astype(np.int64).tolist()
-        # Assembles the python-dict return value from arrays np.unique
-        # already grouped; one step per distinct group, not per triplet.
+        # Assembles the python-dict return value from the sorted
+        # groups; one step per distinct group, not per triplet.
         return {  # repro: noqa[PERF002]
             (lefts[i], middles[i]): bs[bounds[i]:bounds[i + 1]]
             for i in range(len(lefts))
@@ -642,15 +732,17 @@ class ColumnarIndices:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.zeros(len(hops), dtype=bool)
         member_mask = np.isin(hops, members)
-        occ_pos, occ_route, _, _ = self._pair_arrays()
+        occ_pos, occ_route = self._pair_arrays()
         pair_hits = np.flatnonzero(
             member_mask[occ_pos] & member_mask[occ_pos + 1]
         )
         if len(pair_hits) == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, member_mask
+        # Pairs are route-major, so each route's hits form one run.
         hit_routes = occ_route[pair_hits]
-        routes, first_at = np.unique(hit_routes, return_index=True)
+        first_at = np.flatnonzero(_group_starts(hit_routes))
+        routes = hit_routes[first_at]
         apex_pos = occ_pos[pair_hits[first_at]]
         return routes, apex_pos, member_mask
 
@@ -667,7 +759,7 @@ class ColumnarIndices:
         if len(positions) == 0:
             return []
         hops = self.columns.hops
-        packed = np.unique(_pack32(hops[positions], hops[positions + 1]))
+        packed = _distinct(_pack32(hops[positions], hops[positions + 1]))
         return list(
             zip(
                 (packed >> _SHIFT32).astype(np.int64).tolist(),
@@ -693,7 +785,7 @@ class ColumnarIndices:
         if len(positions) == 0:
             return []
         hops = self.columns.hops
-        packed = np.unique(_pack32(hops[positions], hops[positions - 1]))
+        packed = _distinct(_pack32(hops[positions], hops[positions - 1]))
         return list(
             zip(
                 (packed >> _SHIFT32).astype(np.int64).tolist(),

@@ -1,15 +1,20 @@
 """Tests for vantage-point selection and route collection."""
 
+import types
+
+import numpy as np
 import pytest
 
 from repro.bgp.collectors import (
     RouteCollector,
+    RouteReducer,
     VantagePoint,
     assign_community_strippers,
     collect_corpus,
     select_vantage_points,
 )
 from repro.bgp.communities import CommunityRegistry, Meaning
+from repro.bgp.policy import RouteClass
 from repro.config import ScenarioConfig
 from repro.topology.graph import Role
 from repro.utils.rng import make_rng
@@ -103,6 +108,39 @@ class TestCollection:
         by_origin = {route.origin: route for route in corpus_views.routes(corpus)}
         taggers = {community[0] for community in by_origin[100].communities}
         assert taggers == {200, 40, 30}
+
+
+class TestReducerWalk:
+    """The reducer's parent walk on hand-built blocks of one row over
+    ASes 10, 20, 30 (plane ids 0, 1, 2), the VP at AS10."""
+
+    def _reduce(self, parents):
+        asns = np.array([10, 20, 30], dtype=np.int64)
+        reducer = RouteReducer(
+            asns,
+            [VantagePoint(asn=10, full_feed=True)],
+            CommunityRegistry.build(asns.tolist(), make_rng(9)),
+            set(),
+        )
+        block = types.SimpleNamespace(
+            pref_arr=np.array(
+                [RouteClass.PROVIDER, RouteClass.PROVIDER, RouteClass.SELF],
+                dtype=np.int32,
+            ),
+            parent_arr=np.array(parents, dtype=np.int32),
+            src_arr=None,
+        )
+        return reducer.reduce(block)
+
+    def test_walk_follows_parents_to_the_origin(self):
+        columns = self._reduce([1, 2, -1])
+        assert columns.hops.tolist() == [10, 20, 30]
+        assert columns.offsets.tolist() == [0, 3]
+
+    def test_parent_cycle_raises(self):
+        # 20 -> 30 -> 20 never reaches a -1 parent.
+        with pytest.raises(ValueError, match="cycle"):
+            self._reduce([1, 2, 1])
 
 
 class TestChurnMerging:

@@ -80,6 +80,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             corpus.add_route(CollectedRoute(vp=1, origin=1, path=()))
 
+    def test_self_loop_hop_rejected(self, corpus):
+        before = len(corpus)
+        with pytest.raises(ValueError, match="repeats AS2"):
+            corpus.add_route(_route((1, 2, 2, 3)))
+        assert len(corpus) == before
+        assert (2, 2) not in corpus.visible_links()
+
+    def test_route_boundaries_are_not_hops(self):
+        # One route ending where the next begins holds no self-loop.
+        corpus = PathCorpus()
+        assert corpus.add_routes([_route((1, 2)), _route((2, 3))]) == 2
+        assert corpus.visible_links() == [(1, 2), (2, 3)]
+
     def test_duplicate_path_deduplicated(self, corpus):
         before = len(corpus)
         assert corpus.add_route(_route((1, 2, 3))) is False

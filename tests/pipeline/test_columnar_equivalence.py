@@ -7,12 +7,16 @@ the science.  Two checks hold it to that over several seeds:
 * every derived view of the corpus (links, visibility, triplets,
   degrees with their dict orders, left/right/origin sets, stats and the
   three inference accessors) equals the plain dict/set index in
-  ``reference_corpus.py``, built route by route from the same paths;
+  ``reference_corpus.py``, built route by route from the same paths —
+  on the seeded corpora and on hand-built ones for the edge cases no
+  seeded topology produces (single-hop and length-2 routes only, a hop
+  repeated non-consecutively, ASNs 0 and 2**32-1, no routes at all);
 * the cache artifact and every inference algorithm's as-rel bytes match
   sha256 digests pinned from the tree that still shipped the dict
   layout next to the columnar one (both gave these bytes).
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -20,17 +24,42 @@ import pytest
 from repro.bgp.collectors import collect_corpus
 from repro.config import ScenarioConfig
 from repro.datasets.asrel import write_asrel
-from repro.datasets.paths import filter_by_vps
+from repro.datasets.paths import CollectedRoute, PathCorpus, filter_by_vps
 from repro.inference.asrank import ASRank
 from repro.inference.base import infer_clique
 from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
+from repro.pipeline import columnar
 from repro.pipeline.cache import ArtifactCache
 from repro.topology.generator import generate_topology
 from tests import corpus_views
 from tests.pipeline.reference_corpus import ReferenceIndex
 
 SEEDS = (3, 5, 11)
+
+_MAX_ASN = 2**32 - 1
+
+#: Hand-built corpora: name -> (paths, clique the accessors are
+#: checked with).
+HAND_BUILT = {
+    "single_hop_only": ([(1,), (2,), (7,)], (1, 2)),
+    "length_two": ([(1, 2), (3, 2), (2, 4), (2, 1), (4, 2)], (1, 2)),
+    "repeated_hop": (
+        [(1, 2, 3, 2, 4), (2, 3, 1, 2, 4), (5, 3, 2, 1), (4, 2, 3, 5, 3)],
+        (2, 3),
+    ),
+    "extreme_asns": (
+        [
+            (0, _MAX_ASN, 5),
+            (_MAX_ASN, 0),
+            (5, 0, _MAX_ASN, 7),
+            (7, _MAX_ASN, 0, 5),
+            (0, _MAX_ASN, 5, 0),
+        ],
+        (0, _MAX_ASN),
+    ),
+    "empty": ([], ()),
+}
 
 _ALGORITHMS = {
     "asrank": ASRank,
@@ -71,23 +100,54 @@ def _config(seed: int) -> ScenarioConfig:
     return config
 
 
+@functools.lru_cache(maxsize=None)
+def _seeded(seed: int):
+    """(config, columnar corpus) collected for one seed."""
+    config = _config(seed)
+    corpus, _, _, _ = collect_corpus(generate_topology(config), config)
+    return config, corpus
+
+
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda s: f"seed{s}")
 def corpora(request):
-    """(seed, config, columnar corpus, reference index) over one route set."""
-    config = _config(request.param)
-    topology = generate_topology(config)
-    corpus, _, _, _ = collect_corpus(topology, config)
+    """(seed, config, columnar corpus) for the pinned digests."""
+    return (request.param, *_seeded(request.param))
+
+
+def _hand_built(paths) -> PathCorpus:
+    corpus = PathCorpus()
+    corpus.add_routes(
+        CollectedRoute(vp=path[0], origin=path[-1], path=path)
+        for path in paths
+    )
+    return corpus
+
+
+@pytest.fixture(
+    scope="module",
+    params=list(SEEDS) + sorted(HAND_BUILT),
+    ids=lambda p: f"seed{p}" if isinstance(p, int) else p,
+)
+def views(request):
+    """(corpus, reference index, clique) for the reference checks."""
+    if isinstance(request.param, int):
+        _, corpus = _seeded(request.param)
+        clique = infer_clique(corpus)
+        assert clique
+    else:
+        paths, clique = HAND_BUILT[request.param]
+        corpus = _hand_built(paths)
     reference = ReferenceIndex.of(corpus_views.paths(corpus))
     assert len(reference.paths) == len(corpus)
-    return request.param, config, corpus, reference
+    return corpus, reference, clique
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_link_views_match_reference(corpora):
-    _, _, corpus, ref = corpora
+def test_link_views_match_reference(views):
+    corpus, ref, _ = views
     links = corpus.visible_links()
     assert links == sorted(ref.link_vps)
     for key in links:
@@ -103,8 +163,8 @@ def test_link_views_match_reference(corpora):
     assert corpus.link_visibility((0, 1)) == 0
 
 
-def test_as_views_match_reference(corpora):
-    _, _, corpus, ref = corpora
+def test_as_views_match_reference(views):
+    corpus, ref, _ = views
     assert corpus.triplets() == frozenset(ref.triplets)
     for a, x, b in sorted(ref.triplets)[:200]:
         assert corpus.has_triplet(a, x, b)
@@ -128,19 +188,17 @@ def test_as_views_match_reference(corpora):
     assert stats["n_triplets"] == len(ref.triplets)
 
 
-def test_inference_accessors_match_reference(corpora):
-    _, _, corpus, ref = corpora
+def test_inference_accessors_match_reference(views):
+    corpus, ref, clique = views
     assert corpus.triplet_continuations() == ref.triplet_continuations()
-    clique = infer_clique(corpus)
-    assert clique
     assert corpus.descending_seed_pairs(clique) == (
         ref.descending_seed_pairs(clique)
     )
     assert corpus.apparent_providers(clique) == ref.apparent_providers(clique)
 
 
-def test_filter_by_vps_matches_route_filter(corpora):
-    _, _, corpus, _ = corpora
+def test_filter_by_vps_matches_route_filter(views):
+    corpus, _, _ = views
     group = set(sorted(corpus.vantage_points)[::2])
     sub = filter_by_vps(corpus, group)
     assert corpus_views.routes(sub) == [
@@ -148,16 +206,24 @@ def test_filter_by_vps_matches_route_filter(corpora):
     ]
 
 
+def test_triplet_key_bound_raises(monkeypatch):
+    # The int64 key holds n**3 values; lower the bound to see it trip.
+    monkeypatch.setattr(columnar, "_MAX_TRIPLET_ASES", 3)
+    assert _hand_built([(1, 2, 1)]).triplets() == frozenset({(1, 2, 1)})
+    with pytest.raises(ValueError, match="triplet key"):
+        _hand_built([(1, 2, 3)]).triplets()
+
+
 @pytest.mark.parametrize("algorithm", sorted(_ALGORITHMS))
 def test_relationships_match_pinned_digests(corpora, algorithm, tmp_path):
-    seed, _, corpus, _ = corpora
+    seed, _, corpus = corpora
     path = tmp_path / f"{algorithm}.asrel"
     write_asrel(_ALGORITHMS[algorithm]().infer(corpus), path)
     assert _sha256(path) == PINNED_SHA256[seed][algorithm]
 
 
 def test_cache_artifact_matches_pinned_digest(corpora, tmp_path):
-    seed, config, corpus, _ = corpora
+    seed, config, corpus = corpora
     cache = ArtifactCache(root=tmp_path)
     key = cache.scenario_key(config)
     artifact = cache.store_corpus(key, corpus, config)

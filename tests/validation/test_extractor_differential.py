@@ -194,15 +194,17 @@ def test_hand_made_cases_exercise_their_rule():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_corpus(seed):
-    """Random paths over a few ASes (repeats allowed) with communities
-    from on- and off-path owners, documented or not, stale or not."""
+    """Random paths over a few ASes (non-consecutive repeats allowed;
+    the corpus refuses self-loop hops) with communities from on- and
+    off-path owners, documented or not, stale or not."""
     rng = np.random.default_rng(seed)
     asns = [int(a) for a in rng.choice(np.arange(1, 40), 12, replace=False)]
     values = sorted(set(_VALUES.values())) + [5, 123]
     routes = []
     for _ in range(int(rng.integers(20, 80))):
         length = int(rng.integers(1, 7))
-        path = [int(a) for a in rng.choice(asns, length)]
+        drawn = [int(a) for a in rng.choice(asns, length)]
+        path = drawn[:1] + [b for a, b in zip(drawn, drawn[1:]) if a != b]
         communities = [
             (int(rng.choice(asns + [99])), int(rng.choice(values)))
             for _ in range(int(rng.integers(0, 5)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.communities import CommunityRegistry, Meaning
+from repro.bgp.communities import CommunityRegistry
 from repro.bgp.lookingglass import LookingGlass
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
@@ -122,17 +122,14 @@ def looking_glass_audit(
 ) -> Dict[int, bool]:
     """Query the member's looking glass for each counterpart: do the
     received routes carry the member's do-not-export-to-peers
-    community?"""
+    community?  Read off :meth:`LookingGlass.find_no_export_sessions`:
+    loop prevention keeps ``member`` off every path it receives, so only
+    a partial-transit customer's session can carry that marker."""
+    if not others:
+        return {}
     glass = LookingGlass(topology, communities)
-    marker = communities.codebook(member).encode(Meaning.NO_EXPORT_TO_PEERS)
-    results: Dict[int, bool] = {}
-    for other in others:
-        if not topology.graph.has_link(member, other):
-            results[other] = False
-            continue
-        routes = glass.routes_received(member, other)
-        results[other] = any(route.has_community(marker) for route in routes)
-    return results
+    flagged = set(glass.find_no_export_sessions(member))
+    return {other: other in flagged for other in others}
 
 
 def run_case_study(

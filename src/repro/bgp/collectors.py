@@ -415,21 +415,15 @@ class RouteReducer:
         """Propagate ``origins`` block by block and reduce each block.
 
         Blocks propagate only over the vantage points' closure on this
-        plane (``within`` of :meth:`PropagationPlane.propagate`): the
-        VP rows come out as on full rows, at a fraction of the cells.
+        plane (:meth:`PropagationPlane.sweep`): the VP rows come out as
+        on full rows, at a fraction of the cells.
         A churn round passes the ``converged`` round's routes, and only
         the routes its failed links changed come out (see
         :meth:`reduce`).
         """
         self.check_plane(plane)
-        ids = plane.ids(origins)
-        within = plane.upcone(self.vp_ids)
-        size = plane.block_size
-        for lo in range(0, len(ids), size):
-            yield self.reduce(
-                plane.propagate(ids[lo : lo + size], within=within),
-                converged=converged,
-            )
+        for block in plane.sweep(plane.ids(origins), self.vp_ids):
+            yield self.reduce(block, converged=converged)
 
 
 class RouteCollector:

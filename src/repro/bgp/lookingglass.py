@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bgp.communities import Community, CommunityRegistry, Meaning
-from repro.bgp.policy import RouteClass
+from repro.bgp.policy import RouteClass, exports_to_non_customers
 from repro.bgp.propagation import PropagationPlane, RouteArrays
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType
@@ -61,9 +61,12 @@ class LookingGlass:
         session are returned: towards a peer or provider the neighbour
         exports its own and (unrestricted) customer routes; towards a
         customer it exports everything it uses.  Entries come in origin
-        order.  The session's origins are propagated in blocks of
-        ``plane.block_size`` and each entry is read off its block row;
-        no route outlives the call.
+        order.  The session's origins are propagated in one
+        :meth:`~PropagationPlane.sweep` read by ``asn``, and each entry
+        is read off its block row; no route outlives the call.  The
+        neighbour's route is exact on those rows: a neighbour that
+        exports to ``asn`` is its provider (in ``asn``'s upcone) or holds
+        an own or unrestricted customer route (a stage-1 holder).
         """
         graph = self.topology.graph
         if not graph.has_link(asn, from_neighbor):
@@ -74,11 +77,8 @@ class LookingGlass:
         )
         origins = self._exportable_origins(from_neighbor, neighbor_exports_all)
         plane = self.plane
-        ids = plane.ids(sorted(origins))
-        step = plane.block_size
         received: List[ReceivedRoute] = []
-        for start in range(0, len(ids), step):
-            block = plane.propagate(ids[start:start + step])
+        for block in plane.sweep(plane.ids(sorted(origins)), plane.ids([asn])):
             for b in range(len(block)):
                 entry = self._received_route(
                     asn, from_neighbor, block.row(b), link
@@ -108,7 +108,11 @@ class LookingGlass:
         i = plane.id_or_none(neighbor)
         if i is None or routes.pref_arr[i] < 0:
             return None
-        if not self._neighbor_would_export(neighbor, i, routes, link):
+        # Towards a customer the neighbour exports everything it uses.
+        exports_all = link.rel is RelType.P2C and link.provider == neighbor
+        if not exports_all and not exports_to_non_customers(
+            RouteClass(int(routes.pref_arr[i])), bool(routes.restricted_arr[i])
+        ):
             return None
         hops = routes.path_ids(i)
         path = tuple(plane.asns[hops].tolist())
@@ -120,21 +124,6 @@ class LookingGlass:
         return ReceivedRoute(
             origin=routes.origin, path=path, communities=communities
         )
-
-    def _neighbor_would_export(
-        self, neighbor: int, i: int, routes: RouteArrays, link
-    ) -> bool:
-        """Export policy of the neighbour (plane id ``i``) towards
-        ``asn``."""
-        if link.rel is RelType.P2C and link.provider == neighbor:
-            # Neighbour is the provider: exports everything it uses.
-            return True
-        pref = int(routes.pref_arr[i])
-        if pref == RouteClass.SELF:
-            return True
-        if pref == RouteClass.CUSTOMER and not routes.restricted_arr[i]:
-            return True
-        return False
 
     def _communities_as_received(
         self,

@@ -42,20 +42,22 @@ one-origin result; the block size is derived, ``max(1, CELLS // n)``
 :class:`RouteBlock` whose rows are :class:`RouteArrays` views (flat
 int32 ``pref``/``dist``/``parent`` plus a ``restricted`` mask), the one
 per-origin route type: :func:`compute_origin_routes` returns a block
-of one, and the looking glass and routing tables read it through
-``has_route`` / ``path_from`` / ``pref[asn]`` / ``is_restricted`` /
-``origin``.  Collection reduces whole blocks
-(:class:`~repro.bgp.collectors.RouteReducer`).
+of one, read through ``has_route`` / ``path_from`` / ``pref[asn]`` /
+``is_restricted`` / ``origin``.
 
-Collection reads only the vantage points' rows, so it propagates
-``within`` their closure (:meth:`PropagationPlane.upcone`: the VPs and
-every AS above them over provider links).  Stage 1 runs in full; stages
-2 and 3 then expand peer and customer tables cut, once per closure, to
-the edges into it, so a receiver that is neither in the closure nor a
-stage-1 holder is never generated.  That member set is closed upward
-and holds every peer-route and customer-route source, so each VP's
-route and path come out exactly as on the full row.  The looking glass,
-routing tables and the attack pass keep full rows.
+Every honest reader of many origins reads only a few ASes' rows: the
+vantage points for collection
+(:class:`~repro.bgp.collectors.RouteReducer`), the queried AS for the
+looking glass and routing tables.  Each runs one
+:meth:`PropagationPlane.sweep`, which propagates blocks of origins
+``within`` the readers' closure (:meth:`PropagationPlane.upcone`: the
+readers and every AS above them over provider links).  Stage 1 runs in
+full; stages 2 and 3 then expand peer and customer tables cut, once per
+closure, to the edges into it, so a receiver that is neither in the
+closure nor a stage-1 holder is never generated.  That member set is
+closed upward and holds every peer-route and customer-route source, so
+each reader's route and path come out exactly as on the full row.  Only
+the attack pass and :func:`compute_origin_routes` keep full rows.
 
 ``tests/bgp/reference_engine.py`` holds an event-driven path-vector
 simulation written from the same policy rules over dict adjacency
@@ -88,12 +90,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bgp.policy import RouteClass
 from repro.topology.graph import ASGraph, RelType
+from repro.utils.arrays import concat_ranges, group_starts
 
 #: Sentinel distance for "no route".
 _NO_ROUTE = -1
@@ -105,8 +108,7 @@ _NO_ROUTE = -1
 #: vantage points' closure, as collection now propagates, it took 3.5 s
 #: at 2**12, 1.4 s at 2**14, 1.1 s at 2**15 and 0.8 s at 2**17 (full
 #: rows: 1.9 s at 2**15 in the same session); with less work per row
-#: the per-block Python cost weighs more.  The looking glass and routing
-#: tables propagate full rows at the same block size.
+#: the per-block Python cost weighs more.
 CELLS = 2 ** 15
 
 #: Block keys are int32.
@@ -121,25 +123,6 @@ _PROVIDER = np.int32(int(RouteClass.PROVIDER))
 # ---------------------------------------------------------------------------
 # vectorized engine
 # ---------------------------------------------------------------------------
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.concatenate([np.arange(s, s + c) ...])`` without the Python
-    loop (the vectorized range-concatenation trick)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    base = np.repeat(starts.astype(np.int64), counts)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return base + np.arange(total, dtype=np.int64) - resets
-
-
-def _first_occurrence(sorted_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask marking the first element of each run of equal keys."""
-    first = np.empty(len(sorted_keys), dtype=bool)
-    first[0] = True
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
-
 
 def _csr(
     n: int, owner: np.ndarray, neighbour: np.ndarray
@@ -177,7 +160,8 @@ class PropagationPlane:
     ``prov_indices[j]`` whose P2C link is partial transit.
 
     Build once per graph, derive churned views with :meth:`without`,
-    propagate blocks of origins with :meth:`propagate`.
+    propagate blocks of origins with :meth:`propagate` (for a few
+    readers' rows, :meth:`sweep`).
     """
 
     def __init__(self, graph: ASGraph) -> None:
@@ -281,7 +265,7 @@ class PropagationPlane:
         ids = frontier % self.n
         starts = indptr[ids]
         counts = indptr[ids + 1] - starts
-        positions = _concat_ranges(starts, counts)
+        positions = concat_ranges(starts, counts)
         senders = np.repeat(frontier, counts)
         receivers = indices[positions] + np.repeat(frontier - ids, counts)
         return positions, senders, receivers
@@ -296,7 +280,7 @@ class PropagationPlane:
         while frontier.size:
             starts = self.prov_indptr[frontier]
             above = self.prov_indices[
-                _concat_ranges(starts, self.prov_indptr[frontier + 1] - starts)
+                concat_ranges(starts, self.prov_indptr[frontier + 1] - starts)
             ]
             frontier = np.unique(above[~member[above]])
             member[frontier] = True
@@ -315,6 +299,18 @@ class PropagationPlane:
                 *_edges_into(self.cust_indptr, self.cust_indices, within),
             )
         return cut[1:]
+
+    def sweep(
+        self, origin_ids: np.ndarray, reader_ids: np.ndarray
+    ) -> Iterator["RouteBlock"]:
+        """Propagate ``origin_ids`` in order, in blocks of
+        :attr:`block_size`, ``within`` the :meth:`upcone` of
+        ``reader_ids``: each reader's route, and every parent walk from
+        it, equals its full row's (see :meth:`propagate`)."""
+        within = self.upcone(reader_ids)
+        size = self.block_size
+        for lo in range(0, len(origin_ids), size):
+            yield self.propagate(origin_ids[lo : lo + size], within=within)
 
     # ------------------------------------------------------------------
     def propagate(
@@ -344,8 +340,8 @@ class PropagationPlane:
         is bit-identical to the honest single-source computation.
 
         ``within`` (a bool column over plane ids, closed upward over
-        provider links — :meth:`upcone` of the vantage points) restricts
-        stages 2 and 3 to the ASes a collector can hear: they expand
+        provider links — :meth:`upcone` of the readers) restricts
+        stages 2 and 3 to the ASes the readers can hear: they expand
         peer and customer tables cut to the edges into ``within``
         (:meth:`_receivers_within`).  A row's members are ``within``
         plus every AS holding a route after stage 1 (restricted holders
@@ -428,7 +424,7 @@ class PropagationPlane:
                 targets, senders, partial = (
                     targets[order], senders[order], partial[order],
                 )
-                first = _first_occurrence(targets)
+                first = group_starts(targets)
                 targets, senders, partial = (
                     targets[first], senders[first], partial[first],
                 )
@@ -464,7 +460,7 @@ class PropagationPlane:
             receivers, senders, sender_dist = (
                 receivers[order], senders[order], sender_dist[order],
             )
-            first = _first_occurrence(receivers)
+            first = group_starts(receivers)
             receivers, senders, sender_dist = (
                 receivers[first], senders[first], sender_dist[first],
             )
@@ -504,7 +500,7 @@ class PropagationPlane:
                     if customers.size:
                         order = np.lexsort((senders, customers))
                         customers, senders = customers[order], senders[order]
-                        first = _first_occurrence(customers)
+                        first = group_starts(customers)
                         customers, senders = customers[first], senders[first]
                         pref[customers] = _PROVIDER
                         dist[customers] = level + 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.policy import RouteClass
-from repro.bgp.propagation import PropagationPlane, compute_origin_routes
+from repro.bgp.propagation import PropagationPlane
 from repro.topology.graph import ASGraph
 
 
@@ -48,29 +48,26 @@ class RoutingTable:
     def compute(cls, graph: ASGraph, asn: int) -> "RoutingTable":
         """Sweep every origin's decision process for this AS.
 
-        The propagation plane is built exactly once and reused for the
-        whole origin sweep; only the per-origin route columns are
-        recomputed.  Cost is still one propagation per origin — fine
-        for inspecting a few ASes, not meant for bulk use (collectors
-        stream instead).
+        The propagation plane is built once and every origin runs in
+        one :meth:`~PropagationPlane.sweep` read by ``asn``: blocks of
+        origins that fill in only ``asn``'s upcone and the customer-route
+        holders, where ``asn``'s route and path equal the full row's.
         """
         if asn not in graph:
             raise KeyError(f"AS{asn} not in graph")
         plane = PropagationPlane(graph)
         entries: Dict[int, RibEntry] = {}
-        for origin in graph.asns():
-            routes = compute_origin_routes(plane, origin)
-            if not routes.has_route(asn):
-                continue
-            path = routes.path_from(asn)
-            assert path is not None
-            next_hop = path[1] if len(path) > 1 else None
-            entries[origin] = RibEntry(
-                origin=origin,
-                next_hop=next_hop,
-                path=path,
-                route_class=routes.pref[asn],
-            )
+        for block in plane.sweep(plane.ids(graph.asns()), plane.ids([asn])):
+            for b in range(len(block)):
+                routes = block.row(b)
+                path = routes.path_from(asn)
+                if path is not None:
+                    entries[routes.origin] = RibEntry(
+                        origin=routes.origin,
+                        next_hop=path[1] if len(path) > 1 else None,
+                        path=path,
+                        route_class=routes.pref[asn],
+                    )
         return cls(asn=asn, entries=entries)
 
     # ------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
-from repro.pipeline.columnar import _concat_ranges
 from repro.topology.graph import RelType
+from repro.utils.arrays import concat_ranges
 
 
 def recursive_customer_cones(rels: RelationshipSet) -> Dict[int, Set[int]]:
@@ -113,7 +113,7 @@ def ppdc_cones(
     # Everything after the downstream AS is inside its cone.
     counts = ends[hits] - occ_pos[hits] - 2
     hops = corpus.columns().hops
-    members = hops[_concat_ranges(occ_pos[hits] + 2, counts)].astype(np.int64)
+    members = hops[concat_ranges(occ_pos[hits] + 2, counts)].astype(np.int64)
     cone_of = np.repeat(pair_b[hits].astype(np.int64), counts)
     packed = np.unique((cone_of << 32) | members)
     owners, starts = np.unique(packed >> 32, return_index=True)

@@ -80,6 +80,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.utils.arrays import concat_ranges, group_starts
+
 #: Canonical on-disk dtypes per section (always little-endian).
 _SECTION_DTYPES: Dict[str, str] = {
     "hops": "<u4",
@@ -115,30 +117,10 @@ def _pack32(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return (high.astype(_U64) << _SHIFT32) | low.astype(_U64)
 
 
-def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal values."""
-    starts = np.empty(len(sorted_values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
-    return starts
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct ``values``, ascending: one sort and a mask."""
     ordered = np.sort(values)
-    return ordered[_group_starts(ordered)]
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.concatenate([np.arange(s, s + c) for s, c in ...])`` without
-    the Python loop: the vectorized range-concatenation trick."""
-    counts = np.maximum(counts, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    base = np.repeat(starts.astype(np.int64), counts)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return base + np.arange(total, dtype=np.int64) - resets
+    return ordered[group_starts(ordered)]
 
 
 def _searchsorted_range(
@@ -369,7 +351,7 @@ class ColumnarIndices:
             del pair_a, pair_b
             order = np.argsort(keys)
             keys = keys[order]
-            starts = _group_starts(keys)
+            starts = group_starts(keys)
             occ_link = np.empty(len(order), dtype=np.int64)
             occ_link[order] = np.cumsum(starts) - 1
             first_at = np.flatnonzero(starts)
@@ -482,7 +464,7 @@ class ColumnarIndices:
         if len(routes) == 0:
             return apex
         counts = lengths[routes]
-        positions = _concat_ranges(cols.offsets[:-1][routes], counts)
+        positions = concat_ranges(cols.offsets[:-1][routes], counts)
         score = as_score[self.as_index_of(cols.hops[positions])]
         seg_starts = np.cumsum(counts) - counts
         best = np.maximum.reduceat(score, seg_starts)
@@ -539,7 +521,7 @@ class ColumnarIndices:
             _, _, _, occ_link, _ = self._link_arrays()
             starts = self.columns.offsets[:-1][occ_route]
             counts = occ_pos - starts
-            positions = _concat_ranges(starts, counts)
+            positions = concat_ranges(starts, counts)
             link_ids = np.repeat(occ_link.astype(np.uint32), counts)
             self._left_pack = _distinct(
                 _pack32(link_ids, self.columns.hops[positions])
@@ -551,9 +533,9 @@ class ColumnarIndices:
             occ_pos, occ_route = self._pair_arrays()
             _, _, _, occ_link, _ = self._link_arrays()
             starts = occ_pos + 2
-            counts = self.columns.offsets[1:][occ_route] - starts
-            positions = _concat_ranges(starts, counts)
-            link_ids = np.repeat(occ_link.astype(np.uint32), np.maximum(counts, 0))
+            counts = np.maximum(self.columns.offsets[1:][occ_route] - starts, 0)
+            positions = concat_ranges(starts, counts)
+            link_ids = np.repeat(occ_link.astype(np.uint32), counts)
             self._right_pack = _distinct(
                 _pack32(link_ids, self.columns.hops[positions])
             )
@@ -683,9 +665,9 @@ class ColumnarIndices:
         tri_p1, tri_b = self._triplet_arrays()
         if len(tri_p1) == 0:
             return {}
-        group_starts = np.flatnonzero(_group_starts(tri_p1))
-        group_keys = tri_p1[group_starts]
-        bounds = np.append(group_starts, len(tri_p1)).tolist()
+        run_starts = np.flatnonzero(group_starts(tri_p1))
+        group_keys = tri_p1[run_starts]
+        bounds = np.append(run_starts, len(tri_p1)).tolist()
         lefts = (group_keys >> _SHIFT32).astype(np.int64).tolist()
         middles = (group_keys & _MASK32).astype(np.int64).tolist()
         bs = tri_b.astype(np.int64).tolist()
@@ -741,7 +723,7 @@ class ColumnarIndices:
             return empty, empty, member_mask
         # Pairs are route-major, so each route's hits form one run.
         hit_routes = occ_route[pair_hits]
-        first_at = np.flatnonzero(_group_starts(hit_routes))
+        first_at = np.flatnonzero(group_starts(hit_routes))
         routes = hit_routes[first_at]
         apex_pos = occ_pos[pair_hits[first_at]]
         return routes, apex_pos, member_mask
@@ -755,7 +737,7 @@ class ColumnarIndices:
         if len(routes) == 0:
             return []
         ends = self.columns.offsets[routes + 1]
-        positions = _concat_ranges(apex_pos + 1, ends - apex_pos - 2)
+        positions = concat_ranges(apex_pos + 1, ends - apex_pos - 2)
         if len(positions) == 0:
             return []
         hops = self.columns.hops
@@ -777,7 +759,7 @@ class ColumnarIndices:
         if len(routes) == 0:
             return []
         ends = self.columns.offsets[routes + 1]
-        positions = _concat_ranges(apex_pos + 2, ends - apex_pos - 2)
+        positions = concat_ranges(apex_pos + 2, ends - apex_pos - 2)
         if len(positions) == 0:
             return []
         keep = member_mask[positions] & ~member_mask[positions - 1]

@@ -13,6 +13,10 @@ The submodules are intentionally tiny and self-contained:
     cone / node-degree imbalance heatmaps (Figures 3 and 7-9 of the
     paper).
 
+``repro.utils.arrays``
+    Vectorized numpy idioms (range concatenation, first-of-run masks)
+    shared by the propagation engine and the corpus index.
+
 ``repro.utils.text``
     Plain-text rendering helpers (aligned tables, horizontal bar charts,
     ASCII heatmaps) used by the reporting layer and the benchmark

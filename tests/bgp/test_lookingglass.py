@@ -13,7 +13,8 @@ from repro.bgp.lookingglass import LookingGlass
 from repro.bgp.propagation import compute_origin_routes
 from repro.service.query import casestudy_payload
 from repro.topology.generator import generate_topology
-from repro.topology.graph import RelType
+from repro.topology.graph import RelType, Role
+from tests.bgp.readers import multihomed
 
 
 @pytest.fixture
@@ -127,6 +128,37 @@ def test_block_rows_match_per_origin_routes(seed, monkeypatch):
         assert received == _per_origin_reference(glass, asn, neighbor), (
             asn, neighbor)
     assert partial_last_block, "no session ends in a partial block"
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize(
+    "role", [Role.MID_TRANSIT, Role.STUB], ids=lambda role: role.value
+)
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_block_rows_match_per_origin_routes_below_clique(
+    seed, role, monkeypatch
+):
+    # A reader below the clique sweeps within an upcone of more than
+    # itself; every session of it, in several blocks, equals the
+    # per-origin full rows.
+    config = ScenarioConfig.small(seed=seed)
+    topology = generate_topology(config)
+    _, communities, _ = measurement_setup(topology, config)
+    glass = LookingGlass(topology, communities)
+    plane = glass.plane
+    monkeypatch.setattr(propagation, "CELLS", _TEST_BLOCK * plane.n)
+    assert plane.block_size == _TEST_BLOCK
+
+    graph = topology.graph
+    reader = multihomed(graph, role)
+    assert plane.upcone(plane.ids([reader])).sum() > 1
+    multi_block = 0
+    for neighbor in sorted(graph.neighbors_of(reader)):
+        received = glass.routes_received(reader, neighbor)
+        assert received == _per_origin_reference(glass, reader, neighbor), (
+            reader, neighbor)
+        multi_block += len(received) > _TEST_BLOCK
+    assert multi_block, "no session spans several blocks"
 # ---------------------------------------------------------------------------
 
 #: sha256 of ``casestudy_payload(scenario.case_study())`` (sorted-key

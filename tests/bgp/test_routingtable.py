@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro import ScenarioConfig
+from repro.bgp import propagation
 from repro.bgp.policy import RouteClass
+from repro.bgp.propagation import PropagationPlane, compute_origin_routes
 from repro.bgp.routingtable import RibEntry, RoutingTable
+from repro.topology.generator import generate_topology
+from repro.topology.graph import Role
 from tests.bgp import reference_engine
+from tests.bgp.readers import multihomed
 from tests.bgp.reference_adjacency import AdjacencyIndex
 from tests.bgp.reference_engine import as_tree
 
@@ -120,3 +126,40 @@ class TestSingleSweepLock:
             ))
         table = RoutingTable.compute(tiny_graph, 30)
         assert list(table.entries()) == expected
+
+
+#: Origins per propagation block in the multi-block test.
+_TEST_BLOCK = 7
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize(
+    "role",
+    [Role.CLIQUE, Role.MID_TRANSIT, Role.STUB],
+    ids=lambda role: role.value,
+)
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_multi_block_sweep_matches_per_origin_rows(seed, role, monkeypatch):
+    # Every origin of a generated topology, in blocks of seven, against
+    # the full rows of one origin at a time.
+    graph = generate_topology(ScenarioConfig.small(seed=seed)).graph
+    plane = PropagationPlane(graph)
+    monkeypatch.setattr(propagation, "CELLS", _TEST_BLOCK * plane.n)
+    assert plane.block_size == _TEST_BLOCK
+    asn = min(graph.clique()) if role is Role.CLIQUE else multihomed(graph, role)
+
+    table = RoutingTable.compute(graph, asn)
+    expected = []
+    for origin in sorted(graph.asns()):
+        routes = compute_origin_routes(plane, origin)
+        path = routes.path_from(asn)
+        if path is None:
+            continue
+        expected.append(RibEntry(
+            origin=origin,
+            next_hop=path[1] if len(path) > 1 else None,
+            path=path,
+            route_class=routes.pref[asn],
+        ))
+    assert len(expected) > _TEST_BLOCK
+    assert list(table.entries()) == expected

@@ -169,15 +169,13 @@ class HardLinkClassifier:
         directions across paths is a conflict.
         """
         index = self.corpus.columnar_index()
-        occ_pos, occ_route = index._pair_arrays()
-        _, link_lo, link_hi, occ_link, _ = index._link_arrays()
-        apex = index.route_apexes(index.transit_degree_array())[occ_route]
-        down = occ_pos >= apex
-        links = occ_link[down]
-        forward = ~index._backward()[down]
+        occ = index.occurrences()
+        apex = index.route_apexes(index.transit_degree_array())[occ.route]
+        down = occ.pos >= apex
         read = np.zeros((index.n_links, 2), dtype=bool)
-        read[links, forward.astype(np.int64)] = True
+        read[occ.link[down], occ.backward[down].astype(np.int64)] = True
         both = np.flatnonzero(read.all(axis=1))
+        link_lo, link_hi = index.link_endpoint_arrays()
         return set(zip(link_lo[both].tolist(), link_hi[both].tolist()))
 
 

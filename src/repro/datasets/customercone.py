@@ -32,9 +32,9 @@ from repro.utils.arrays import concat_ranges
 def recursive_customer_cones(rels: RelationshipSet) -> Dict[int, Set[int]]:
     """Customer cone of every AS appearing in ``rels``.
 
-    Provider cycles (possible in *inferred* data even though ground
-    truth is acyclic) are handled by falling back to per-AS BFS for the
-    ASes on cycles.
+    Every AS gets its own BFS over the customer links, which also
+    terminates on provider cycles (possible in *inferred* data even
+    though ground truth is acyclic).
     """
     customers: Dict[int, List[int]] = rels.customers_map()
     all_ases: Set[int] = set()
@@ -80,41 +80,38 @@ def ppdc_cones(
     incident to the vantage point) contributes no observation — the
     Figure 8 variant that removes the collector-peer bias.
     """
-    index = corpus.columnar_index()
-    occ_pos, occ_route = index._pair_arrays()
-    pair_a, pair_b = index._pair_hops()
-    _, link_lo, _, occ_link, _ = index._link_arrays()
-    offsets = corpus.columns().offsets
-    ends = offsets[1:][occ_route]
+    occ = corpus.columnar_index().occurrences()
+    cols = corpus.columns()
+    offsets, hops = cols.offsets, cols.hops
+    ends = offsets[1:][occ.route]
     # Transit positions: the pair's downstream AS is not the origin.
-    keep = occ_pos + 2 < ends
+    keep = occ.pos + 2 < ends
     if ignore_vp_incident:
         # The first pair's upstream AS is the vantage point itself.
-        keep &= occ_pos != offsets[:-1][occ_route]
+        keep &= occ.pos != offsets[:-1][occ.route]
     # One relationship lookup per distinct directed pair.
     kept = np.flatnonzero(keep)
-    backward = pair_a[kept] != link_lo[occ_link[kept]]
     _, first, slot_of = np.unique(
-        2 * occ_link[kept].astype(np.int64) + backward,
+        2 * occ.link[kept] + occ.backward[kept],
         return_index=True,
         return_inverse=True,
     )
-    pairs = kept[first]
+    pair_pos = occ.pos[kept[first]]
     observed = np.array(
         [
             _enters_from_above(rels, upstream, asn)
             for upstream, asn in zip(
-                pair_a[pairs].tolist(), pair_b[pairs].tolist()
+                hops[pair_pos].tolist(), hops[pair_pos + 1].tolist()
             )
         ],
         dtype=bool,
     )
     hits = kept[observed[slot_of]]
+    hit_pos = occ.pos[hits]
     # Everything after the downstream AS is inside its cone.
-    counts = ends[hits] - occ_pos[hits] - 2
-    hops = corpus.columns().hops
-    members = hops[concat_ranges(occ_pos[hits] + 2, counts)].astype(np.int64)
-    cone_of = np.repeat(pair_b[hits].astype(np.int64), counts)
+    counts = ends[hits] - hit_pos - 2
+    members = hops[concat_ranges(hit_pos + 2, counts)].astype(np.int64)
+    cone_of = np.repeat(hops[hit_pos + 1].astype(np.int64), counts)
     packed = np.unique((cone_of << 32) | members)
     owners, starts = np.unique(packed >> 32, return_index=True)
     bounds = np.append(starts, len(packed)).tolist()

@@ -182,11 +182,9 @@ class ComplexRelationshipDetector:
         """Per link: how many distinct VPs' paths used it left-to-right
         vs right-to-left (canonical key order)."""
         index = corpus.columnar_index()
-        _, occ_route = index._pair_arrays()
-        _, _, _, occ_link, _ = index._link_arrays()
-        backward = index._backward().astype(np.int64)
-        slots = 2 * occ_link.astype(np.int64) + backward
-        vps = corpus.columns().vp_column()[occ_route].astype(np.int64)
+        occ = index.occurrences()
+        slots = 2 * occ.link + occ.backward
+        vps = corpus.columns().vp_column()[occ.route].astype(np.int64)
         # Distinct (link, direction, vp) triples, counted per slot the
         # way the link visibility counts are.
         distinct = np.unique((slots << 32) | vps)

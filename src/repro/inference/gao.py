@@ -36,26 +36,21 @@ class GaoInference(InferenceAlgorithm):
     def infer(self, corpus: PathCorpus) -> RelationshipSet:
         degrees = corpus.node_degrees()
         index = corpus.columnar_index()
-        occ_pos, occ_route = index._pair_arrays()
-        pair_a, pair_b = index._pair_hops()
-        _, link_lo, link_hi, occ_link, _ = index._link_arrays()
+        occ = index.occurrences()
         # Each pair's route apex: its first hop of highest degree.
-        top = index.route_apexes(index.node_degree_array())[occ_route]
+        top = index.route_apexes(index.node_degree_array())[occ.route]
         # Pairs before the top AS ascend: the right-hand AS provides
-        # transit; the rest descend.
-        providers = np.where(occ_pos < top, pair_b, pair_a)
+        # transit; the rest descend.  The right hop is the link's lower
+        # AS exactly when the pair runs backward.
+        lo_provides = (occ.pos < top) == occ.backward
         n_links = index.n_links
         # Per link: votes that its lower / higher AS is the provider.
-        votes_lo = np.bincount(
-            occ_link[providers == link_lo[occ_link]], minlength=n_links
-        )
-        votes_hi = np.bincount(
-            occ_link[providers == link_hi[occ_link]], minlength=n_links
-        )
+        votes_lo = np.bincount(occ.link[lo_provides], minlength=n_links)
+        votes_hi = np.bincount(occ.link[~lo_provides], minlength=n_links)
         # The link that first touches the top AS is a peering candidate
         # when its endpoints are of comparable size.
         top_link = np.zeros(n_links, dtype=bool)
-        top_link[occ_link[occ_pos + 1 == top]] = True
+        top_link[occ.link[occ.pos + 1 == top]] = True
         rels = RelationshipSet()
         for (a, b), votes_ab, votes_ba, often_top in zip(
             corpus.visible_links(),

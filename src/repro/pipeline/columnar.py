@@ -48,8 +48,13 @@ or from one sort of far fewer, smaller keys:
 
 * **links** — one ``argsort`` of the packed ``lo << 32 | hi`` keys of
   every occurrence gives ``link_pack`` (the sorted distinct keys), the
-  per-occurrence link id ``occ_link``, and each link's first
-  occurrence;
+  per-occurrence link id, and each link's first occurrence.  The pair
+  hops are gathered for this sort only, which also records each
+  occurrence's direction (``backward``: the left hop is the link's
+  higher AS).  :meth:`ColumnarIndices.occurrences` returns the
+  per-occurrence columns ``(pos, route, link, backward)``; it is the
+  only part of the pair layout other modules read, so the layout's
+  dtypes are decided here alone;
 * **visible ASes** — the distinct link endpoints (one sort of 2·L
   values).  An AS's first-seen position is the minimum, over its
   links, of ``2 * first_occurrence + side`` (``side`` 0 when it is the
@@ -76,7 +81,9 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -283,6 +290,21 @@ class CorpusColumns:
         }
 
 
+class Occurrences(NamedTuple):
+    """One row per consecutive hop pair (an *occurrence*), path-major.
+
+    ``pos`` indexes the pair's left hop in ``hops`` (the right hop is at
+    ``pos + 1``), ``route`` is its route, ``link`` its row in the link
+    table, and ``backward`` is true when the left hop is the link's
+    higher AS.
+    """
+
+    pos: np.ndarray
+    route: np.ndarray
+    link: np.ndarray
+    backward: np.ndarray
+
+
 class ColumnarIndices:
     """Lazily-built vectorized derived views over one set of columns.
 
@@ -297,6 +319,7 @@ class ColumnarIndices:
         self.columns = columns
         self._pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._links: Optional[Tuple[np.ndarray, ...]] = None
+        self._occurrences: Optional[Occurrences] = None
         self._link_vp: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._as_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._degrees: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -309,12 +332,9 @@ class ColumnarIndices:
     # core derivations
     # ------------------------------------------------------------------
     def _pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Directed consecutive pairs in path-major order.
-
-        Returns ``(occ_pos, occ_route)`` where ``occ_pos`` indexes the
-        left hop of each pair in ``hops``; :meth:`_pair_hops` gathers
-        the hops themselves.
-        """
+        """``(pos, route)`` of every directed consecutive pair in
+        path-major order; ``pos`` indexes the pair's left hop in
+        ``hops``."""
         if self._pairs is None:
             cols = self.columns
             # Every hop but its route's last starts a pair.
@@ -328,23 +348,19 @@ class ColumnarIndices:
             self._pairs = (occ_pos, occ_route)
         return self._pairs
 
-    def _pair_hops(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(pair_a, pair_b)``: the left and right hop of every pair,
-        gathered on each call and not held by the index."""
-        occ_pos, _ = self._pair_arrays()
-        hops = self.columns.hops
-        return hops[occ_pos], hops[occ_pos + 1]
-
     def _link_arrays(self) -> Tuple[np.ndarray, ...]:
-        """Interned links:
-        ``(link_pack, link_lo, link_hi, occ_link, link_first)``.
+        """Interned links: ``(link_pack, link_lo, link_hi, link_first)``.
 
         ``link_pack`` is sorted ascending, which is exactly the
         lexicographic ``(lo, hi)`` order of canonical link keys;
-        ``link_first`` is each link's first pair occurrence.
+        ``link_first`` is each link's first pair occurrence.  The same
+        sort fills :meth:`occurrences`.
         """
         if self._links is None:
-            pair_a, pair_b = self._pair_hops()
+            occ_pos, occ_route = self._pair_arrays()
+            hops = self.columns.hops
+            pair_a, pair_b = hops[occ_pos], hops[occ_pos + 1]
+            backward = pair_a > pair_b
             keys = _pack32(
                 np.minimum(pair_a, pair_b), np.maximum(pair_a, pair_b)
             )
@@ -359,16 +375,26 @@ class ColumnarIndices:
             link_first = np.minimum.reduceat(order, first_at)
             link_lo = (link_pack >> _SHIFT32).astype(np.uint32)
             link_hi = (link_pack & _MASK32).astype(np.uint32)
-            self._links = (link_pack, link_lo, link_hi, occ_link, link_first)
+            self._links = (link_pack, link_lo, link_hi, link_first)
+            self._occurrences = Occurrences(
+                occ_pos, occ_route, occ_link, backward
+            )
         return self._links
+
+    def occurrences(self) -> Occurrences:
+        """Every consecutive hop pair of the corpus, path-major: the
+        one per-occurrence view other modules read."""
+        if self._occurrences is None:
+            self._link_arrays()
+        assert self._occurrences is not None
+        return self._occurrences
 
     def _link_vp_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct (link id, vp) pairs and per-link distinct-VP counts."""
         if self._link_vp is None:
-            _, occ_route = self._pair_arrays()
-            _, _, _, occ_link, _ = self._link_arrays()
-            vp_occ = self.columns.vp_column()[occ_route]
-            pairs = _distinct(_pack32(occ_link.astype(np.uint32), vp_occ))
+            occ = self.occurrences()
+            vp_occ = self.columns.vp_column()[occ.route]
+            pairs = _distinct(_pack32(occ.link.astype(np.uint32), vp_occ))
             counts = np.bincount(
                 (pairs >> _SHIFT32).astype(np.int64), minlength=self.n_links
             )
@@ -383,12 +409,11 @@ class ColumnarIndices:
         endpoints ``a0, b0, a1, b1, ...``.
         """
         if self._as_table is None:
-            occ_pos, _ = self._pair_arrays()
-            _, link_lo, link_hi, _, link_first = self._link_arrays()
+            _, link_lo, link_hi, link_first = self._link_arrays()
             as_sorted = _distinct(np.concatenate((link_lo, link_hi)))
             # At its first occurrence a link's lower AS is the left hop
             # (interleaved position 2f) or the right one (2f + 1).
-            lo_right = self.columns.hops[occ_pos[link_first]] != link_lo
+            lo_right = self.occurrences().backward[link_first]
             seen = np.full(len(as_sorted), np.iinfo(np.int64).max)
             lo_id = np.searchsorted(as_sorted, link_lo)
             hi_id = np.searchsorted(as_sorted, link_hi)
@@ -401,23 +426,18 @@ class ColumnarIndices:
         """Per link: the dense ids (positions in the sorted visible-AS
         table) of its lower and higher AS."""
         as_sorted, _ = self._as_arrays()
-        _, link_lo, link_hi, _, _ = self._link_arrays()
+        _, link_lo, link_hi, _ = self._link_arrays()
         return (
             np.searchsorted(as_sorted, link_lo),
             np.searchsorted(as_sorted, link_hi),
         )
 
-    def _backward(self) -> np.ndarray:
-        """Per pair occurrence: its left hop is its link's higher AS."""
-        pair_a, pair_b = self._pair_hops()
-        return pair_a > pair_b
-
     def _continued(self) -> np.ndarray:
         """Occurrences ``i`` whose route goes on with occurrence
         ``i + 1``: the AS between them (right hop of ``i``, left hop of
         ``i + 1``) sits in a transit position."""
-        occ_pos, _ = self._pair_arrays()
-        return np.flatnonzero(occ_pos[1:] == occ_pos[:-1] + 1)
+        pos = self.occurrences().pos
+        return np.flatnonzero(pos[1:] == pos[:-1] + 1)
 
     def _degree_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-AS (transit degree, node degree), aligned to as_sorted."""
@@ -430,14 +450,13 @@ class ColumnarIndices:
             # Flag (link, side) slots — side 0 the lower AS, 1 the
             # higher — whose AS sits in transit on that link; each
             # flagged slot is one distinct transit neighbour of its AS.
-            _, _, _, occ_link, _ = self._link_arrays()
-            backward = self._backward()
+            occ = self.occurrences()
             continued = self._continued()
             after = continued + 1
             slots = np.concatenate(
                 (
-                    2 * occ_link[continued] + ~backward[continued],
-                    2 * occ_link[after] + backward[after],
+                    2 * occ.link[continued] + ~occ.backward[continued],
+                    2 * occ.link[after] + occ.backward[after],
                 )
             )
             flagged = (
@@ -493,13 +512,12 @@ class ColumnarIndices:
             # (left hop of i, transit AS, right hop of i + 1).
             continued = self._continued()
             lo_id, hi_id = self._link_as_ids()
-            _, _, _, occ_link, _ = self._link_arrays()
-            backward = self._backward()
-            lo_occ = lo_id[occ_link]
-            hi_occ = hi_id[occ_link]
-            a_id = np.where(backward, hi_occ, lo_occ)
-            b_id = np.where(backward, lo_occ, hi_occ)
-            del backward, lo_occ, hi_occ
+            occ = self.occurrences()
+            lo_occ = lo_id[occ.link]
+            hi_occ = hi_id[occ.link]
+            a_id = np.where(occ.backward, hi_occ, lo_occ)
+            b_id = np.where(occ.backward, lo_occ, hi_occ)
+            del lo_occ, hi_occ
             after = continued + 1
             keys = _distinct(
                 (a_id[continued] * n + b_id[continued]) * n + b_id[after]
@@ -517,12 +535,11 @@ class ColumnarIndices:
     # ------------------------------------------------------------------
     def _left_of_pack(self) -> np.ndarray:
         if self._left_pack is None:
-            occ_pos, occ_route = self._pair_arrays()
-            _, _, _, occ_link, _ = self._link_arrays()
-            starts = self.columns.offsets[:-1][occ_route]
-            counts = occ_pos - starts
+            occ = self.occurrences()
+            starts = self.columns.offsets[:-1][occ.route]
+            counts = occ.pos - starts
             positions = concat_ranges(starts, counts)
-            link_ids = np.repeat(occ_link.astype(np.uint32), counts)
+            link_ids = np.repeat(occ.link.astype(np.uint32), counts)
             self._left_pack = _distinct(
                 _pack32(link_ids, self.columns.hops[positions])
             )
@@ -530,12 +547,11 @@ class ColumnarIndices:
 
     def _right_of_pack(self) -> np.ndarray:
         if self._right_pack is None:
-            occ_pos, occ_route = self._pair_arrays()
-            _, _, _, occ_link, _ = self._link_arrays()
-            starts = occ_pos + 2
-            counts = np.maximum(self.columns.offsets[1:][occ_route] - starts, 0)
+            occ = self.occurrences()
+            starts = occ.pos + 2
+            counts = np.maximum(self.columns.offsets[1:][occ.route] - starts, 0)
             positions = concat_ranges(starts, counts)
-            link_ids = np.repeat(occ_link.astype(np.uint32), counts)
+            link_ids = np.repeat(occ.link.astype(np.uint32), counts)
             self._right_pack = _distinct(
                 _pack32(link_ids, self.columns.hops[positions])
             )
@@ -543,11 +559,10 @@ class ColumnarIndices:
 
     def _origins_pack(self) -> np.ndarray:
         if self._origin_pack is None:
-            _, occ_route = self._pair_arrays()
-            _, _, _, occ_link, _ = self._link_arrays()
-            origins = self.columns.origin_column()[occ_route]
+            occ = self.occurrences()
+            origins = self.columns.origin_column()[occ.route]
             self._origin_pack = _distinct(
-                _pack32(occ_link.astype(np.uint32), origins)
+                _pack32(occ.link.astype(np.uint32), origins)
             )
         return self._origin_pack
 
@@ -574,7 +589,7 @@ class ColumnarIndices:
     # queries (corpus-facing)
     # ------------------------------------------------------------------
     def link_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        _, link_lo, link_hi, _, _ = self._link_arrays()
+        _, link_lo, link_hi, _ = self._link_arrays()
         return link_lo, link_hi
 
     def link_keys_list(self) -> List[Tuple[int, int]]:
@@ -792,8 +807,14 @@ class ColumnarIndices:
                     total += int(arr.nbytes)
             indices[name] = total
 
-        account("pairs", self._pairs)
-        account("links", self._links)
+        occ = self._occurrences
+        # The link sort adds each occurrence's link id and direction.
+        if occ is None:
+            account("pairs", self._pairs)
+            account("links", None)
+        else:
+            account("pairs", (occ.pos, occ.route, occ.backward))
+            account("links", self._links + (occ.link,))
         account("link_vps", self._link_vp)
         account("as_table", self._as_table)
         account("degrees", self._degrees)

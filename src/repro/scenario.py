@@ -21,10 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:
-    from repro.adversarial.attacks import AttackEvent
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -80,8 +77,6 @@ class Scenario:
     strippers: Set[int]
     validation: CleanedValidation
 
-    #: Propagation worker processes used when (re)computing corpora.
-    workers: int = 0
     #: Artifact cache serving/receiving this scenario's heavy outputs.
     cache: Optional[ArtifactCache] = field(default=None, repr=False)
     cache_key: Optional[str] = field(default=None, repr=False)
@@ -227,20 +222,6 @@ class Scenario:
                 self.link_table().links, self.infer(algorithm)
             )
         return self._predicted[algorithm]
-
-    def attack_events(self) -> List["AttackEvent"]:
-        """The attack plan polluting this scenario's corpus.
-
-        Recomputed from the config's labelled RNG streams (cheap), so
-        it is available whether or not the corpus came from the cache.
-        Empty for honest scenarios.
-        """
-        adv = self.config.adversarial
-        if adv is None or adv.attack.total_events() == 0:
-            return []
-        from repro.adversarial.attacks import plan_events
-
-        return plan_events(self.topology, self.config)
 
     def corpus_stats(self) -> Dict[str, object]:
         """Corpus counters, intern-table sizes, and columnar memory
@@ -433,7 +414,6 @@ def build_scenario(
         communities=communities,
         strippers=strippers,
         validation=cleaned,
-        workers=workers,
         cache=cache_obj,
         cache_key=key,
         corpus_from_cache=corpus_from_cache,

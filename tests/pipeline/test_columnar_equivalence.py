@@ -5,9 +5,10 @@ The columnar corpus's hard invariant is that it changes *nothing* about
 the science.  Two checks hold it to that over several seeds:
 
 * every derived view of the corpus (links, visibility, triplets,
-  degrees with their dict orders, left/right/origin sets, stats and the
-  three inference accessors) equals the plain dict/set index in
-  ``reference_corpus.py``, built route by route from the same paths —
+  degrees with their dict orders, left/right/origin sets, stats, the
+  three inference accessors and the per-occurrence view) agrees with
+  the plain dict/set index in ``reference_corpus.py``, built route by
+  route from the same paths —
   on the seeded corpora and on hand-built ones for the edge cases no
   seeded topology produces (single-hop and length-2 routes only, a hop
   repeated non-consecutively, ASNs 0 and 2**32-1, no routes at all);
@@ -18,6 +19,7 @@ the science.  Two checks hold it to that over several seeds:
 
 import functools
 import hashlib
+import itertools
 
 import pytest
 
@@ -195,6 +197,24 @@ def test_inference_accessors_match_reference(views):
         ref.descending_seed_pairs(clique)
     )
     assert corpus.apparent_providers(clique) == ref.apparent_providers(clique)
+
+
+def test_occurrence_view_matches_paths(views):
+    corpus, ref, _ = views
+    index = corpus.columnar_index()
+    occ = index.occurrences()
+    links = index.link_keys_list()
+    starts = list(itertools.accumulate(map(len, ref.paths), initial=0))
+    n_pairs = sum(max(len(path) - 1, 0) for path in ref.paths)
+    assert [len(column) for column in occ] == [n_pairs] * 4
+    for pos, route, link, backward in zip(*(col.tolist() for col in occ)):
+        # Both hops of the pair lie inside the route's span ...
+        assert starts[route] <= pos and pos + 1 < starts[route + 1]
+        path = ref.paths[route]
+        pair = path[pos - starts[route]], path[pos + 1 - starts[route]]
+        # ... and are the link's endpoints, in the order backward says.
+        lo, hi = links[link]
+        assert pair == ((hi, lo) if backward else (lo, hi))
 
 
 def test_filter_by_vps_matches_route_filter(views):

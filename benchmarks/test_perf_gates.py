@@ -5,8 +5,8 @@ perfbench's traced run (``python perfbench/run.py --trace 1``).  Each
 test here asserts one bar and fails the build when it breaks:
 
 * the ``:batch`` resolver's per-batch p50 is >= 3x faster than the
-  per-key reference walk (``tests/service/reference_batch.py``) at
-  256-link batches;
+  per-key walk of the public-API reference records
+  (``tests/service/reference_batch.py``) at 256-link batches;
 * 4-worker collection is >= 2x faster than serial on a 600-AS,
   no-churn round;
 * a warm-cache build of that config beats the cold build without
@@ -48,7 +48,7 @@ from repro.service.query import ScenarioView
 from repro.topology.generator import generate_topology
 from repro.utils.rng import make_rng
 # The per-key walk is a test reference, kept out of src/ on purpose.
-from tests.service.reference_batch import batch_payloads_perkey  # repro: noqa[DEP001]
+from tests.service.reference_batch import ReferenceRecords  # repro: noqa[DEP001]
 
 #: Cores a worker pool can actually use on this host.
 USABLE_CORES = resolve_workers(-1)
@@ -97,9 +97,12 @@ def test_batch_resolver_speedup():
     view = ScenarioView(build_scenario(ScenarioConfig.small(seed=7)))
     view.build_rel_index("asrank")
     batches = _batches(view, N_BATCHES, BATCH_SIZE)
+    # Every per-link fact is read when the reference is built, outside
+    # the timed walk.
+    reference = ReferenceRecords(view.scenario, "asrank")
 
     def perkey(algorithm, pairs):
-        return batch_payloads_perkey(view, algorithm, pairs)
+        return reference.batch(pairs)
 
     def per_batch_p50(fn) -> float:
         per_batch = []

@@ -72,6 +72,21 @@ _SCENARIO_FIELDS = {
 Handler = Callable[..., Any]
 
 
+def _parse_asn(segment: str) -> int:
+    """The ASN of a ``\\d+`` path segment.
+
+    A segment longer than ``int()``'s digit limit is a 400, not a 500.
+    """
+    try:
+        return int(segment)
+    except ValueError:
+        raise ApiError(
+            400, "invalid_asn",
+            f"an ASN of {len(segment)} digits is out of range",
+            digits=len(segment),
+        ) from None
+
+
 @dataclass(frozen=True)
 class Route:
     method: str
@@ -513,13 +528,15 @@ class ReproService:
         self, request: Request, algorithm: str, as1: str, as2: str
     ) -> Tuple[int, Any]:
         self._check_algorithm(algorithm)
-        a, b = int(as1), int(as2)
+        a, b = _parse_asn(as1), _parse_asn(as2)
         if a == b:
             raise ApiError(400, "invalid_link",
                            f"link {as1}-{as2} is a self-loop", as1=a, as2=b)
         entry = await self._resolve_entry(request)
         await self._ensure_rel_index(entry, algorithm)
-        payload = entry.view.link_payload(algorithm, a, b)
+        payload = entry.view.point_payload(
+            algorithm, a, b, entry.scenario_id
+        )
         if payload is None:
             raise ApiError(
                 404, "unknown_link",
@@ -527,7 +544,6 @@ class ReproService:
                 f"{entry.scenario_id}",
                 as1=a, as2=b, scenario=entry.scenario_id,
             )
-        payload["scenario"] = entry.scenario_id
         return 200, payload
 
     async def _h_rel_batch(
@@ -582,13 +598,14 @@ class ReproService:
     async def _h_neighbors(
         self, request: Request, asn: str
     ) -> Tuple[int, Any]:
+        number = _parse_asn(asn)
         entry = await self._resolve_entry(request)
-        payload = entry.view.neighbors_payload(int(asn))
+        payload = entry.view.neighbors_payload(number)
         if payload is None:
             raise ApiError(
                 404, "unknown_asn",
                 f"AS{asn} is not visible in scenario {entry.scenario_id}",
-                asn=int(asn), scenario=entry.scenario_id,
+                asn=number, scenario=entry.scenario_id,
             )
         payload["scenario"] = entry.scenario_id
         return 200, payload

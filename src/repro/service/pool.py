@@ -252,20 +252,6 @@ class ScenarioPool:
             "builds_in_progress": self.builds_in_progress,
         }
 
-    def close(self) -> None:
-        """Synchronous shutdown: cancel in-flight builds, stop the executor.
-
-        Safe to call with no running loop (the tasks are then already
-        dead with their loop).  From async code prefer
-        :meth:`aclose`, which additionally *awaits* the cancelled
-        builds so none is garbage-collected while pending ("Task was
-        destroyed but it is pending") and no executor job outlives
-        shutdown unobserved.
-        """
-        for task in list(self._building.values()):
-            task.cancel()
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
     async def aclose(self) -> None:
         """Cancel and reap in-flight builds, then stop the executor.
 

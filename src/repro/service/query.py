@@ -5,18 +5,17 @@ the pool's build executor, never on the event loop) and answers every
 point query with plain dict lookups:
 
 * ``adjacency`` — ASN → sorted visible neighbours (from the corpus);
-* ``rel_index(algorithm)`` — link key → (relationship, provider), one
-  dict per algorithm, materialised from
-  :meth:`repro.scenario.Scenario.infer` the first time the algorithm is
-  requested and kept forever after;
-* ``validation`` — link key → the cleaned validation record;
-* ``classes`` — link key → regional and topological class labels.
+* ``build_rel_index(algorithm)`` — link key → served JSON record, one
+  table per algorithm over the visible links, built from
+  :meth:`repro.scenario.Scenario.infer`, the validation set and the
+  scenario's link table the first time the algorithm is requested and
+  kept forever after.
 
-Building an algorithm's index also prebuilds the JSON record of every
-visible link, so a ``:batch`` request is one dict lookup per pair.
-Point-query latency is therefore O(1) per lookup: after a scenario (and
-an algorithm's index) is built, a thousand ``GET /v1/rel/...`` requests
-run zero inferences — the ``/metrics`` document proves it.
+``GET /v1/rel/...`` answers with a copy of one record of that table and
+``:batch`` with the records themselves, so both endpoints serve the
+same record, one dict lookup per link.  After a scenario (and an
+algorithm's table) is built, a thousand point requests run zero
+inferences — the ``/metrics`` document proves it.
 """
 
 from __future__ import annotations
@@ -41,101 +40,94 @@ class ScenarioView:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        corpus = scenario.corpus
         #: The paper's "inferred links" universe (siblings excluded).
         self.links: List[LinkKey] = scenario.inferred_links()
-        visible = corpus.visible_links()
-        self._visible = set(visible)
 
         adjacency: Dict[int, List[int]] = {}
-        for a, b in visible:
+        for a, b in scenario.corpus.visible_links():
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
         self.adjacency: Dict[int, List[int]] = {
             asn: sorted(neighbors) for asn, neighbors in adjacency.items()
         }
 
-        self.validation: Dict[LinkKey, Tuple[RelType, Optional[int]]] = dict(
-            scenario.validation.rels
-        )
-
-        table = scenario.link_table()
-        self.classes: Dict[LinkKey, Tuple[Optional[str], Optional[str]]] = dict(
-            zip(
-                table.links,
-                zip(table.labels(table.regional), table.labels(table.topological)),
-            )
-        )
-
-        self._rels: Dict[str, Dict[LinkKey, Tuple[RelType, Optional[int]]]] = {}
-        #: Per-algorithm batch records, one per visible link.
-        self._batch_records: Dict[str, Dict[LinkKey, Dict[str, Any]]] = {}
+        #: Per-algorithm served records, one per visible link.
+        self._records: Dict[str, Dict[LinkKey, Dict[str, Any]]] = {}
 
     # ------------------------------------------------------------------
     # index construction
     # ------------------------------------------------------------------
     def has_rel_index(self, algorithm: str) -> bool:
-        return algorithm in self._rels
+        return algorithm in self._records
 
-    def build_rel_index(
-        self, algorithm: str
-    ) -> Dict[LinkKey, Tuple[RelType, Optional[int]]]:
-        """Materialise (and memoise) one algorithm's link→rel dict.
+    def build_rel_index(self, algorithm: str) -> Dict[LinkKey, Dict[str, Any]]:
+        """Materialise (and memoise) one algorithm's record table.
 
         Runs the inference when the scenario has not produced it yet, so
         callers must dispatch this to an executor, not the event loop.
+        The records are shared by every response: never mutate one.
         """
         if algorithm not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if algorithm not in self._rels:
-            rels = self.scenario.infer(algorithm)
-            index: Dict[LinkKey, Tuple[RelType, Optional[int]]] = {}
-            for key, rel, provider in rels.items():
-                index[key] = (rel, provider if rel is RelType.P2C else None)
-            self._rels[algorithm] = index
+        if algorithm not in self._records:
+            scenario = self.scenario
+            rels = scenario.infer(algorithm).by_key()
+            validated = scenario.validation.rels
+            table = scenario.link_table()
+            # The link table's rows follow the columnar index's links.
+            index = scenario.corpus.columnar_index()
             records: Dict[LinkKey, Dict[str, Any]] = {}
-            for key in self.scenario.corpus.visible_links():
-                record = self.link_payload(algorithm, *key)
-                record["visible"] = True
-                records[key] = record
-            self._batch_records[algorithm] = records
-        return self._rels[algorithm]
+            for key, regional, topological, seen in zip(
+                table.links,
+                table.labels(table.regional),
+                table.labels(table.topological),
+                index.link_visibility_counts().tolist(),
+            ):
+                entry = rels.get(key)
+                truth = validated.get(key)
+                records[key] = {
+                    "as1": key[0],
+                    "as2": key[1],
+                    "algorithm": algorithm,
+                    "relationship": REL_NAMES[entry[0]] if entry else None,
+                    "provider": (
+                        entry[1] if entry and entry[0] is RelType.P2C else None
+                    ),
+                    "validation": (
+                        {
+                            "relationship": REL_NAMES[truth[0]],
+                            "provider": truth[1],
+                        }
+                        if truth
+                        else None
+                    ),
+                    "classes": {
+                        "regional": regional,
+                        "topological": topological,
+                    },
+                    "visibility": seen,
+                    "visible": True,
+                }
+            self._records[algorithm] = records
+        return self._records[algorithm]
 
     # ------------------------------------------------------------------
     # point queries (all O(1))
     # ------------------------------------------------------------------
-    def link_payload(
-        self, algorithm: str, a: int, b: int
+    def point_payload(
+        self, algorithm: str, a: int, b: int, scenario_id: str
     ) -> Optional[Dict[str, Any]]:
-        """The JSON record for one link, ``None`` if never observed.
+        """One link's ``GET /v1/rel`` body, ``None`` if never observed.
 
-        The algorithm's index must already be built (see
-        :meth:`build_rel_index`); this method only does dict lookups.
+        A copy of the link's record from :meth:`build_rel_index` (which
+        must have run), without ``visible`` and with ``scenario``.
         """
-        key = link_key(a, b)
-        if key not in self._visible:
+        record = self._records[algorithm].get(link_key(a, b))
+        if record is None:
             return None
-        index = self._rels[algorithm]
-        entry = index.get(key)
-        validated = self.validation.get(key)
-        regional, topological = self.classes.get(key, (None, None))
-        return {
-            "as1": key[0],
-            "as2": key[1],
-            "algorithm": algorithm,
-            "relationship": REL_NAMES[entry[0]] if entry else None,
-            "provider": entry[1] if entry else None,
-            "validation": (
-                {
-                    "relationship": REL_NAMES[validated[0]],
-                    "provider": validated[1],
-                }
-                if validated
-                else None
-            ),
-            "classes": {"regional": regional, "topological": topological},
-            "visibility": self.scenario.corpus.link_visibility(key),
-        }
+        payload = {**record, "scenario": scenario_id}
+        del payload["visible"]
+        return payload
 
     # ------------------------------------------------------------------
     # batch queries (one dict lookup per pair)
@@ -160,11 +152,11 @@ class ScenarioView:
     ) -> Tuple[List[Dict[str, Any]], int]:
         """Resolve a batch of ASN pairs to records, and count the unknown.
 
-        Known links reuse the records prebuilt at index time; a link
+        Known links reuse the records of :meth:`build_rel_index`; a link
         never observed gets :meth:`unknown_record`.  A self-loop pair
         raises ``ValueError`` (see :func:`link_key`).
         """
-        records = self._batch_records[algorithm]
+        records = self._records[algorithm]
         results: List[Dict[str, Any]] = []
         n_unknown = 0
         for a, b in pairs:
@@ -202,7 +194,7 @@ class ScenarioView:
                 "n_inferred_links": len(self.links),
                 "n_validated_links": len(scenario.validation),
             },
-            "algorithms_indexed": sorted(self._rels),
+            "algorithms_indexed": sorted(self._records),
         }
 
 

@@ -288,7 +288,7 @@ def topological_bias(scenario: Scenario) -> BiasProfile:
 def view_classes(
     scenario: Scenario,
 ) -> Dict[LinkKey, Tuple[Optional[str], Optional[str]]]:
-    """``ScenarioView.classes``."""
+    """The ``classes`` of ``ScenarioView``'s served records."""
     regional = scenario.regional_classifier()
     topological = scenario.topological_classifier()
     return {

@@ -72,7 +72,11 @@ def assert_same_link_lists(scenario):
     )
     for name in list(CLASS_CODES) + ["Total°", "NOPE"]:
         assert scenario.class_links(name) == ref.class_links(scenario, name)
-    assert ScenarioView(scenario).classes == ref.view_classes(scenario)
+    records = ScenarioView(scenario).build_rel_index("asrank")
+    assert {
+        key: (record["classes"]["regional"], record["classes"]["topological"])
+        for key, record in records.items()
+    } == ref.view_classes(scenario)
 
 
 def assert_same_analysis(scenario):

@@ -1,12 +1,14 @@
-"""The ``:batch`` resolver vs the per-key reference, byte for byte.
+"""The served link records vs a reference built from the public API.
 
 ``ScenarioView.batch_payloads`` (one lookup per pair in the records
-prebuilt at index time) must be indistinguishable on the wire from
-``batch_payloads_perkey`` (the per-key walk that builds every record
-afresh, kept in :mod:`tests.service.reference_batch`): same records,
-same order, same ``n_unknown``, same serialised bytes — across seeds,
-shuffled/reversed pairs, unknown links, negative and oversized ASNs,
-and the self-loop error contract.
+built with the index) must be indistinguishable on the wire from
+:class:`~tests.service.reference_batch.ReferenceRecords`, which reads
+``Scenario``'s public API only: same records, same order, same
+``n_unknown``, same serialised bytes — across seeds, shuffled/reversed
+pairs, unknown links, negative and oversized ASNs, and the self-loop
+error contract.  ``ScenarioView.point_payload`` must give every visible
+link's reference record without ``visible``, in either orientation,
+and ``None`` for the rest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.config import ScenarioConfig
 from repro.scenario import build_scenario
 from repro.service.http import json_response
 from repro.service.query import ScenarioView
-from tests.service.reference_batch import batch_payloads_perkey
+from tests.service.reference_batch import ReferenceRecords
 
 pytestmark = pytest.mark.differential
 
@@ -34,6 +36,11 @@ def view(request):
     )
     built.build_rel_index("asrank")
     return built
+
+
+@pytest.fixture(scope="module")
+def reference(view):
+    return ReferenceRecords(view.scenario, "asrank")
 
 
 def _mixed_pairs(view: ScenarioView, seed: int) -> list:
@@ -55,10 +62,10 @@ def _mixed_pairs(view: ScenarioView, seed: int) -> list:
     return pairs
 
 
-def test_batch_matches_perkey_bytes(view):
+def test_batch_matches_perkey_bytes(view, reference):
     pairs = _mixed_pairs(view, seed=0)
     resolved, resolved_unknown = view.batch_payloads("asrank", pairs)
-    oracle, oracle_unknown = batch_payloads_perkey(view, "asrank", pairs)
+    oracle, oracle_unknown = reference.batch(pairs)
     assert resolved_unknown == oracle_unknown
     # Full response envelopes, serialised exactly as the server does.
     envelope = {
@@ -75,10 +82,10 @@ def test_batch_matches_perkey_bytes(view):
     )
 
 
-def test_batch_unknown_only(view):
+def test_batch_unknown_only(view, reference):
     pairs = [[987_654, 321], [5, 999_888_777]]
     resolved, n_unknown = view.batch_payloads("asrank", pairs)
-    oracle, oracle_unknown = batch_payloads_perkey(view, "asrank", pairs)
+    oracle, oracle_unknown = reference.batch(pairs)
     assert n_unknown == oracle_unknown == 2
     assert json.dumps(resolved, sort_keys=True) == json.dumps(
         oracle, sort_keys=True
@@ -86,33 +93,54 @@ def test_batch_unknown_only(view):
     assert all(not record["visible"] for record in resolved)
 
 
-def test_batch_empty(view):
+def test_batch_empty(view, reference):
     assert view.batch_payloads("asrank", []) == ([], 0)
-    assert batch_payloads_perkey(view, "asrank", []) == ([], 0)
+    assert reference.batch([]) == ([], 0)
 
 
-def test_batch_huge_int(view):
+def test_batch_huge_int(view, reference):
     # ASNs beyond int64 are plain unknown links, as on the per-key walk.
     pairs = [[2**70, 3], list(view.scenario.corpus.visible_links()[0])]
     resolved, n_unknown = view.batch_payloads("asrank", pairs)
-    oracle, oracle_unknown = batch_payloads_perkey(view, "asrank", pairs)
+    oracle, oracle_unknown = reference.batch(pairs)
     assert n_unknown == oracle_unknown == 1
     assert json.dumps(resolved, sort_keys=True) == json.dumps(
         oracle, sort_keys=True
     )
 
 
-def test_batch_self_loop_raises_like_perkey(view):
+def test_batch_self_loop_raises_like_perkey(view, reference):
     with pytest.raises(ValueError, match="self-loop link at AS5"):
         view.batch_payloads("asrank", [[5, 5]])
     with pytest.raises(ValueError, match="self-loop link at AS5"):
-        batch_payloads_perkey(view, "asrank", [[5, 5]])
+        reference.batch([[5, 5]])
 
 
-def test_batch_ragged_pair_raises_like_perkey(view):
+def test_batch_ragged_pair_raises_like_perkey(view, reference):
     # The HTTP handler rejects these first; in process both walks fail
     # on unpacking the same way.
     with pytest.raises(ValueError, match="too many values"):
         view.batch_payloads("asrank", [[1, 2], [1, 2, 3]])
     with pytest.raises(ValueError, match="too many values"):
-        batch_payloads_perkey(view, "asrank", [[1, 2], [1, 2, 3]])
+        reference.batch([[1, 2], [1, 2, 3]])
+
+
+def test_point_records_match_reference(view, reference):
+    scenario_id = "deadbeef0000"
+    for a, b in view.scenario.corpus.visible_links():
+        want = dict(reference.record(a, b), scenario=scenario_id)
+        del want["visible"]
+        for pair in ((a, b), (b, a)):
+            got = view.point_payload("asrank", *pair, scenario_id)
+            assert json_response(200, got) == json_response(200, want)
+    visible = set(view.scenario.corpus.visible_links())
+    absent = [
+        pair for pair in _mixed_pairs(view, seed=0) + [[2**70, 3]]
+        if (min(pair), max(pair)) not in visible
+    ]
+    assert len(absent) == 8
+    for a, b in absent:
+        assert view.point_payload("asrank", a, b, scenario_id) is None
+    # The point copies left the shared records as :batch serves them.
+    pairs = [list(key) for key in visible]
+    assert view.batch_payloads("asrank", pairs) == reference.batch(pairs)

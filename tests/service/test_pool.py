@@ -61,7 +61,7 @@ def test_hit_returns_same_entry_without_rebuilding():
     assert pool.builds == 1
     assert pool.hits == 1
     assert pool.misses == 1
-    pool.close()
+    asyncio.run(pool.aclose())
 
 
 def test_concurrent_same_config_triggers_exactly_one_build():
@@ -80,7 +80,7 @@ def test_concurrent_same_config_triggers_exactly_one_build():
     assert pool.builds == 1
     assert pool.coalesced == 5
     assert len({id(entry) for entry in entries}) == 1
-    pool.close()
+    asyncio.run(pool.aclose())
 
 
 def test_lru_eviction_at_capacity_one():
@@ -98,7 +98,7 @@ def test_lru_eviction_at_capacity_one():
     assert first.scenario_id not in pool
     assert second.scenario_id in pool
     assert pool.latest() is second
-    pool.close()
+    asyncio.run(pool.aclose())
 
 
 def test_lru_recency_decides_the_victim():
@@ -117,7 +117,7 @@ def test_lru_recency_decides_the_victim():
     assert a.scenario_id in pool
     assert scenario_id(ScenarioConfig.small(seed=2)) not in pool
     assert scenario_id(ScenarioConfig.small(seed=3)) in pool
-    pool.close()
+    asyncio.run(pool.aclose())
 
 
 def test_failed_build_propagates_and_does_not_poison_the_pool():
@@ -146,7 +146,7 @@ def test_failed_build_propagates_and_does_not_poison_the_pool():
 
     asyncio.run(retry())
     assert calls == [9, 9]
-    pool.close()
+    asyncio.run(pool.aclose())
 
 
 def test_unknown_id_lookup_counts_a_miss():
@@ -155,7 +155,7 @@ def test_unknown_id_lookup_counts_a_miss():
     assert pool.get("does-not-exist") is None
     assert pool.misses == 1
     assert pool.latest() is None
-    pool.close()
+    asyncio.run(pool.aclose())
 
 
 def test_aclose_cancels_and_reaps_in_flight_builds():
@@ -185,22 +185,5 @@ def test_aclose_idles_cleanly_with_nothing_in_flight():
     async def scenario():
         await pool.aclose()
         await pool.aclose()  # idempotent
-
-    asyncio.run(scenario())
-
-
-def test_sync_close_cancels_in_flight_builds():
-    calls: List[int] = []
-    pool = make_pool(calls, delay=0.3)
-
-    async def scenario():
-        waiter = asyncio.ensure_future(
-            pool.get_or_build(ScenarioConfig.small(seed=9))
-        )
-        while pool.builds_in_progress == 0:
-            await asyncio.sleep(0.01)
-        pool.close()
-        with pytest.raises(asyncio.CancelledError):
-            await waiter
 
     asyncio.run(scenario())

@@ -12,10 +12,12 @@ connections.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import logging
 import os
+import sys
 import threading
 import time
 from typing import Iterator
@@ -281,6 +283,26 @@ def test_self_loop_links_are_structured_400s(client, admitted):
     assert error.message.startswith("links[1] must be")
 
 
+def test_oversized_asns_are_structured_400s(client, admitted):
+    # One digit past int()'s int-string digit limit (4,300 by default).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() reads integer strings of any length here")
+    huge = "9" * (limit + 1)
+    for path in (f"/v1/rel/asrank/{huge}/1", f"/v1/as/{huge}/neighbors"):
+        error = expect_error(
+            lambda: client.request("GET", path), 400, "invalid_asn"
+        )
+        assert error.details == {"digits": limit + 1}
+    # Every ASN int() reads keeps its answer: 20 digits is just unknown.
+    expect_error(
+        lambda: client.rel("asrank", 10**19, 1), 404, "unknown_link"
+    )
+    expect_error(
+        lambda: client.neighbors(10**19), 404, "unknown_asn"
+    )
+
+
 def test_batch_too_large_shape():
     """The 413 contract fires before any scenario is even resolved."""
     service = ReproService(pool_size=1)
@@ -446,7 +468,7 @@ def test_metrics_reports_worker_label():
     assert snapshot["worker"] == {"index": 0, "pid": os.getpid()}
     service.metrics.worker_index = 3
     assert service.metrics.snapshot()["worker"]["index"] == 3
-    service.pool.close()
+    asyncio.run(service.pool.aclose())
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,6 @@ class ImpactReport:
         default=None, repr=False, compare=False
     )
 
-    def by_algorithm(self) -> Dict[str, AlgorithmImpact]:
-        return {impact.algorithm: impact for impact in self.algorithms}
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload (CLI ``--json`` and the service route)."""
         return {

@@ -10,11 +10,7 @@ from repro.analysis.casestudy import (
     triplet_evidence,
     wrong_p2p_links,
 )
-from repro.analysis.classes import (
-    RegionalClassifier,
-    TopologicalClassifier,
-    transit_internal_links,
-)
+from repro.analysis.classes import RegionalClassifier, TopologicalClassifier
 from repro.analysis.export import (
     load_results_bundle,
     results_bundle,
@@ -32,7 +28,7 @@ from repro.analysis.heatmap import (
     build_heatmaps,
     metric_values,
 )
-from repro.analysis.metrics import BinaryConfusion, ClassMetrics, confusion_for_links
+from repro.analysis.metrics import BinaryConfusion, ClassMetrics
 from repro.analysis.report import (
     render_bias_figure,
     render_class_shares,
@@ -59,7 +55,6 @@ from repro.analysis.tables import (
     PAPER_CLASS_ORDER,
     TableRow,
     ValidationTable,
-    build_table,
 )
 
 __all__ = [
@@ -75,7 +70,6 @@ __all__ = [
     "wrong_p2p_links",
     "RegionalClassifier",
     "TopologicalClassifier",
-    "transit_internal_links",
     "load_results_bundle",
     "results_bundle",
     "write_results_bundle",
@@ -94,7 +88,6 @@ __all__ = [
     "metric_values",
     "BinaryConfusion",
     "ClassMetrics",
-    "confusion_for_links",
     "render_bias_figure",
     "render_class_shares",
     "render_imbalance_heatmaps",
@@ -109,5 +102,4 @@ __all__ = [
     "PAPER_CLASS_ORDER",
     "TableRow",
     "ValidationTable",
-    "build_table",
 ]

@@ -116,15 +116,6 @@ class TopologicalClassifier:
         return grouped
 
 
-def transit_internal_links(
-    classifier: TopologicalClassifier, links: Iterable[LinkKey]
-) -> List[LinkKey]:
-    """The TR° links (both sides plain transit) — the population of the
-    Figure 3 / 7-9 heatmaps."""
-    mark = f"TR{INTERNAL_MARK}"
-    return [key for key in links if classifier.classify(key) == mark]
-
-
 # ----------------------------------------------------------------------
 # the per-scenario link table
 # ----------------------------------------------------------------------

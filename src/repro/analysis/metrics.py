@@ -4,16 +4,15 @@ The paper evaluates each classifier with two binary confusion matrices
 per link class — one treating P2C as the positive class, one treating
 P2P as positive — and reports precision (PPV), recall (TPR), the link
 counts, and Matthews' correlation coefficient (MCC) as a symmetric
-summary.  The Fowlkes-Mallows index, balanced accuracy and F1 are
-implemented too (the paper mentions them as the metrics it chose *not*
-to show), so the reporting layer can reproduce footnotes 9-10.
+summary.  The Fowlkes-Mallows index is implemented too (the paper
+mentions it among the metrics it chose *not* to show).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -126,15 +125,6 @@ class BinaryConfusion:
         denominator = self.tp + self.fn
         return self.tp / denominator if denominator else 0.0
 
-    def f1(self) -> float:
-        p, r = self.ppv(), self.tpr()
-        return 2 * p * r / (p + r) if (p + r) else 0.0
-
-    def balanced_accuracy(self) -> float:
-        tnr_denominator = self.tn + self.fp
-        tnr = self.tn / tnr_denominator if tnr_denominator else 0.0
-        return (self.tpr() + tnr) / 2
-
     def mcc(self) -> float:
         """Matthews correlation coefficient in [-1, 1]; 0 on degenerate
         matrices (any all-zero margin), following Chicco et al."""
@@ -210,31 +200,6 @@ def confusion_counts(
     return np.bincount(cells, minlength=n_groups * 12).reshape(n_groups, 4, 3)
 
 
-def confusion_for_links(
-    links: Iterable[LinkKey],
-    inferred: RelationshipSet,
-    validation: CleanedValidation,
-    positive: RelType,
-) -> BinaryConfusion:
-    """Confusion matrix over the validated subset of ``links``.
-
-    Only links present in *both* the inference and the cleaned
-    validation data contribute; S2S validation entries are skipped (the
-    cleaning layer removes them, but hand-built data may contain them).
-    """
-    if positive not in (RelType.P2C, RelType.P2P):
-        raise ValueError("positive class must be P2C or P2P")
-    links = list(links)
-    counts = confusion_counts(
-        np.zeros(len(links), dtype=np.int64),
-        truth_codes(links, validation),
-        predicted_codes(links, inferred),
-        1,
-    )
-    conf = BinaryConfusion.of_counts(counts[0])
-    return conf if positive is RelType.P2P else conf.flipped()
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     """One row of the paper's Tables 1-3."""
@@ -248,19 +213,6 @@ class ClassMetrics:
     n_p2c: int
     mcc: float
     fowlkes_mallows: float
-
-    @classmethod
-    def from_links(
-        cls,
-        class_name: str,
-        links: Iterable[LinkKey],
-        inferred: RelationshipSet,
-        validation: CleanedValidation,
-    ) -> "ClassMetrics":
-        return cls.of_confusion(
-            class_name,
-            confusion_for_links(links, inferred, validation, RelType.P2P),
-        )
 
     @classmethod
     def of_confusion(

@@ -17,21 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.bias import LinkClassifier, label_codes
-from repro.analysis.metrics import (
-    BinaryConfusion,
-    ClassMetrics,
-    confusion_counts,
-    predicted_codes,
-    truth_codes,
-)
-from repro.datasets.asrel import RelationshipSet
-from repro.topology.graph import LinkKey
-from repro.validation.cleaning import CleanedValidation
+from repro.analysis.metrics import BinaryConfusion, ClassMetrics, confusion_counts
 
 #: Paper row order for the default class set.
 PAPER_CLASS_ORDER: Tuple[str, ...] = (
@@ -123,40 +113,6 @@ class ValidationTable:
         return candidates[:n]
 
 
-def build_table(
-    algorithm: str,
-    inferred: RelationshipSet,
-    validation: CleanedValidation,
-    classifiers: Sequence[LinkClassifier],
-    evaluation_links: Iterable[LinkKey],
-    min_class_links: int = 20,
-    class_order: Optional[Sequence[str]] = None,
-) -> ValidationTable:
-    """Assemble the table over the evaluation link set.
-
-    ``classifiers`` typically holds the regional and the topological
-    classifier; a link contributes one row membership per classifier
-    (the paper mixes both groupings in one table).  Classes with fewer
-    than ``min_class_links`` validated links are dropped, mirroring the
-    paper's ">= 500 relationships in summary" cut-off (scaled down for
-    smaller scenarios via the parameter).
-    """
-    links = list(evaluation_links)
-    names: Dict[str, int] = {}
-    groupings = [
-        label_codes(map(classifier, links), names) for classifier in classifiers
-    ]
-    return tabulate(
-        algorithm,
-        list(names),
-        groupings,
-        truth_codes(links, validation),
-        predicted_codes(links, inferred),
-        min_class_links=min_class_links,
-        class_order=class_order,
-    )
-
-
 def tabulate(
     algorithm: str,
     class_names: Sequence[str],
@@ -164,7 +120,6 @@ def tabulate(
     truth: np.ndarray,
     predicted: np.ndarray,
     min_class_links: int = 20,
-    class_order: Optional[Sequence[str]] = None,
 ) -> ValidationTable:
     """The table from per-link codes.
 
@@ -172,7 +127,11 @@ def tabulate(
     ``class_names`` under one classifier (``-1``: no class); ``truth``
     and ``predicted`` are the links' relationship codes.  One tally
     counts the ``Total°`` row and every class row
-    (:func:`~repro.analysis.metrics.confusion_counts`).
+    (:func:`~repro.analysis.metrics.confusion_counts`).  Classes with
+    fewer than ``min_class_links`` validated links are dropped (the
+    paper's ">= 500 relationships" cut-off, scaled by the caller); the
+    rest follow :data:`PAPER_CLASS_ORDER`, unlisted classes last by
+    name.
     """
     n_classes = len(class_names)
     total_group = np.full(len(truth), n_classes, dtype=np.int64)
@@ -202,11 +161,10 @@ def tabulate(
                 colour_mcc=CellColour.grade(metrics.mcc, total.mcc),
             )
         )
-    order = list(class_order) if class_order else list(PAPER_CLASS_ORDER)
-    position = {name: i for i, name in enumerate(order)}
+    position = {name: i for i, name in enumerate(PAPER_CLASS_ORDER)}
     rows.sort(
         key=lambda r: (
-            position.get(r.metrics.class_name, len(order)),
+            position.get(r.metrics.class_name, len(PAPER_CLASS_ORDER)),
             r.metrics.class_name,
         )
     )

@@ -8,8 +8,8 @@ names are implemented here:
   configuration snippets that prevent route leaks, generated from
   relationship data (McDaniel et al., "Peerlock: Flexsealing BGP");
 * :mod:`repro.applications.recommender` — a peering recommendation
-  system: rankings of beneficial IXPs to join and ASes to peer with for
-  a given network.
+  system: a ranking of beneficial ASes to peer with for a given
+  network.
 
 Both consume only a :class:`~repro.datasets.asrel.RelationshipSet` (and
 public registries), so they run equally on inferred, validated, or
@@ -18,18 +18,11 @@ downstream systems inherit whatever errors the relationships carry.
 """
 
 from repro.applications.peerlock import PeerlockConfig, generate_peerlock
-from repro.applications.recommender import (
-    IXPRecommendation,
-    PeerRecommendation,
-    recommend_ixps,
-    recommend_peers,
-)
+from repro.applications.recommender import PeerRecommendation, recommend_peers
 
 __all__ = [
     "PeerlockConfig",
     "generate_peerlock",
-    "IXPRecommendation",
     "PeerRecommendation",
-    "recommend_ixps",
     "recommend_peers",
 ]

@@ -4,6 +4,7 @@ The paper suggests relationship data could power "recommendation
 systems for peering opportunities, i.e., rankings of beneficial IXPs
 (to peer at) and ASes (to peer with) for a given network" — another
 do-ut-des incentive for operators to report accurate relationships.
+This module ranks ASes to peer with.
 
 The scoring model follows standard peering economics:
 
@@ -16,15 +17,15 @@ The scoring model follows standard peering economics:
   customer cannibalises revenue; peering with your provider is just a
   renegotiation).
 
-Both rankings are pure functions of a relationship set plus public IXP
-membership, so — like everything in :mod:`repro.applications` — their
+The ranking is a pure function of a relationship set plus public IXP
+membership, so — like everything in :mod:`repro.applications` — its
 quality is bounded by the relationship data's correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.customercone import recursive_customer_cones
@@ -43,18 +44,6 @@ class PeerRecommendation:
     new_addresses: int
     #: IXPs where both parties are already present.
     common_ixps: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IXPRecommendation:
-    """One candidate IXP to join."""
-
-    ixp_id: int
-    name: str
-    #: members that would be scored peering candidates there.
-    n_candidates: int
-    #: summed new-cone benefit over those candidates.
-    total_new_cone: int
 
 
 def _relationship_neighbors(rels: RelationshipSet, asn: int) -> Dict[int, RelType]:
@@ -107,46 +96,3 @@ def recommend_peers(
         key=lambda c: (-c.new_cone_ases, -c.new_addresses, c.asn)
     )
     return candidates[:top_n]
-
-
-def recommend_ixps(
-    asn: int,
-    rels: RelationshipSet,
-    ixps: IXPRegistry,
-    top_n: int = 5,
-) -> List[IXPRecommendation]:
-    """Rank IXPs for ``asn`` by the peering benefit available there.
-
-    Only IXPs the AS has *not* joined yet are candidates; the benefit
-    is the summed new-cone reach over members that would accept peering
-    (everyone who is not already a relationship neighbour).
-    """
-    cones = recursive_customer_cones(rels)
-    own_reach = set(cones.get(asn, set())) | {asn}
-    neighbors = _relationship_neighbors(rels, asn)
-    already_joined = ixps.memberships_of(asn)
-    recommendations: List[IXPRecommendation] = []
-    for ixp in ixps.ixps():
-        if ixp.ixp_id in already_joined:
-            continue
-        n_candidates = 0
-        total_new = 0
-        for member in ixp.members:
-            if member == asn or member in neighbors:
-                continue
-            new_ases = (cones.get(member, set()) | {member}) - own_reach
-            if not new_ases:
-                continue
-            n_candidates += 1
-            total_new += len(new_ases)
-        if n_candidates:
-            recommendations.append(
-                IXPRecommendation(
-                    ixp_id=ixp.ixp_id,
-                    name=ixp.name,
-                    n_candidates=n_candidates,
-                    total_new_cone=total_new,
-                )
-            )
-    recommendations.sort(key=lambda r: (-r.total_new_cone, r.ixp_id))
-    return recommendations[:top_n]

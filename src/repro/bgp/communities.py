@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -114,12 +114,6 @@ class CommunityCodebook:
                 return meaning
         return None
 
-    def relationship_value_set(self) -> Dict[int, Meaning]:
-        """value -> meaning for the relationship-tagging subset."""
-        return {
-            self.values[m]: m for m in RELATIONSHIP_MEANINGS if m in self.values
-        }
-
 
 class CommunityRegistry:
     """All codebooks of a scenario.
@@ -179,16 +173,3 @@ class CommunityRegistry:
         if codebook is None:
             return None
         return codebook.decode(community)
-
-    def ambiguous_values(self) -> Dict[int, List[Meaning]]:
-        """Community *values* that mean different things to different
-        ASes — a diagnostic for the §3.2 ambiguity discussion."""
-        seen: Dict[int, set] = {}
-        for codebook in self._codebooks.values():
-            for meaning, value in codebook.values.items():
-                seen.setdefault(value, set()).add(meaning)
-        return {
-            value: sorted(meanings, key=lambda m: m.value)
-            for value, meanings in seen.items()
-            if len(meanings) > 1
-        }

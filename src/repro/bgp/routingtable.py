@@ -15,7 +15,7 @@ pastes into a mailing-list thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationPlane
@@ -30,11 +30,6 @@ class RibEntry:
     next_hop: Optional[int]  # None when the origin is the AS itself
     path: Tuple[int, ...]    # from this AS to the origin, inclusive
     route_class: RouteClass
-
-    @property
-    def path_length(self) -> int:
-        """AS-path length in hops (0 for the AS's own routes)."""
-        return len(self.path) - 1
 
 
 class RoutingTable:
@@ -83,20 +78,6 @@ class RoutingTable:
     def entries(self) -> Iterator[RibEntry]:
         for origin in sorted(self._entries):
             yield self._entries[origin]
-
-    def routes_via(self, next_hop: int) -> List[RibEntry]:
-        """All best routes using the given neighbour."""
-        return [e for e in self.entries() if e.next_hop == next_hop]
-
-    def class_counts(self) -> Dict[RouteClass, int]:
-        counts: Dict[RouteClass, int] = {cls: 0 for cls in RouteClass}
-        for entry in self._entries.values():
-            counts[entry.route_class] += 1
-        return counts
-
-    def unreachable(self, graph: ASGraph) -> List[int]:
-        """Origins with no route — e.g. partial-transit islands."""
-        return sorted(set(graph.asns()) - set(self._entries))
 
     # ------------------------------------------------------------------
     def render(self, max_routes: Optional[int] = None) -> str:

@@ -33,6 +33,7 @@ crash.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -197,11 +198,11 @@ class SummaryCache:
 
     def put(self, key: str, document: Dict[str, Any]) -> None:
         path = self._path_for(key)
+        self._counter += 1
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{self._counter}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._counter += 1
-            tmp = path.with_name(
-                f".{path.name}.{os.getpid()}.{self._counter}.tmp")
             tmp.write_text(
                 json.dumps(document, sort_keys=True,
                            separators=(",", ":")) + "\n",
@@ -210,7 +211,10 @@ class SummaryCache:
             os.replace(tmp, path)
         except OSError:
             # A read-only or full cache directory degrades to a
-            # cache-less run, never to a failed lint.
+            # cache-less run, never to a failed lint, and leaves no
+            # half-written temp file behind.
+            with contextlib.suppress(OSError):
+                tmp.unlink()
             return
         self.stores += 1
 

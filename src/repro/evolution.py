@@ -84,14 +84,6 @@ class TemporalValidation:
     def history(self, key: LinkKey) -> List[MonthlySample]:
         return list(self._samples.get(key, ()))
 
-    def single_snapshot_count(self, month: int) -> int:
-        """Labels a single month contributes (the status-quo baseline)."""
-        return sum(
-            1
-            for samples in self._samples.values()
-            if any(s.month == month for s in samples)
-        )
-
     def unique_samples(self, min_gap_months: int = 3) -> int:
         """The paper's re-sampling rule: count every observation that is
         the link's first, follows a label change, or arrives at least

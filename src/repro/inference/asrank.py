@@ -163,8 +163,3 @@ class ASRank(InferenceAlgorithm):
                 else:
                     rels.set_p2p(a, b)
         return rels
-
-
-def infer_asrank(corpus: PathCorpus) -> RelationshipSet:
-    """Convenience wrapper used by examples and benchmarks."""
-    return ASRank().infer(corpus)

@@ -142,13 +142,6 @@ def _apparent_providers(
     return corpus.apparent_providers(clique)
 
 
-def transit_degree_rank(corpus: PathCorpus) -> Dict[int, int]:
-    """Dense rank of every visible AS by transit degree (0 = largest)."""
-    degrees = corpus.transit_degrees()
-    ordered = sorted(degrees, key=lambda asn: (-degrees[asn], asn))
-    return {asn: rank for rank, asn in enumerate(ordered)}
-
-
 def distance_to_clique(corpus: PathCorpus, clique: Sequence[int]) -> Dict[int, int]:
     """Hop distance from every visible AS to the nearest clique member,
     measured over the *visible* adjacency (a ProbLink feature)."""

@@ -230,17 +230,3 @@ class ComplexRelationshipDetector:
                     ),
                 )
         return None
-
-
-def split_validation_for_complex(
-    validation: ValidationData, report: ComplexReport
-) -> Tuple[List[LinkKey], List[LinkKey]]:
-    """Partition validated links into (simple, complex) — the explicit
-    handling §4.2 and §7 call for: complex links go to a separate
-    evaluation bucket instead of silently polluting the simple one."""
-    complex_keys = report.keys()
-    simple: List[LinkKey] = []
-    complicated: List[LinkKey] = []
-    for key in validation.links():
-        (complicated if key in complex_keys else simple).append(key)
-    return simple, complicated

@@ -73,8 +73,3 @@ class GaoInference(InferenceAlgorithm):
                 provider = a if deg_a >= deg_b else b
                 rels.set_p2c(provider, b if provider == a else a)
         return rels
-
-
-def infer_gao(corpus: PathCorpus) -> RelationshipSet:
-    """Convenience wrapper used by examples and benchmarks."""
-    return GaoInference().infer(corpus)

@@ -210,10 +210,3 @@ class ProbLink(InferenceAlgorithm):
             customer = b if provider == a else a
             rels.set_p2c(provider, customer)
         return rels
-
-
-def infer_problink(
-    corpus: PathCorpus, ixps: Optional[IXPRegistry] = None
-) -> RelationshipSet:
-    """Convenience wrapper used by examples and benchmarks."""
-    return ProbLink(ixps=ixps).infer(corpus)

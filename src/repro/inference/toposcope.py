@@ -189,10 +189,3 @@ class TopoScope(InferenceAlgorithm):
             if len(predictions) >= max_predictions:
                 break
         return predictions
-
-
-def infer_toposcope(
-    corpus: PathCorpus, ixps: Optional[IXPRegistry] = None
-) -> RelationshipSet:
-    """Convenience wrapper used by examples and benchmarks."""
-    return TopoScope(ixps=ixps).infer(corpus)

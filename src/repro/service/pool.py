@@ -39,6 +39,8 @@ from repro.service.query import ScenarioView
 
 #: Characters of the config fingerprint used as the public scenario id.
 SCENARIO_ID_LENGTH = 12
+#: Threads of the pool's build executor.
+MAX_BUILD_THREADS = 2
 
 
 def scenario_id(config: ScenarioConfig) -> str:
@@ -72,7 +74,6 @@ class ScenarioPool:
         cache: Any = None,
         builder: Callable[..., Scenario] = build_scenario,
         view_factory: Callable[[Scenario], ScenarioView] = ScenarioView,
-        max_build_threads: int = 2,
     ) -> None:
         if capacity < 1:
             raise ValueError("pool capacity must be at least 1")
@@ -84,7 +85,7 @@ class ScenarioPool:
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
         self._building: Dict[str, asyncio.Task] = {}
         self._executor = ThreadPoolExecutor(
-            max_workers=max_build_threads, thread_name_prefix="repro-build"
+            max_workers=MAX_BUILD_THREADS, thread_name_prefix="repro-build"
         )
         self.hits = 0
         self.misses = 0

@@ -14,7 +14,7 @@ loop (``announce=False`` — the parent prints the single canonical
 ``listening on`` banner).  Crashed workers are restarted with capped
 exponential backoff; SIGTERM/SIGINT to the parent is propagated to the
 children, which drain in-flight requests through the service's own
-signal handling, and stragglers are SIGKILLed after ``drain_timeout``.
+signal handling, and stragglers are SIGKILLed after ``DRAIN_TIMEOUT_S``.
 
 Workers do **not** share scenario pools — they share the *artifact
 cache*.  A scenario admitted by any worker is recorded there
@@ -48,6 +48,8 @@ POLL_S = 0.05
 #: its listening socket exists (socket setup is pre-import, so this is
 #: normally milliseconds; the timeout only bounds pathological forks).
 READY_TIMEOUT_S = 15.0
+#: How long a shutdown waits for workers to drain before SIGKILL.
+DRAIN_TIMEOUT_S = 10.0
 
 
 def _reuseport_socket(host: str, port: int, listen: bool) -> socket.socket:
@@ -87,7 +89,6 @@ class Supervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         serve_workers: int = 2,
-        drain_timeout: float = 10.0,
         announce: bool = True,
     ) -> None:
         if serve_workers < 1:
@@ -96,7 +97,6 @@ class Supervisor:
         self.requested_host = host
         self.requested_port = port
         self.serve_workers = serve_workers
-        self.drain_timeout = drain_timeout
         self.announce = announce
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -268,7 +268,7 @@ class Supervisor:
     def _drain(self) -> None:
         """Propagate the shutdown signal, wait, SIGKILL stragglers."""
         self._forward(self._signum)
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while self._alive_pids() and time.monotonic() < deadline:
             self._reap_nohang()
             time.sleep(POLL_S)

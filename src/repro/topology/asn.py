@@ -17,7 +17,7 @@ registry as of the paper's snapshot.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 AS_TRANS = 23456
 """The 16-bit placeholder for 32-bit ASNs (RFC 6793)."""
@@ -61,11 +61,6 @@ def is_routable(asn: int) -> bool:
     return not is_reserved(asn) and not is_as_trans(asn)
 
 
-def is_32bit_only(asn: int) -> bool:
-    """True iff ``asn`` cannot be expressed in a 16-bit field."""
-    return asn > MAX_ASN_16BIT
-
-
 def validate_asn(asn: int) -> int:
     """Return ``asn`` unchanged if it is a syntactically valid ASN.
 
@@ -100,8 +95,3 @@ def parse_asdot(text: str) -> int:
             raise ValueError(f"invalid ASDOT notation: {text!r}")
         return validate_asn((high << 16) | low)
     return validate_asn(int(text))
-
-
-def routable_asns(candidates: Iterable[int]) -> List[int]:
-    """Filter an iterable down to publicly routable ASNs."""
-    return [asn for asn in candidates if is_routable(asn)]

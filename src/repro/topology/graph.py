@@ -386,14 +386,6 @@ class ASGraph:
                     stack.pop()
         return order
 
-    def is_stub(self, asn: int) -> bool:
-        """True iff the AS has an empty customer cone."""
-        return not self._customers[asn]
-
-    def transit_free(self) -> List[int]:
-        """ASes without providers (the structural top of the hierarchy)."""
-        return [asn for asn in self._nodes if not self._providers[asn]]
-
     def stats(self) -> Dict[str, int]:
         """Coarse size statistics used by logging and tests."""
         rel_counts = {rel: 0 for rel in RelType}

@@ -14,7 +14,7 @@ corresponding queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.topology.regions import Region
 
@@ -64,9 +64,6 @@ class IXPRegistry:
     def ixp(self, ixp_id: int) -> IXP:
         return self._ixps[ixp_id]
 
-    def in_region(self, region: Region) -> List[IXP]:
-        return [ixp for ixp in self._ixps.values() if ixp.region is region]
-
     def memberships(self) -> Iterable[Tuple[int, Set[int]]]:
         """``(asn, IXP ids)`` per member AS, in first-join order (the
         registry's own sets; read-only)."""
@@ -79,11 +76,3 @@ class IXPRegistry:
     def common_ixps(self, a: int, b: int) -> Set[int]:
         """IXPs where both ASes are present (Appendix C feature #10)."""
         return self.memberships_of(a) & self.memberships_of(b)
-
-    def colocated(self, a: int, b: int) -> bool:
-        """True iff the ASes share at least one IXP."""
-        memberships = self._by_member.get(a)
-        if not memberships:
-            return False
-        other = self._by_member.get(b)
-        return bool(other) and not memberships.isdisjoint(other)

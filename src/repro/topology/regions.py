@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.topology.asn import is_routable, validate_asn
 
@@ -38,13 +38,6 @@ class Region(enum.Enum):
     def abbreviation(self) -> str:
         """The paper's short code (AF, AP, AR, L, R)."""
         return self.value
-
-    @classmethod
-    def from_abbreviation(cls, abbr: str) -> "Region":
-        for region in cls:
-            if region.value == abbr:
-                return region
-        raise ValueError(f"unknown region abbreviation: {abbr!r}")
 
     @classmethod
     def from_name(cls, name: str) -> "Region":
@@ -139,10 +132,6 @@ class RegionMap:
             if low <= asn <= high:
                 return region
         return None
-
-    def bulk_lookup(self, asns: Iterable[int]) -> Dict[int, Optional[Region]]:
-        """Vector form of :meth:`lookup`."""
-        return {asn: self.lookup(asn) for asn in asns}
 
     def transfer(self, asn: int, new_region: Region) -> None:
         """Model an inter-RIR resource transfer for ``asn``.

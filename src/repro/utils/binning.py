@@ -20,7 +20,7 @@ contains at least one link), matching the paper's colour scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -111,11 +111,6 @@ class Histogram2D:
         xi = self.x_spec.index(larger)
         yi = self.y_spec.index(smaller)
         self._counts[yi, xi] += 1
-
-    def add_many(self, pairs: Iterable[Tuple[float, float]]) -> None:
-        """Record an iterable of ``(value_a, value_b)`` links."""
-        for a, b in pairs:
-            self.add(a, b)
 
     def fractions(self) -> np.ndarray:
         """Cell values as fractions of all links (sums to 1 when total > 0)."""

@@ -106,15 +106,6 @@ class ValidationData:
         clone._labels = {key: list(labels) for key, labels in self._labels.items()}
         return clone
 
-    def counts_by_rel(self) -> Dict[RelType, int]:
-        """Single-label links per relationship (multi-label excluded)."""
-        out = {rel: 0 for rel in RelType}
-        for key in self._labels:
-            rel = self.single_rel(key)
-            if rel is not None:
-                out[rel] += 1
-        return out
-
     def stats(self) -> Dict[str, int]:
         return {
             "n_links": len(self._labels),

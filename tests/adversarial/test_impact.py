@@ -65,9 +65,10 @@ class TestRunImpact:
         assert report.events
 
     def test_panel_covers_every_algorithm(self, report):
-        by_algorithm = report.by_algorithm()
-        assert sorted(by_algorithm) == sorted(DEFAULT_ALGORITHMS)
-        for impact in by_algorithm.values():
+        assert sorted(impact.algorithm for impact in report.algorithms) == (
+            sorted(DEFAULT_ALGORITHMS)
+        )
+        for impact in report.algorithms:
             assert 0.0 <= impact.clean.accuracy <= 1.0
             assert 0.0 <= impact.polluted.accuracy <= 1.0
             assert impact.new_fake_links >= 0
@@ -75,7 +76,7 @@ class TestRunImpact:
         # Pollution must move at least one algorithm.
         assert any(
             impact.accuracy_delta < 0 or impact.new_fake_links > 0
-            for impact in by_algorithm.values()
+            for impact in report.algorithms
         ), "pollution left every algorithm untouched"
 
     def test_bias_drift_covers_both_groupings(self, report):

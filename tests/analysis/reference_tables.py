@@ -7,7 +7,7 @@ row.  Those loops are kept here verbatim as the test oracles of the
 coded path (``test_tables_differential.py``):
 
 * :func:`confusion_for_links` and :func:`class_metrics_from_links` —
-  the per-link confusion count and ``ClassMetrics.from_links``;
+  the per-link confusion count and one table row;
 * :func:`build_table` — Tables 1-3 from classifier callables;
 * :func:`bias_profile` — Figures 1-2 from a classifier callable;
 * :func:`sampling_experiment` — Appendix A's subsample loop;
@@ -103,7 +103,6 @@ def build_table(
     classifiers: Sequence[LinkClassifier],
     evaluation_links: Iterable[LinkKey],
     min_class_links: int = 20,
-    class_order: Optional[Sequence[str]] = None,
 ) -> ValidationTable:
     """Assemble the table over the evaluation link set.
 
@@ -140,11 +139,10 @@ def build_table(
                 colour_mcc=CellColour.grade(metrics.mcc, total.mcc),
             )
         )
-    order = list(class_order) if class_order else list(PAPER_CLASS_ORDER)
-    position = {name: i for i, name in enumerate(order)}
+    position = {name: i for i, name in enumerate(PAPER_CLASS_ORDER)}
     rows.sort(
         key=lambda r: (
-            position.get(r.metrics.class_name, len(order)),
+            position.get(r.metrics.class_name, len(PAPER_CLASS_ORDER)),
             r.metrics.class_name,
         )
     )

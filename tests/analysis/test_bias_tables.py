@@ -1,10 +1,11 @@
 """Tests for the bias profiles (Fig 1-2) and validation tables (Tab 1-3)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.bias import bias_profile
-from repro.analysis.tables import CellColour, build_table
-from repro.topology.graph import RelType
+from repro.analysis.metrics import CODE_P2C, CODE_P2P
+from repro.analysis.tables import CellColour, tabulate
 
 
 class TestCellColour:
@@ -103,3 +104,54 @@ class TestValidationTable:
             if other is None:
                 continue
             assert other.metrics.n_validated == row.metrics.n_validated
+
+
+class TestTabulate:
+    """Tables from hand-made link codes: the min-class cut, the colour
+    grades against Total° and the paper's row order."""
+
+    CLASS_NAMES = ["T1-TR", "AP°", "R°", "ZZ", "L°"]
+    P, C = CODE_P2P, CODE_P2C
+    # (class code, truth, predicted) per link; -1 is in no class.
+    LINKS = (
+        [(2, C, C)] * 2 + [(2, P, P)] * 2      # R°: all correct
+        + [(1, P, P)] * 2 + [(1, C, P)] * 2    # AP°: two false P2P
+        + [(0, P, P)]                          # T1-TR: one link
+        + [(3, P, P)] + [(3, C, C)] * 2        # ZZ: outside the paper order
+        + [(-1, C, C)]                         # counted in Total° only
+    )
+
+    def _table(self, min_class_links):
+        group, truth, predicted = (
+            np.array(column, dtype=np.int8) for column in zip(*self.LINKS)
+        )
+        return tabulate(
+            "x",
+            self.CLASS_NAMES,
+            [group.astype(np.int64)],
+            truth,
+            predicted,
+            min_class_links=min_class_links,
+        )
+
+    def test_total_counts_every_link(self):
+        total = self._table(2).total
+        assert total.class_name == "Total°"
+        assert (total.n_p2p, total.n_p2c) == (6, 7)
+        assert total.ppv_p2p == pytest.approx(0.75)
+
+    def test_min_class_cut(self):
+        names = [row.metrics.class_name for row in self._table(2).rows]
+        assert "T1-TR" not in names
+        assert "T1-TR" in [r.metrics.class_name for r in self._table(0).rows]
+
+    def test_paper_row_order_then_unknown_classes(self):
+        names = [row.metrics.class_name for row in self._table(0).rows]
+        # L° has no links, so it has no row even without a cut.
+        assert names == ["AP°", "R°", "T1-TR", "ZZ"]
+
+    def test_colours_relative_to_total(self):
+        table = self._table(2)
+        assert table.row("R°").colour_ppv_p2p is CellColour.GREEN
+        assert table.row("AP°").colour_ppv_p2p is CellColour.RED
+        assert table.row("AP°").colour_tpr_p2p is CellColour.NEUTRAL

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.classes import (
-    RegionalClassifier,
-    TopologicalClassifier,
-    transit_internal_links,
-)
+from repro.analysis.classes import RegionalClassifier, TopologicalClassifier
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.external_lists import ExternalLists
 from repro.topology.regions import Region, RegionMap
@@ -89,16 +85,18 @@ class TestTopologicalClassifier:
         assert classifier.classify((9, 7)) == "H-T1"
         assert classifier.classify((3, 8)) == "S°"
 
+    def test_classify_links_groups_transit_internal(self, classifier):
+        # TR° is the population of the Figure 3 / 7-9 heatmaps.
+        grouped = classifier.classify_links([(1, 2), (3, 1), (7, 1)])
+        assert grouped["TR°"] == [(1, 2)]
+        assert set(grouped) == {"TR°", "S-TR", "T1-TR"}
+
     def test_hypergiant_precedence_over_tier1(self):
         rels = RelationshipSet()
         rels.set_p2c(provider=1, customer=2)
         lists = ExternalLists(tier1=frozenset({1}), hypergiants=frozenset({1}))
         classifier = TopologicalClassifier(lists, rels)
         assert classifier.as_class(1) == "H"
-
-    def test_transit_internal_helper(self, classifier):
-        links = [(1, 2), (3, 1), (7, 1)]
-        assert transit_internal_links(classifier, links) == [(1, 2)]
 
 
 class TestScenarioClassifiers:

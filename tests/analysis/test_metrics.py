@@ -2,10 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.metrics import BinaryConfusion, ClassMetrics, confusion_for_links
+from repro.analysis.metrics import (
+    BinaryConfusion,
+    ClassMetrics,
+    confusion_counts,
+    predicted_codes,
+    truth_codes,
+)
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import RelType
 from repro.validation.cleaning import CleanedValidation, CleaningReport
@@ -25,7 +32,6 @@ class TestBinaryConfusion:
         assert conf.ppv() == 1.0
         assert conf.tpr() == 1.0
         assert conf.mcc() == pytest.approx(1.0)
-        assert conf.f1() == 1.0
         assert conf.fowlkes_mallows() == 1.0
 
     def test_inverted(self):
@@ -52,10 +58,12 @@ class TestBinaryConfusion:
         conf = BinaryConfusion(tp=3, fp=2, tn=7, fn=1)
         assert conf.positives == 4
 
-    def test_balanced_accuracy(self):
+    def test_class_recalls(self):
+        # The P2P recall and, on the flipped matrix, the P2C recall.
         conf = BinaryConfusion(tp=8, fp=2, tn=6, fn=4)
-        expected = (8 / 12 + 6 / 8) / 2
-        assert conf.balanced_accuracy() == pytest.approx(expected)
+        assert conf.total == 20
+        assert conf.tpr() == pytest.approx(8 / 12)
+        assert conf.flipped().tpr() == pytest.approx(6 / 8)
 
     @given(
         st.integers(0, 200), st.integers(0, 200),
@@ -76,8 +84,8 @@ class TestBinaryConfusion:
         )
 
 
-class TestConfusionForLinks:
-    def _setup(self):
+class TestConfusionCounts:
+    def _codes(self):
         inferred = RelationshipSet()
         inferred.set_p2p(1, 2)       # true P2P -> TP (P2P positive)
         inferred.set_p2c(3, 4)       # true P2C -> TN
@@ -91,35 +99,58 @@ class TestConfusionForLinks:
             (9, 10, RelType.P2P, None),   # not inferred: skipped
         ])
         links = [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]
-        return links, inferred, validation
+        return truth_codes(links, validation), predicted_codes(links, inferred)
+
+    def _confusion(self):
+        truth, predicted = self._codes()
+        groups = np.zeros(len(truth), dtype=np.int64)
+        return BinaryConfusion.of_counts(
+            confusion_counts(groups, truth, predicted, 1)[0]
+        )
 
     def test_matrix(self):
-        links, inferred, validation = self._setup()
-        conf = confusion_for_links(links, inferred, validation, RelType.P2P)
+        conf = self._confusion()
         assert (conf.tp, conf.fp, conf.tn, conf.fn) == (1, 1, 1, 1)
 
     def test_positive_class_flip(self):
-        links, inferred, validation = self._setup()
-        p2p = confusion_for_links(links, inferred, validation, RelType.P2P)
-        p2c = confusion_for_links(links, inferred, validation, RelType.P2C)
+        p2p = self._confusion()
+        p2c = p2p.flipped()
         assert p2c.tp == p2p.tn and p2c.fn == p2p.fp
 
-    def test_invalid_positive_class(self):
-        links, inferred, validation = self._setup()
-        with pytest.raises(ValueError):
-            confusion_for_links(links, inferred, validation, RelType.S2S)
+    def test_ungrouped_links_ignored(self):
+        truth, predicted = self._codes()
+        groups = np.array([0, -1, 0, -1, 0, 0])
+        conf = BinaryConfusion.of_counts(
+            confusion_counts(groups, truth, predicted, 1)[0]
+        )
+        assert (conf.tp, conf.fp, conf.tn, conf.fn) == (1, 1, 0, 0)
 
-
-class TestClassMetrics:
-    def test_from_links(self):
+    def test_s2s_truth_excluded(self):
         inferred = RelationshipSet()
         inferred.set_p2p(1, 2)
         inferred.set_p2c(3, 4)
         validation = _validation([
-            (1, 2, RelType.P2P, None),
+            (1, 2, RelType.S2S, None),
             (3, 4, RelType.P2C, 3),
         ])
-        metrics = ClassMetrics.from_links("X", [(1, 2), (3, 4)], inferred, validation)
+        links = [(1, 2), (3, 4)]
+        counts = confusion_counts(
+            np.zeros(2, dtype=np.int64),
+            truth_codes(links, validation),
+            predicted_codes(links, inferred),
+            1,
+        )[0]
+        # The S2S link is tallied but enters neither class.
+        assert counts.sum() == 2
+        conf = BinaryConfusion.of_counts(counts)
+        assert (conf.tp, conf.fp, conf.tn, conf.fn) == (0, 0, 1, 0)
+
+
+class TestClassMetrics:
+    def test_of_confusion(self):
+        metrics = ClassMetrics.of_confusion(
+            "X", BinaryConfusion(tp=1, fp=0, tn=1, fn=0)
+        )
         assert metrics.ppv_p2p == 1.0
         assert metrics.n_p2p == 1 and metrics.n_p2c == 1
         assert metrics.n_validated == 2

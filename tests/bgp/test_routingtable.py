@@ -26,7 +26,7 @@ class TestRoutingTable:
         assert entry is not None
         assert entry.next_hop is None
         assert entry.route_class is RouteClass.SELF
-        assert entry.path_length == 0
+        assert entry.path == (30,)
 
     def test_customer_route(self, table_30):
         entry = table_30.lookup(100)
@@ -53,17 +53,18 @@ class TestRoutingTable:
         # 20 (10's peer) must NOT have those routes.
         table_20 = RoutingTable.compute(tiny_graph, 20)
         assert 350 not in table_20
-        assert 350 in set(table_20.unreachable(tiny_graph))
 
     def test_routes_via(self, table_30):
-        via_provider = table_30.routes_via(10)
-        assert all(e.next_hop == 10 for e in via_provider)
+        # Every route learned from provider 10 is a provider route, and
+        # the other clique member is among them.
+        via_provider = [e for e in table_30.entries() if e.next_hop == 10]
+        assert all(e.route_class is RouteClass.PROVIDER for e in via_provider)
         assert any(e.origin == 20 for e in via_provider)
 
-    def test_class_counts_sum(self, table_30, tiny_graph):
-        counts = table_30.class_counts()
-        assert sum(counts.values()) == len(table_30)
-        assert counts[RouteClass.SELF] == 1
+    def test_route_classes_cover_the_table(self, table_30):
+        classes = [e.route_class for e in table_30.entries()]
+        assert len(classes) == len(table_30)
+        assert classes.count(RouteClass.SELF) == 1
 
     def test_unknown_as_rejected(self, tiny_graph):
         with pytest.raises(KeyError):

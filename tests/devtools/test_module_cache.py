@@ -14,7 +14,9 @@ that make serving them sound:
 
 import ast
 import dataclasses
+import errno
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -303,6 +305,30 @@ def test_malformed_entry_is_a_miss_not_a_crash(tmp_path, edit):
     assert (again.analysis["hits"], again.analysis["misses"]) == (0, 1)
     assert again.analysis["stores"] == 1
     assert _outcome(again) == _outcome(cold)
+
+
+def _enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _partial_write(self, data, *args, **kwargs):
+    with open(self, "w", encoding="utf-8") as handle:
+        handle.write(data[: len(data) // 2])
+    _enospc()
+
+
+@pytest.mark.parametrize("owner, name, failure", [
+    (os, "replace", _enospc),
+    (Path, "write_text", _partial_write),
+], ids=["replace", "write"])
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch, owner, name,
+                                        failure):
+    cache = SummaryCache(tmp_path / "c")
+    monkeypatch.setattr(owner, name, failure)
+    cache.put("ab" + "0" * 62, {"analysis_version": 0})
+    monkeypatch.undo()
+    assert [p for p in (tmp_path / "c").rglob("*") if p.is_file()] == []
+    assert cache.stores == 0
 
 
 

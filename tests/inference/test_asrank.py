@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp.collectors import RouteCollector, VantagePoint
 from repro.bgp.communities import CommunityRegistry
-from repro.inference.asrank import ASRank, infer_asrank
+from repro.inference.asrank import ASRank
 from repro.topology.graph import RelType
 from repro.utils.rng import make_rng
 
@@ -110,8 +110,8 @@ class TestOnScenario:
         assert wrong / len(partial) > 0.6
 
     def test_deterministic(self, scenario):
-        a = infer_asrank(scenario.corpus)
-        b = infer_asrank(scenario.corpus)
+        a = ASRank().infer(scenario.corpus)
+        b = ASRank().infer(scenario.corpus)
         assert sorted(a.items()) == sorted(b.items())
 
     def test_descending_set_exposed(self, inferred):

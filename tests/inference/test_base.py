@@ -1,9 +1,9 @@
-"""Tests for shared inference infrastructure (clique, ranks, distance)."""
+"""Tests for shared inference infrastructure (clique, distance)."""
 
 import pytest
 
 from repro.datasets.paths import CollectedRoute, PathCorpus
-from repro.inference.base import distance_to_clique, infer_clique, transit_degree_rank
+from repro.inference.base import distance_to_clique, infer_clique
 
 
 def _corpus(*paths):
@@ -31,19 +31,6 @@ class TestInferClique:
         corpus = _corpus((9, 1, 5), (9, 1, 6), (8, 2, 5), (8, 2, 6))
         clique = infer_clique(corpus, max_candidates=5)
         assert len(clique) == 1
-
-
-class TestTransitDegreeRank:
-    def test_dense_ranks(self):
-        corpus = _corpus((9, 1, 5), (9, 1, 6), (9, 2, 5))
-        ranks = transit_degree_rank(corpus)
-        assert ranks[1] == 0  # degree 3: {9, 5, 6}
-        assert ranks[2] == 1  # degree 2: {9, 5}
-
-    def test_ties_break_by_asn(self):
-        corpus = _corpus((9, 3, 5), (9, 2, 5))
-        ranks = transit_degree_rank(corpus)
-        assert ranks[2] < ranks[3]
 
 
 class TestDistanceToClique:

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.inference.complex_rels import (
-    ComplexRelationshipDetector,
-    split_validation_for_complex,
-)
+from repro.inference.complex_rels import ComplexRelationshipDetector
 from repro.topology.graph import RelType
-from repro.validation.data import LabelSource, ValidationData, ValidationLabel
 
 
 @pytest.fixture(scope="module")
@@ -98,18 +94,3 @@ class TestHybridDetection:
             and key not in partial_keys
         ]
         assert not missed
-
-
-class TestSplitValidation:
-    def test_partition(self, scenario, report):
-        data = ValidationData()
-        some_complex = next(iter(report.keys()))
-        data.add(*some_complex, ValidationLabel(
-            rel=RelType.P2P, provider=None, source=LabelSource.COMMUNITY
-        ))
-        data.add(1, 2, ValidationLabel(
-            rel=RelType.P2P, provider=None, source=LabelSource.COMMUNITY
-        ))
-        simple, complicated = split_validation_for_complex(data, report)
-        assert complicated == [some_complex]
-        assert simple == [(1, 2)]

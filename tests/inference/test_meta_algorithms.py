@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets.paths import filter_by_vps
-from repro.inference.gao import GaoInference, infer_gao
+from repro.inference.gao import GaoInference
 from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
 from repro.topology.graph import RelType
@@ -146,7 +146,7 @@ class TestTopoScope:
 class TestGao:
     @pytest.fixture(scope="class")
     def gao(self, scenario):
-        return infer_gao(scenario.corpus)
+        return GaoInference().infer(scenario.corpus)
 
     def test_covers_all_visible_links(self, scenario, gao):
         assert len(gao) == len(scenario.corpus.visible_links())

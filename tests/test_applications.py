@@ -6,7 +6,7 @@ from repro.applications.peerlock import (
     evaluate_protection,
     generate_peerlock,
 )
-from repro.applications.recommender import recommend_ixps, recommend_peers
+from repro.applications.recommender import recommend_peers
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import RelType
 from repro.topology.ixp import IXP, IXPRegistry
@@ -115,6 +115,17 @@ class TestRecommender:
         recs = recommend_peers(3, rels, ixps=ixps)
         assert all(r.asn != 1 for r in recs)
 
+    def test_no_candidate_without_new_reach(self, rels):
+        # AS5 is already in AS2's cone (via 4): peering adds nothing.
+        recs = recommend_peers(2, rels, require_colocation=False)
+        assert recs
+        assert all(r.asn != 5 for r in recs)
+        assert all(r.new_cone_ases > 0 for r in recs)
+
+    def test_top_n_truncates(self, rels, ixps):
+        recs = recommend_peers(3, rels, ixps=ixps)
+        assert recommend_peers(3, rels, ixps=ixps, top_n=1) == recs[:1]
+
     def test_colocation_requirement(self, rels, ixps):
         with_req = recommend_peers(3, rels, ixps=ixps, require_colocation=True)
         without = recommend_peers(3, rels, ixps=ixps, require_colocation=False)
@@ -125,21 +136,6 @@ class TestRecommender:
             3, rels, ixps=ixps, address_counts={4: 100, 5: 50}
         )
         assert recs[0].new_addresses == 150
-
-    def test_ixp_recommendation(self, rels, ixps):
-        # AS5 is member of nothing; IX-A offers peering with 3 and 4
-        # (4 is 5's provider -> excluded), IX-B offers 3 and 2 (2 is
-        # 5's grand-provider but NOT a direct neighbour -> counted).
-        recs = recommend_ixps(5, rels, ixps)
-        assert recs
-        names = {r.name for r in recs}
-        assert "IX-A" in names or "IX-B" in names
-        for rec in recs:
-            assert rec.n_candidates > 0
-
-    def test_already_joined_excluded(self, rels, ixps):
-        recs = recommend_ixps(3, rels, ixps)
-        assert all(r.ixp_id not in (0, 1) for r in recs)
 
     def test_scenario_scale(self, scenario):
         stub = next(

@@ -46,12 +46,13 @@ class TestTemporalValidation:
         assert tv.unique_samples(min_gap_months=12) == 2
         assert tv.changed_links() == [(1, 2)]
 
-    def test_single_snapshot_count(self):
+    def test_history_per_link(self):
         tv = TemporalValidation()
         tv.add_month(0, {(1, 2): RelType.P2P, (3, 4): RelType.P2C})
         tv.add_month(1, {(1, 2): RelType.P2P})
-        assert tv.single_snapshot_count(0) == 2
-        assert tv.single_snapshot_count(1) == 1
+        assert len(tv) == 2
+        assert [s.month for s in tv.history((1, 2))] == [0, 1]
+        assert [s.month for s in tv.history((3, 4))] == [0]
 
 
 class TestEvolutionSimulator:

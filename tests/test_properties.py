@@ -9,10 +9,16 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.metrics import confusion_for_links
+from repro.analysis.metrics import (
+    BinaryConfusion,
+    confusion_counts,
+    predicted_codes,
+    truth_codes,
+)
 from repro.bgp.policy import RouteClass, route_class
 from repro.bgp.propagation import PropagationPlane, compute_origin_routes
 from repro.datasets.asrel import RelationshipSet
@@ -191,8 +197,14 @@ class TestMetricProperties:
                 inferred.set_p2p(*key)
         validation = CleanedValidation(rels=rels, report=CleaningReport())
         links = list(rels)
-        conf = confusion_for_links(links, inferred, validation, RelType.P2P)
+        counts = confusion_counts(
+            np.zeros(len(links), dtype=np.int64),
+            truth_codes(links, validation),
+            predicted_codes(links, inferred),
+            1,
+        )
+        conf = BinaryConfusion.of_counts(counts[0])
         assert conf.total == len(links)
-        flipped = confusion_for_links(links, inferred, validation, RelType.P2C)
+        flipped = conf.flipped()
         assert flipped.tp == conf.tn and flipped.fp == conf.fn
         assert conf.mcc() == pytest.approx(flipped.mcc())

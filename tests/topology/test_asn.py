@@ -7,12 +7,10 @@ from repro.topology.asn import (
     AS_TRANS,
     MAX_ASN_32BIT,
     asdot,
-    is_32bit_only,
     is_as_trans,
     is_reserved,
     is_routable,
     parse_asdot,
-    routable_asns,
     validate_asn,
 )
 
@@ -95,11 +93,11 @@ class TestAsdot:
         assert parse_asdot(asdot(asn)) == asn
 
     @given(st.integers(min_value=65536, max_value=MAX_ASN_32BIT))
-    def test_32bit_only_detection(self, asn):
-        assert is_32bit_only(asn)
+    def test_32bit_only_asns_use_dot_notation(self, asn):
+        assert "." in asdot(asn)
 
 
 class TestRoutableFilter:
     def test_filters_junk(self):
         candidates = [174, AS_TRANS, 64512, 3356, 0]
-        assert routable_asns(candidates) == [174, 3356]
+        assert [asn for asn in candidates if is_routable(asn)] == [174, 3356]

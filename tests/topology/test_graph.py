@@ -100,6 +100,14 @@ class TestASGraph:
     def test_clique(self, tiny_graph):
         assert sorted(tiny_graph.clique()) == [10, 20]
 
+    def test_transit_free(self, tiny_graph):
+        # Only the clique sits at the top of the hierarchy.
+        transit_free = [
+            asn for asn in tiny_graph.asns()
+            if not tiny_graph.providers_of(asn)
+        ]
+        assert sorted(transit_free) == [10, 20]
+
     def test_customer_cone(self, tiny_graph):
         cone_10 = tiny_graph.customer_cone(10)
         # everything below 10: 30, 35, 350, 100, 300, 61, 70
@@ -110,13 +118,6 @@ class TestASGraph:
         sizes = tiny_graph.customer_cone_sizes()
         for asn in tiny_graph.asns():
             assert sizes[asn] == len(tiny_graph.customer_cone(asn))
-
-    def test_is_stub(self, tiny_graph):
-        assert tiny_graph.is_stub(100)
-        assert not tiny_graph.is_stub(30)
-
-    def test_transit_free(self, tiny_graph):
-        assert sorted(tiny_graph.transit_free()) == [10, 20]
 
     def test_stats(self, tiny_graph):
         stats = tiny_graph.stats()

@@ -20,28 +20,24 @@ class TestIXPRegistry:
         assert reg.memberships_of(4) == {1}
         assert reg.memberships_of(99) == set()
 
+    def test_memberships_of_is_a_copy(self):
+        reg = _registry()
+        reg.memberships_of(2).add(7)
+        assert reg.memberships_of(2) == {0, 1}
+        assert reg.common_ixps(1, 3) == {0}
+
     def test_common_ixps(self):
         reg = _registry()
         assert reg.common_ixps(1, 2) == {0}
         assert reg.common_ixps(2, 4) == {1}
         assert reg.common_ixps(1, 4) == set()
-
-    def test_colocated(self):
-        reg = _registry()
-        assert reg.colocated(1, 3)
-        assert not reg.colocated(1, 4)
-        assert not reg.colocated(99, 1)
+        assert reg.common_ixps(99, 1) == set()
 
     def test_join(self):
         reg = _registry()
         reg.join(5, 0)
         assert 5 in reg.ixp(0).members
         assert reg.memberships_of(5) == {0}
-
-    def test_in_region(self):
-        reg = _registry()
-        assert [ixp.name for ixp in reg.in_region(Region.RIPE)] == ["DE-IX"]
-        assert reg.in_region(Region.LACNIC) == []
 
     def test_duplicate_id_rejected(self):
         reg = _registry()

@@ -14,12 +14,6 @@ class TestRegion:
         assert Region.LACNIC.abbreviation == "L"
         assert Region.RIPE.abbreviation == "R"
 
-    def test_from_abbreviation(self):
-        for region in Region:
-            assert Region.from_abbreviation(region.abbreviation) is region
-        with pytest.raises(ValueError):
-            Region.from_abbreviation("XX")
-
     def test_from_name_aliases(self):
         assert Region.from_name("ripencc") is Region.RIPE
         assert Region.from_name("RIPE NCC") is Region.RIPE
@@ -34,6 +28,11 @@ class TestRegion:
     def test_order_is_lexicographic_by_abbreviation(self):
         abbrs = [r.abbreviation for r in REGION_ORDER]
         assert abbrs == sorted(abbrs)
+
+    def test_abbreviations_are_distinct(self):
+        # Class names are built from abbreviations, so two regions must
+        # never share one.
+        assert len({r.abbreviation for r in Region}) == len(Region)
 
 
 class TestRegionMap:
@@ -52,6 +51,16 @@ class TestRegionMap:
         assert rmap.lookup(1500) is Region.LACNIC
         assert rmap.lookup(1501) is Region.ARIN
 
+    def test_delegation_outside_iana_blocks(self):
+        rmap = RegionMap()
+        rmap.add_iana_block(10, 19, Region.APNIC)
+        rmap.add_delegation(50, Region.AFRINIC)
+        assert [rmap.lookup(asn) for asn in (10, 50, 51)] == [
+            Region.APNIC, Region.AFRINIC, None,
+        ]
+        with pytest.raises(ValueError):
+            rmap.add_delegation(-1, Region.RIPE)
+
     def test_reserved_asns_unmapped(self):
         rmap = RegionMap()
         rmap.add_iana_block(0, 4294967295, Region.RIPE)
@@ -68,12 +77,6 @@ class TestRegionMap:
         rmap = RegionMap()
         with pytest.raises(ValueError):
             rmap.add_iana_block(200, 100, Region.ARIN)
-
-    def test_bulk_lookup(self):
-        rmap = RegionMap()
-        rmap.add_iana_block(10, 19, Region.APNIC)
-        result = rmap.bulk_lookup([10, 50])
-        assert result == {10: Region.APNIC, 50: None}
 
     def test_coverage(self):
         rmap = RegionMap()

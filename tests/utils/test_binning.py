@@ -66,7 +66,8 @@ class TestHistogram2D:
 
     def test_fractions_sum_to_one(self):
         hist = self._make()
-        hist.add_many([(1, 2), (30, 40), (200, 300)])
+        for a, b in [(1, 2), (30, 40), (200, 300)]:
+            hist.add(a, b)
         assert hist.total == 3
         assert hist.fractions().sum() == pytest.approx(1.0)
 
@@ -119,6 +120,7 @@ class TestHistogram2D:
     )
     def test_total_matches_adds(self, pairs):
         hist = self._make()
-        hist.add_many(pairs)
+        for a, b in pairs:
+            hist.add(a, b)
         assert hist.total == len(pairs)
         assert hist.fractions().sum() == pytest.approx(1.0)

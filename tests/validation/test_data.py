@@ -49,6 +49,17 @@ class TestValidationData:
         assert data.single_rel((1, 2)) is None
         assert data.multi_label_links() == [(1, 2)]
 
+    def test_counts_exclude_multi_label(self):
+        data = ValidationData()
+        data.add(1, 2, _p2p())
+        data.add(3, 4, _p2c(3))
+        data.add(5, 6, _p2p())
+        data.add(5, 6, _p2c(5))
+        rels = [data.single_rel(key) for key in data.links()]
+        assert rels.count(RelType.P2P) == 1
+        assert rels.count(RelType.P2C) == 1
+        assert rels.count(None) == 1
+
     def test_same_rel_different_source_not_multi(self):
         data = ValidationData()
         data.add(1, 2, _p2p(LabelSource.COMMUNITY))
@@ -62,16 +73,6 @@ class TestValidationData:
         data.add(1, 2, _p2c(2))
         first = data.first_label((1, 2))
         assert first is not None and first.rel is RelType.P2P
-
-    def test_counts_exclude_multi_label(self):
-        data = ValidationData()
-        data.add(1, 2, _p2p())
-        data.add(3, 4, _p2c(3))
-        data.add(5, 6, _p2p())
-        data.add(5, 6, _p2c(5))
-        counts = data.counts_by_rel()
-        assert counts[RelType.P2P] == 1
-        assert counts[RelType.P2C] == 1
 
     def test_copy_independent(self):
         data = ValidationData()

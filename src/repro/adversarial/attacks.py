@@ -68,7 +68,6 @@ from repro.bgp.propagation import (
 from repro.utils.rng import child_rng
 
 if TYPE_CHECKING:
-    from repro.bgp.communities import CommunityRegistry
     from repro.config import ScenarioConfig
     from repro.datasets.paths import PathCorpus
     from repro.topology.generator import Topology

@@ -21,8 +21,8 @@ fingerprints (the clean half reuses the honest cache entry unchanged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.adversarial.attacks import AttackEvent, plan_events
 from repro.analysis.bias import share_drift
@@ -113,9 +113,6 @@ class ImpactReport:
     algorithms: List[AlgorithmImpact]
     bias: List[BiasDrift]
     corpus_sizes: Tuple[int, int]
-    _scenarios: Optional[Tuple[Scenario, Scenario]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload (CLI ``--json`` and the service route)."""
@@ -139,7 +136,6 @@ def run_impact(
     *,
     workers: int = 0,
     cache=None,
-    keep_scenarios: bool = False,
 ) -> ImpactReport:
     """Build clean and polluted twins of ``config`` and compare them.
 
@@ -147,9 +143,6 @@ def run_impact(
     event; the clean twin is the same config with the layer stripped,
     so its fingerprint — and therefore its cache entry and every
     artifact byte — is identical to an honest scenario's.
-
-    ``keep_scenarios`` retains the two built scenarios on the report
-    (the service uses this to reuse pooled instances' indexes).
     """
     adv = config.adversarial
     if adv is None or adv.attack.total_events() == 0:
@@ -161,17 +154,13 @@ def run_impact(
     clean_config = config.replace(adversarial=None)
     clean = build_scenario(clean_config, workers=workers, cache=cache)
     polluted = build_scenario(config, workers=workers, cache=cache)
-    return compare_scenarios(
-        clean, polluted, algorithms, keep_scenarios=keep_scenarios
-    )
+    return compare_scenarios(clean, polluted, algorithms)
 
 
 def compare_scenarios(
     clean: Scenario,
     polluted: Scenario,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    *,
-    keep_scenarios: bool = False,
 ) -> ImpactReport:
     """The impact report over two already-built scenario twins.
 
@@ -215,5 +204,4 @@ def compare_scenarios(
         algorithms=impacts,
         bias=bias,
         corpus_sizes=(len(clean.corpus), len(polluted.corpus)),
-        _scenarios=(clean, polluted) if keep_scenarios else None,
     )

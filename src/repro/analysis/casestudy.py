@@ -17,8 +17,8 @@ reproduced as code:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.bgp.communities import CommunityRegistry
 from repro.bgp.lookingglass import LookingGlass

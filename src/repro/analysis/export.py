@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Union
 
 from repro.analysis.bias import BiasProfile
+from repro.analysis.heatmap import SCALED_TRANSIT_DEGREE_CAPS
 from repro.analysis.metrics import ClassMetrics
 from repro.analysis.tables import ValidationTable
 
@@ -80,10 +81,11 @@ def table_dict(table: ValidationTable) -> Dict[str, Any]:
 def results_bundle(
     scenario: "Scenario",
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    heatmap_caps: tuple = (300.0, 60.0),
 ) -> Dict[str, Any]:
     """Assemble the full experiment bundle for one scenario."""
-    heatmaps = scenario.imbalance_heatmaps("transit_degree", caps=heatmap_caps)
+    heatmaps = scenario.imbalance_heatmaps(
+        "transit_degree", caps=SCALED_TRANSIT_DEGREE_CAPS
+    )
     case = scenario.case_study("asrank")
     bundle: Dict[str, Any] = {
         "scenario": {

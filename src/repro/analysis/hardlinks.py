@@ -25,7 +25,7 @@ degree < 100, 50-100 VPs — assume the real Internet's size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,6 +40,14 @@ HARD_CATEGORIES: Tuple[str, ...] = (
     "stub_no_triplet",
     "conflict",
 )
+
+#: ``low_degree``: an endpoint's node degree is at most this quantile of
+#: all node degrees.
+LOW_DEGREE_QUANTILE = 0.25
+
+#: ``mid_visibility``: the share of vantage points that observe the
+#: link lies in this closed band.
+VISIBILITY_BAND = (0.05, 0.3)
 
 
 @dataclass
@@ -91,13 +99,9 @@ class HardLinkClassifier:
         self,
         corpus: PathCorpus,
         clique: Sequence[int],
-        low_degree_quantile: float = 0.25,
-        visibility_band: Tuple[float, float] = (0.05, 0.3),
     ) -> None:
         self.corpus = corpus
         self.clique = set(clique)
-        self.low_degree_quantile = low_degree_quantile
-        self.visibility_band = visibility_band
 
     # ------------------------------------------------------------------
     def classify(self) -> HardLinkReport:
@@ -110,10 +114,10 @@ class HardLinkClassifier:
         vps = corpus.vantage_points
 
         degree_cut = self._quantile(
-            sorted(degrees.values()), self.low_degree_quantile
+            sorted(degrees.values()), LOW_DEGREE_QUANTILE
         )
-        lo_band = self.visibility_band[0] * n_vps
-        hi_band = self.visibility_band[1] * n_vps
+        lo_band = VISIBILITY_BAND[0] * n_vps
+        hi_band = VISIBILITY_BAND[1] * n_vps
 
         triplet_seen = self._stub_links_with_clique_context()
         conflicts = self._direction_conflicts()

@@ -12,7 +12,7 @@ series in a terminal:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.analysis.bias import BiasProfile
 from repro.analysis.heatmap import ImbalanceHeatmaps

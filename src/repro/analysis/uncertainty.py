@@ -22,10 +22,13 @@ which lets us run the analysis UNARI invites:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.topology.graph import LinkKey, RelType
 from repro.validation.cleaning import CleanedValidation
+
+#: The confidence thresholds of the selective-accuracy curve.
+SELECTIVE_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 
 
 @dataclass(frozen=True)
@@ -120,15 +123,15 @@ def expected_calibration_error(
 def selective_accuracy(
     posteriors: Mapping[LinkKey, float],
     validation: CleanedValidation,
-    thresholds: Iterable[float] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95),
 ) -> List[Tuple[float, float, float]]:
-    """(threshold, coverage, accuracy) when abstaining below the
-    confidence threshold."""
+    """(threshold, coverage, accuracy) for each of
+    ``SELECTIVE_THRESHOLDS``, abstaining below the confidence
+    threshold."""
     pairs = _validated_pairs(posteriors, validation)
     out: List[Tuple[float, float, float]] = []
     if not pairs:
         return out
-    for threshold in thresholds:
+    for threshold in SELECTIVE_THRESHOLDS:
         kept = [(c, ok) for c, ok in pairs if c >= threshold]
         coverage = len(kept) / len(pairs)
         accuracy = (

@@ -5,8 +5,8 @@ from repro.bgp.communities import (
     Community,
     CommunityCodebook,
     CommunityRegistry,
+    INGRESS_MEANINGS,
     Meaning,
-    RELATIONSHIP_MEANINGS,
 )
 from repro.bgp.collectors import (
     RouteCollector,
@@ -26,8 +26,8 @@ __all__ = [
     "Community",
     "CommunityCodebook",
     "CommunityRegistry",
+    "INGRESS_MEANINGS",
     "Meaning",
-    "RELATIONSHIP_MEANINGS",
     "RouteCollector",
     "RouteReducer",
     "VantagePoint",

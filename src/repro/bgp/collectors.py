@@ -69,7 +69,7 @@ from typing import (
 
 import numpy as np
 
-from repro.bgp.communities import CommunityRegistry, Meaning
+from repro.bgp.communities import INGRESS_MEANINGS, CommunityRegistry
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationPlane
 # Unused here, kept importable: perfbench's traced run wraps this name.
@@ -77,18 +77,11 @@ from repro.bgp.propagation import compute_origin_routes  # noqa: F401
 from repro.datasets.paths import PathCorpus
 from repro.pipeline.columnar import CorpusColumns
 from repro.topology.generator import Topology
-from repro.topology.graph import Role
 from repro.utils.rng import child_rng
 
 if TYPE_CHECKING:
     from repro.config import ScenarioConfig
 
-#: (RouteClass, the informational meaning an AS tags at ingress).
-_TAGGED_CLASSES = (
-    (int(RouteClass.CUSTOMER), Meaning.LEARNED_FROM_CUSTOMER),
-    (int(RouteClass.PEER), Meaning.LEARNED_FROM_PEER),
-    (int(RouteClass.PROVIDER), Meaning.LEARNED_FROM_PROVIDER),
-)
 _N_CLASSES = len(RouteClass)
 
 
@@ -286,7 +279,7 @@ class RouteReducer:
         self.tags = np.full((n, _N_CLASSES), -1, dtype=np.int64)
         for i, asn in enumerate(asns.tolist()):
             values = communities.codebook(asn).values
-            for route_class, meaning in _TAGGED_CLASSES:
+            for route_class, meaning in INGRESS_MEANINGS.items():
                 self.tags[i, route_class] = values[meaning]
 
     def check_plane(self, plane: PropagationPlane) -> None:

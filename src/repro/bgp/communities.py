@@ -29,6 +29,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.bgp.policy import RouteClass
+
 #: A concrete community on a route: ``(asn, value)``.
 Community = Tuple[int, int]
 
@@ -43,12 +45,14 @@ class Meaning(enum.Enum):
     NO_EXPORT_TO_PEERS = "no_export_to_peers"
 
 
-#: Relationship-tagging meanings, i.e. the ones usable for validation.
-RELATIONSHIP_MEANINGS = (
-    Meaning.LEARNED_FROM_CUSTOMER,
-    Meaning.LEARNED_FROM_PEER,
-    Meaning.LEARNED_FROM_PROVIDER,
-)
+#: The informational meaning an AS tags at ingress on a route of each
+#: class, i.e. the tags usable for validation.  Its own (SELF) routes
+#: carry none.  Route collection and the looking glass both read this.
+INGRESS_MEANINGS: Dict[RouteClass, Meaning] = {
+    RouteClass.CUSTOMER: Meaning.LEARNED_FROM_CUSTOMER,
+    RouteClass.PEER: Meaning.LEARNED_FROM_PEER,
+    RouteClass.PROVIDER: Meaning.LEARNED_FROM_PROVIDER,
+}
 
 #: Popular codebook layouts (value per meaning).  Several real operators
 #: use schemes like these; overlap between layouts is intentional — it

@@ -16,19 +16,18 @@ action communities that no collector ever sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from repro.bgp.communities import Community, CommunityRegistry, Meaning
+from repro.bgp.communities import (
+    INGRESS_MEANINGS,
+    Community,
+    CommunityRegistry,
+    Meaning,
+)
 from repro.bgp.policy import RouteClass, exports_to_non_customers
 from repro.bgp.propagation import PropagationPlane, RouteArrays
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType
-
-_CLASS_TO_MEANING = {
-    RouteClass.CUSTOMER: Meaning.LEARNED_FROM_CUSTOMER,
-    RouteClass.PEER: Meaning.LEARNED_FROM_PEER,
-    RouteClass.PROVIDER: Meaning.LEARNED_FROM_PROVIDER,
-}
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ class LookingGlass:
         # the neighbour and us can strip (it is a direct session), so the
         # neighbour's own tag is always present.
         for tagger, route_class in zip(path[:-1], classes):
-            meaning = _CLASS_TO_MEANING.get(route_class)
+            meaning = INGRESS_MEANINGS.get(route_class)
             if meaning is None:
                 continue
             tags.append(self.communities.codebook(tagger).encode(meaning))

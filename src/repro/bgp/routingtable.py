@@ -80,16 +80,13 @@ class RoutingTable:
             yield self._entries[origin]
 
     # ------------------------------------------------------------------
-    def render(self, max_routes: Optional[int] = None) -> str:
+    def render(self) -> str:
         """``show ip bgp``-flavoured text output."""
         lines = [
             f"AS{self.asn} BGP table: {len(self)} best routes",
             f"{'Origin':>10s} {'NextHop':>10s} {'Class':>9s}  Path",
         ]
-        for index, entry in enumerate(self.entries()):
-            if max_routes is not None and index >= max_routes:
-                lines.append(f"... ({len(self) - max_routes} more)")
-                break
+        for entry in self.entries():
             next_hop = f"AS{entry.next_hop}" if entry.next_hop else "self"
             path = " ".join(str(asn) for asn in entry.path)
             lines.append(

@@ -34,6 +34,7 @@ from typing import List, Optional
 
 from repro import ScenarioConfig, build_scenario
 from repro.pipeline.parallel import MAX_WORKERS, resolve_workers
+from repro.analysis.heatmap import SCALED_TRANSIT_DEGREE_CAPS
 from repro.analysis.report import (
     render_bias_figure,
     render_imbalance_heatmaps,
@@ -117,7 +118,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
                              "Figure 2 — topological imbalance"))
     print()
     print(render_imbalance_heatmaps(
-        scenario.imbalance_heatmaps("transit_degree", caps=(300.0, 60.0))
+        scenario.imbalance_heatmaps(
+            "transit_degree", caps=SCALED_TRANSIT_DEGREE_CAPS
+        )
     ))
     return 0
 

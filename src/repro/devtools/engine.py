@@ -19,7 +19,6 @@ reports and baselines are byte-stable across runs and platforms.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,

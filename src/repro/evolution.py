@@ -26,12 +26,12 @@ versus the single-snapshot label count — the over-sampling gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.bgp.collectors import collect_corpus
 from repro.config import ScenarioConfig
 from repro.topology.generator import Topology, generate_topology
-from repro.topology.graph import Link, LinkKey, RelType, Role, link_key
+from repro.topology.graph import Link, LinkKey, RelType, link_key
 from repro.utils.rng import child_rng
 from repro.validation.cleaning import MultiLabelPolicy, clean_validation
 from repro.validation.compiler import compile_validation

@@ -31,12 +31,22 @@ default P2P bucket.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
 from repro.inference.base import InferenceAlgorithm, infer_clique
-from repro.topology.graph import LinkKey, link_key
+
+#: A link is "widely seen" by at least this share of the vantage points
+#: (and never fewer than three of them).
+STUB_VISIBILITY_SHARE = 0.05
+
+#: Unresolved links whose endpoints differ in transit degree by this
+#: factor, and whose larger side has at least ``DEGREE_GAP_MIN``, are
+#: inferred P2C: Luckie et al.'s folded-in degree-gap heuristics for
+#: transit customers whose announcements never gained clique context.
+DEGREE_GAP_RATIO = 12.0
+DEGREE_GAP_MIN = 20
 
 
 class ASRank(InferenceAlgorithm):
@@ -44,27 +54,11 @@ class ASRank(InferenceAlgorithm):
 
     name = "asrank"
 
-    def __init__(
-        self,
-        max_clique_candidates: int = 25,
-        stub_visibility_threshold: float = 0.05,
-        degree_gap_ratio: float = 12.0,
-        degree_gap_min: int = 20,
-        clique_override: Optional[List[int]] = None,
-    ) -> None:
-        self.max_clique_candidates = max_clique_candidates
+    def __init__(self, clique_override: Optional[List[int]] = None) -> None:
         #: Skip clique inference and use this clique instead.  Useful on
         #: tiny hand-built topologies whose transit degrees are too flat
         #: for the degree-based candidate selection to mean anything.
         self.clique_override = list(clique_override) if clique_override else None
-        self.stub_visibility_threshold = stub_visibility_threshold
-        #: Unresolved links whose endpoints differ in transit degree by
-        #: this factor (and whose larger side is at least
-        #: ``degree_gap_min``) are inferred P2C — Luckie et al.'s
-        #: folded-in degree-gap heuristics for transit customers whose
-        #: announcements never gained clique context.
-        self.degree_gap_ratio = degree_gap_ratio
-        self.degree_gap_min = degree_gap_min
         #: Populated by :meth:`infer` for downstream consumers
         #: (ProbLink, TopoScope, the case study).
         self.clique_: List[int] = []
@@ -75,7 +69,7 @@ class ASRank(InferenceAlgorithm):
         if self.clique_override is not None:
             clique = list(self.clique_override)
         else:
-            clique = infer_clique(corpus, max_candidates=self.max_clique_candidates)
+            clique = infer_clique(corpus)
         self.clique_ = clique
         descending = self._descending_fixpoint(corpus, set(clique))
         self.descending_ = descending
@@ -146,12 +140,12 @@ class ASRank(InferenceAlgorithm):
                 # share of the feed set: the absolute floor keeps tiny
                 # sub-corpora (e.g. TopoScope's VP groups) from treating
                 # every link as widely seen.
-                needed = max(3.0, self.stub_visibility_threshold * n_vps)
+                needed = max(3.0, STUB_VISIBILITY_SHARE * n_vps)
                 widely_seen = corpus.link_visibility(key) >= needed
                 small_deg, large_deg = sorted((deg_a, deg_b))
                 extreme_gap = (
-                    large_deg >= self.degree_gap_min
-                    and large_deg >= self.degree_gap_ratio * max(1, small_deg)
+                    large_deg >= DEGREE_GAP_MIN
+                    and large_deg >= DEGREE_GAP_RATIO * max(1, small_deg)
                 )
                 if deg_a == 0 and deg_b > 0 and widely_seen:
                     rels.set_p2c(provider=b, customer=a)

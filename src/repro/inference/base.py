@@ -16,7 +16,7 @@ are (visibly) interconnected with every member so far.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
@@ -54,27 +54,29 @@ class FixedInference(InferenceAlgorithm):
         return self.rels
 
 
-def infer_clique(
-    corpus: PathCorpus,
-    max_candidates: int = 25,
-    min_transit_degree: int = 1,
-) -> List[int]:
+#: How many of the ASes with the largest transit degree are clique
+#: candidates.  ASRank and :func:`infer_clique` share it.
+CLIQUE_CANDIDATES = 25
+
+
+def infer_clique(corpus: PathCorpus) -> List[int]:
     """ASRank-style clique inference.
 
-    Candidates are the ``max_candidates`` ASes with the largest transit
-    degree.  Among them the algorithm searches the maximum clique of the
-    *visible* interconnection graph (Bron-Kerbosch — the candidate set
-    is small, so this is cheap), weighting ties by summed transit
-    degree.  Candidates that visibly have a provider — some AS appears
-    immediately before them in a path *after* that path crossed a link
-    between two clique members — are then pruned, and the clique is
-    re-derived, mirroring Luckie et al.'s transit-free refinement.
+    Candidates are the ``CLIQUE_CANDIDATES`` ASes with the largest
+    (non-zero) transit degree.  Among them the algorithm searches the
+    maximum clique of the *visible* interconnection graph
+    (Bron-Kerbosch — the candidate set is small, so this is cheap),
+    weighting ties by summed transit degree.  Candidates that visibly
+    have a provider — some AS appears immediately before them in a path
+    *after* that path crossed a link between two clique members — are
+    then pruned, and the clique is re-derived, mirroring Luckie et al.'s
+    transit-free refinement.
     """
     degrees = corpus.transit_degrees()
     ranked = sorted(
-        (asn for asn, deg in degrees.items() if deg >= min_transit_degree),
+        (asn for asn, deg in degrees.items() if deg >= 1),
         key=lambda asn: (-degrees[asn], asn),
-    )[:max_candidates]
+    )[:CLIQUE_CANDIDATES]
     if not ranked:
         return []
     visible = set(corpus.visible_links())

@@ -37,6 +37,13 @@ from repro.datasets.paths import PathCorpus
 from repro.topology.graph import LinkKey, RelType
 from repro.validation.data import ValidationData
 
+#: Links seen by fewer VPs than this produce no verdict.
+MIN_VISIBILITY = 3
+
+#: Providers with cones smaller than this cannot be told apart from
+#: peers.
+MIN_CONE_SIZE = 5
+
 
 @dataclass(frozen=True)
 class ComplexLink:
@@ -71,15 +78,9 @@ class ComplexRelationshipDetector:
         self,
         base_inference: RelationshipSet,
         clique: Sequence[int],
-        min_visibility: int = 3,
-        min_cone_size: int = 5,
     ) -> None:
         self.base = base_inference
         self.clique = set(clique)
-        #: Links seen by fewer VPs than this produce no verdict.
-        self.min_visibility = min_visibility
-        #: Providers with tiny cones cannot be told apart from peers.
-        self.min_cone_size = min_cone_size
         self._cones: Optional[Dict[int, Set[int]]] = None
 
     # ------------------------------------------------------------------
@@ -93,7 +94,7 @@ class ComplexRelationshipDetector:
         self._cones = recursive_customer_cones(self.base)
         direction_votes = self._direction_votes(corpus)
         for key in corpus.visible_links():
-            if corpus.link_visibility(key) < self.min_visibility:
+            if corpus.link_visibility(key) < MIN_VISIBILITY:
                 continue
             partial = self._partial_transit_verdict(corpus, key, validation)
             if partial is not None:
@@ -134,7 +135,7 @@ class ComplexRelationshipDetector:
         a, b = key
         observers = corpus.vps_seeing(key)
         cone = self._cones.get(claimed_provider, set())
-        if len(cone) < self.min_cone_size:
+        if len(cone) < MIN_CONE_SIZE:
             return None
         customer = b if claimed_provider == a else a
         # Partial transit confines the link's visibility to the two
@@ -220,7 +221,7 @@ class ComplexRelationshipDetector:
             forward, backward = direction_votes.get(key, (0, 0))
             smaller = min(forward, backward)
             larger = max(forward, backward)
-            if smaller >= self.min_visibility and smaller >= 0.35 * larger:
+            if smaller >= MIN_VISIBILITY and smaller >= 0.35 * larger:
                 return ComplexLink(
                     key=key,
                     kind="hybrid",

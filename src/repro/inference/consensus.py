@@ -19,7 +19,7 @@ algorithms split.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus

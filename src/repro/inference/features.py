@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.datasets.asrel import RelationshipSet
 from repro.datasets.customercone import ppdc_sizes
 from repro.datasets.paths import PathCorpus
 from repro.inference.base import distance_to_clique
-from repro.topology.graph import LinkKey, RelType
+from repro.topology.graph import LinkKey
 from repro.topology.ixp import IXPRegistry
 
 

@@ -22,16 +22,15 @@ from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
 from repro.inference.base import InferenceAlgorithm
 
+#: Endpoint degree ratio below which a conflicted top link is deemed a
+#: peering link (Gao's R parameter).
+PEER_DEGREE_RATIO = 1.6
+
 
 class GaoInference(InferenceAlgorithm):
     """The classic valley-free heuristic."""
 
     name = "gao"
-
-    def __init__(self, peer_degree_ratio: float = 1.6) -> None:
-        #: Endpoint degree ratio below which a conflicted top link is
-        #: deemed a peering link (Gao's R parameter).
-        self.peer_degree_ratio = peer_degree_ratio
 
     def infer(self, corpus: PathCorpus) -> RelationshipSet:
         degrees = corpus.node_degrees()
@@ -60,7 +59,7 @@ class GaoInference(InferenceAlgorithm):
         ):
             deg_a, deg_b = degrees.get(a, 0), degrees.get(b, 0)
             small, large = sorted((deg_a, deg_b))
-            comparable = large <= self.peer_degree_ratio * max(1, small)
+            comparable = large <= PEER_DEGREE_RATIO * max(1, small)
             if comparable and often_top and min(votes_ab, votes_ba) > 0:
                 rels.set_p2p(a, b)
             elif votes_ab > votes_ba:

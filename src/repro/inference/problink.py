@@ -41,6 +41,13 @@ _CLASSES = (RelType.P2C, RelType.P2P)
 #: changing it changes every posterior.
 _PSEUDO_VOCABULARY = 16
 
+#: The Laplace pseudo-count added to every prior and conditional count.
+SMOOTHING = 0.5
+
+#: Self-training stops once an iteration relabels at most this share of
+#: the links.
+CONVERGENCE_FRACTION = 0.001
+
 
 class ProbLink(InferenceAlgorithm):
     """Naive-Bayes iterative refinement on top of an initial inference."""
@@ -52,14 +59,10 @@ class ProbLink(InferenceAlgorithm):
         initial: Optional[InferenceAlgorithm] = None,
         ixps: Optional[IXPRegistry] = None,
         max_iterations: int = 5,
-        convergence_fraction: float = 0.001,
-        smoothing: float = 0.5,
     ) -> None:
         self.initial = initial if initial is not None else ASRank()
         self.ixps = ixps
         self.max_iterations = max_iterations
-        self.convergence_fraction = convergence_fraction
-        self.smoothing = smoothing
         self.clique_: List[int] = []
         self.iterations_run_: int = 0
         #: Posterior P(P2P) per link from the final iteration — the
@@ -112,7 +115,7 @@ class ProbLink(InferenceAlgorithm):
             changed = int(np.count_nonzero(free & (best != labels)))
             labels = np.where(free, best, labels)
             self.iterations_run_ = iteration + 1
-            if changed <= len(links) * self.convergence_fraction:
+            if changed <= len(links) * CONVERGENCE_FRACTION:
                 break
         if posteriors:
             for key, vector, is_free in zip(
@@ -146,7 +149,7 @@ class ProbLink(InferenceAlgorithm):
             {} for _ in DiscreteFeatures.FIELD_NAMES
         ]
         for cls, row in zip(_CLASSES, counts.tolist()):
-            priors[cls] = self.smoothing + sum(row)
+            priors[cls] = SMOOTHING + sum(row)
             for feats, count in zip(vectors, row):
                 if not count:
                     continue
@@ -175,8 +178,8 @@ class ProbLink(InferenceAlgorithm):
                     (cls, value), 0.0
                 )
                 score += math.log(
-                    (count + self.smoothing)
-                    / (class_total + self.smoothing * _PSEUDO_VOCABULARY)
+                    (count + SMOOTHING)
+                    / (class_total + SMOOTHING * _PSEUDO_VOCABULARY)
                 )
             scores[cls] = score
         max_score = max(scores.values())

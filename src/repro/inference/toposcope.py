@@ -34,6 +34,13 @@ from repro.topology.graph import LinkKey, RelType, link_key
 from repro.topology.ixp import IXPRegistry
 from repro.utils.rng import child_rng
 
+#: A link's group votes override the full-view label when at least this
+#: share of them (and at least two votes) agree.
+AGREEMENT_THRESHOLD = 0.75
+
+#: Seeds the random split of the vantage points into groups.
+GROUP_SEED = 20
+
 
 class TopoScope(InferenceAlgorithm):
     """VP-bootstrapping ensemble over per-group ASRank votes."""
@@ -43,9 +50,7 @@ class TopoScope(InferenceAlgorithm):
     def __init__(
         self,
         n_groups: Optional[int] = None,
-        agreement_threshold: float = 0.75,
         ixps: Optional[IXPRegistry] = None,
-        seed: int = 20,
         initial: Optional[InferenceAlgorithm] = None,
     ) -> None:
         if n_groups is not None and n_groups < 2:
@@ -54,9 +59,7 @@ class TopoScope(InferenceAlgorithm):
         #: least 2 and at most 8 groups) so each group retains enough
         #: visibility for the base inference to be meaningful.
         self.n_groups = n_groups
-        self.agreement_threshold = agreement_threshold
         self.ixps = ixps
-        self.seed = seed
         #: The full-view base inference (its ``clique_`` too); the
         #: group votes always run their own ASRank per sub-corpus.
         self.initial = initial if initial is not None else ASRank()
@@ -88,7 +91,7 @@ class TopoScope(InferenceAlgorithm):
         self, corpus: PathCorpus
     ) -> Dict[LinkKey, List[RelType]]:
         """Stage 1+2: per-group base inference votes per link."""
-        rng = child_rng(self.seed, "toposcope.groups")
+        rng = child_rng(GROUP_SEED, "toposcope.groups")
         vps = sorted(corpus.vantage_points)
         n_groups = self.n_groups
         if n_groups is None:
@@ -123,7 +126,7 @@ class TopoScope(InferenceAlgorithm):
                 RelType.P2P if n_p2p * 2 >= len(link_votes) else RelType.P2C
             )
             self.vote_share_[key] = share
-            if share >= self.agreement_threshold and len(link_votes) >= 2:
+            if share >= AGREEMENT_THRESHOLD and len(link_votes) >= 2:
                 confident[key] = majority
         return confident
 

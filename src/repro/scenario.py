@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
 from repro.pipeline.cache import ArtifactCache, resolve_cache
 from repro.topology.generator import Topology, generate_topology
-from repro.topology.graph import LinkKey, RelType
+from repro.topology.graph import LinkKey
 from repro.validation.cleaning import (
     CleanedValidation,
     MultiLabelPolicy,
@@ -140,8 +140,8 @@ class Scenario:
     def clique(self) -> List[int]:
         """ASRank's inferred clique: read from this scenario's ASRank
         run when one happened here, else computed by ASRank's first
-        step alone (:func:`infer_clique` with ASRank's defaults), as
-        when the relationships came from the cache."""
+        step alone (:func:`infer_clique`), as when the relationships
+        came from the cache."""
         if "asrank" in self._algorithms:
             return list(self._algorithms["asrank"].clique_)
         if self._clique is None:

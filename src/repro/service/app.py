@@ -377,33 +377,25 @@ class ReproService:
             )
         return algorithm
 
-    async def _ensure_rel_index(self, entry: PoolEntry, algorithm: str) -> None:
-        """Build an algorithm's link index at most once, off the loop."""
-        if entry.view.has_rel_index(algorithm):
-            return
-        async with entry.lock:
-            if entry.view.has_rel_index(algorithm):
-                return
-            await asyncio.get_running_loop().run_in_executor(
-                self.pool.executor, entry.view.build_rel_index, algorithm
-            )
-            self.metrics.indexes_built += 1
-
     async def _cached_report(
-        self, entry: PoolEntry, key: str, compute: Callable[[], Any]
+        self, entry: PoolEntry, key: str, compute: Callable[..., Any], *args
     ) -> Any:
-        """Entry-scoped memo for bias/table/casestudy payloads.
+        """Entry-scoped memo for rel indexes and bias/table/casestudy
+        payloads: ``compute(*args)``, which never returns ``None``.
 
         The computation runs in the executor under the entry's lock, so
-        repeated or concurrent requests cost one computation total.
+        repeated or concurrent requests cost one computation total.  A
+        memo hit, the point queries' path, is one dict lookup.
         """
-        if key in entry.reports:
-            return entry.reports[key]
+        value = entry.reports.get(key)
+        if value is not None:
+            return value
         async with entry.lock:
-            if key in entry.reports:
-                return entry.reports[key]
+            value = entry.reports.get(key)
+            if value is not None:
+                return value
             value = await asyncio.get_running_loop().run_in_executor(
-                self.pool.executor, compute
+                self.pool.executor, compute, *args
             )
             entry.reports[key] = value
             self.metrics.indexes_built += 1
@@ -514,7 +506,9 @@ class ReproService:
         was_pooled = scenario_id(config) in self.pool
         entry = await self.pool.get_or_build(config)
         for name in algorithms:
-            await self._ensure_rel_index(entry, name)
+            await self._cached_report(
+                entry, f"rel:{name}", entry.view.build_rel_index, name
+            )
         payload = {
             **entry.view.scenario_payload(entry.scenario_id),
             "built": not was_pooled,
@@ -533,7 +527,9 @@ class ReproService:
             raise ApiError(400, "invalid_link",
                            f"link {as1}-{as2} is a self-loop", as1=a, as2=b)
         entry = await self._resolve_entry(request)
-        await self._ensure_rel_index(entry, algorithm)
+        await self._cached_report(
+            entry, f"rel:{algorithm}", entry.view.build_rel_index, algorithm
+        )
         payload = entry.view.point_payload(
             algorithm, a, b, entry.scenario_id
         )
@@ -583,7 +579,9 @@ class ReproService:
                 )
             pairs.append((item[0], item[1]))
         entry = await self._resolve_entry(request)
-        await self._ensure_rel_index(entry, algorithm)
+        await self._cached_report(
+            entry, f"rel:{algorithm}", entry.view.build_rel_index, algorithm
+        )
         # One lookup per pair in the records prebuilt with the index;
         # see ScenarioView.batch_payloads.
         results, n_unknown = entry.view.batch_payloads(algorithm, pairs)

@@ -57,9 +57,9 @@ class PoolEntry:
     scenario: Scenario
     view: ScenarioView
     build_seconds: float
-    #: Endpoint-level memo (bias/table/casestudy payloads, rel indexes
-    #: in flight); guarded by ``lock`` so heavy recomputation is
-    #: serialised per scenario.
+    #: Endpoint-level memo (rel indexes, bias/table/casestudy payloads);
+    #: guarded by ``lock`` so heavy recomputation is serialised per
+    #: scenario.
     reports: Dict[str, Any] = field(default_factory=dict)
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 

@@ -57,9 +57,6 @@ class ScenarioView:
     # ------------------------------------------------------------------
     # index construction
     # ------------------------------------------------------------------
-    def has_rel_index(self, algorithm: str) -> bool:
-        return algorithm in self._records
-
     def build_rel_index(self, algorithm: str) -> Dict[LinkKey, Dict[str, Any]]:
         """Materialise (and memoise) one algorithm's record table.
 

@@ -18,7 +18,7 @@ never the ground truth — mirroring the paper's methodology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence
 
 import numpy as np

@@ -31,7 +31,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # imported lazily to avoid a config <-> topology cycle
     from repro.config import ScenarioConfig, TopologyConfig
-from repro.topology.asn import MAX_ASN_16BIT, is_routable
+from repro.topology.asn import is_routable
 from repro.topology.external_lists import ExternalLists, curate_lists
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.ixp import IXP, IXPRegistry

@@ -30,8 +30,8 @@ also modelled:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.topology.asn import validate_asn
 from repro.topology.regions import Region

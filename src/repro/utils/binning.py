@@ -20,7 +20,7 @@ contains at least one link), matching the paper's colour scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

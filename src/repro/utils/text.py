@@ -12,7 +12,7 @@ Three primitives cover all of them:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,13 +53,13 @@ def render_bars(
     labels: Sequence[str],
     values: Sequence[float],
     width: int = 40,
-    value_format: str = "{:.2f}",
     title: Optional[str] = None,
 ) -> str:
     """Render one horizontal bar per label, scaled to the maximum value.
 
     Mirrors the visual layout of Figures 1 and 2: category labels on the
-    left, a proportional bar, and the numeric value on the right.
+    left, a proportional bar, and the numeric value (two decimals) on
+    the right.
     """
     if len(labels) != len(values):
         raise ValueError("labels and values must have the same length")
@@ -74,16 +74,13 @@ def render_bars(
         bar_len = 0 if vmax <= 0 else int(round(width * value / vmax))
         bar = "#" * bar_len
         lines.append(
-            f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-            + value_format.format(value)
+            f"{label.ljust(label_width)} |{bar.ljust(width)}| {value:.2f}"
         )
     return "\n".join(lines)
 
 
 def render_heatmap(
     fractions: np.ndarray,
-    x_labels: Optional[Sequence[str]] = None,
-    y_labels: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
 ) -> str:
     """Render a 2-D fraction matrix as an ASCII shade map.
@@ -100,7 +97,6 @@ def render_heatmap(
     if title:
         lines.append(title)
     n_rows, n_cols = grid.shape
-    y_width = max((len(label) for label in y_labels), default=0) if y_labels else 0
     for yi in range(n_rows - 1, -1, -1):
         cells = []
         for xi in range(n_cols):
@@ -111,8 +107,5 @@ def render_heatmap(
                 level = int(round((len(_SHADES) - 1) * value / vmax))
                 shade = _SHADES[max(1, level)]
             cells.append(shade * 2)
-        prefix = (y_labels[yi].rjust(y_width) + " ") if y_labels else ""
-        lines.append(prefix + "".join(cells))
-    if x_labels:
-        lines.append(" " * (y_width + 1 if y_labels else 0) + " ".join(x_labels))
+        lines.append("".join(cells))
     return "\n".join(lines)

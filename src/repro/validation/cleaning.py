@@ -23,7 +23,7 @@ relationships, 112 reserved-ASN relationships, 246 multi-label entries,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.topology.asn import AS_TRANS, is_reserved

@@ -23,7 +23,7 @@ paper's §4.2 measured in the real data:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.bgp.communities import CommunityRegistry
 from repro.datasets.paths import PathCorpus

@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from repro.bgp.communities import (
-    Community,
-    CommunityCodebook,
-    CommunityRegistry,
-    Meaning,
-)
+from repro.bgp.communities import Community, CommunityRegistry, Meaning
 from repro.topology.generator import Topology
 from repro.utils.rng import child_rng
 

@@ -20,7 +20,7 @@ scraper would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.bgp.communities import (
+    INGRESS_MEANINGS,
     CommunityCodebook,
     CommunityRegistry,
     Meaning,
-    RELATIONSHIP_MEANINGS,
 )
+from repro.bgp.policy import RouteClass
 from repro.utils.rng import make_rng
 
 
@@ -42,13 +43,19 @@ class TestCodebook:
         # The §6.1 community: 174:990 means do-not-export-to-peers.
         assert _codebook(174).encode(Meaning.NO_EXPORT_TO_PEERS) == (174, 990)
 
-    def test_relationship_value_set(self):
+    def test_ingress_meanings(self):
+        # Customer, peer and provider routes are tagged with their
+        # relationship; own routes carry no tag, and no action
+        # community is an ingress tag.
         book = _codebook()
-        values = {book.encode(m)[1]: m for m in RELATIONSHIP_MEANINGS}
+        values = {
+            route_class: book.encode(meaning)[1]
+            for route_class, meaning in INGRESS_MEANINGS.items()
+        }
         assert values == {
-            100: Meaning.LEARNED_FROM_CUSTOMER,
-            200: Meaning.LEARNED_FROM_PEER,
-            300: Meaning.LEARNED_FROM_PROVIDER,
+            RouteClass.CUSTOMER: 100,
+            RouteClass.PEER: 200,
+            RouteClass.PROVIDER: 300,
         }
 
 
@@ -79,7 +86,3 @@ class TestRegistry:
         meanings = {registry.decode((asn, 666)) for asn in range(1, 200)}
         assert Meaning.BLACKHOLE in meanings
         assert Meaning.LEARNED_FROM_PEER in meanings
-
-    def test_relationship_meanings_constant(self):
-        assert Meaning.BLACKHOLE not in RELATIONSHIP_MEANINGS
-        assert len(RELATIONSHIP_MEANINGS) == 3

@@ -71,10 +71,10 @@ class TestRoutingTable:
             RoutingTable.compute(tiny_graph, 99999)
 
     def test_render(self, table_30):
-        text = table_30.render(max_routes=3)
-        assert "AS30 BGP table" in text
-        assert "more)" in text
-        assert "NextHop" in text
+        lines = table_30.render().splitlines()
+        assert lines[0] == f"AS30 BGP table: {len(table_30)} best routes"
+        assert "NextHop" in lines[1]
+        assert len(lines) == 2 + len(table_30)
 
     def test_entries_sorted(self, table_30):
         origins = [e.origin for e in table_30.entries()]

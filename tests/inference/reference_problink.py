@@ -18,7 +18,11 @@ from typing import Dict, List, Tuple
 from repro.datasets.asrel import RelationshipSet
 from repro.datasets.paths import PathCorpus
 from repro.inference.features import DiscreteFeatures, LinkFeatureExtractor
-from repro.inference.problink import ProbLink
+from repro.inference.problink import (
+    CONVERGENCE_FRACTION,
+    SMOOTHING,
+    ProbLink,
+)
 from repro.topology.graph import LinkKey, RelType
 
 _CLASSES = (RelType.P2C, RelType.P2P)
@@ -55,7 +59,7 @@ class ScalarProbLink(ProbLink):
                     labels[key] = best
                     changed += 1
             self.iterations_run_ = iteration + 1
-            if changed <= n_links * self.convergence_fraction:
+            if changed <= n_links * CONVERGENCE_FRACTION:
                 break
 
         return self._assemble(labels, initial_rels, degrees)
@@ -68,7 +72,7 @@ class ScalarProbLink(ProbLink):
     ) -> Dict:
         """Estimate priors and per-feature conditionals with Laplace
         smoothing from the current labelling."""
-        priors = {cls: self.smoothing for cls in _CLASSES}
+        priors = {cls: SMOOTHING for cls in _CLASSES}
         n_fields = len(DiscreteFeatures.FIELD_NAMES)
         conditionals: List[Dict[Tuple[RelType, int], float]] = [
             {} for _ in range(n_fields)
@@ -103,7 +107,7 @@ class ScalarProbLink(ProbLink):
                     (cls, value), 0.0
                 )
                 score += math.log(
-                    (count + self.smoothing) / (class_total + self.smoothing * 16)
+                    (count + SMOOTHING) / (class_total + SMOOTHING * 16)
                 )
             scores[cls] = score
         max_score = max(scores.values())

@@ -29,7 +29,7 @@ class TestInferClique:
     def test_requires_visible_interconnection(self):
         # Two "big" ASes never seen adjacent cannot form a clique.
         corpus = _corpus((9, 1, 5), (9, 1, 6), (8, 2, 5), (8, 2, 6))
-        clique = infer_clique(corpus, max_candidates=5)
+        clique = infer_clique(corpus)
         assert len(clique) == 1
 
 

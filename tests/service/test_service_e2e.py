@@ -28,7 +28,7 @@ from repro import small_scenario
 from repro.analysis.export import profile_rows, table_dict
 from repro.service import ReproService, ServiceClient, ServiceError, serve_in_thread
 from repro.service import app as app_module
-from repro.service.query import REL_NAMES
+from repro.service.query import REL_NAMES, ScenarioView
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -418,6 +418,53 @@ def test_concurrent_same_config_builds_once():
             pool = client.metrics()["pool"]
         assert pool["builds"] == 1
         assert pool["coalesced"] >= 1
+
+
+def test_concurrent_first_requests_compute_once(monkeypatch, scenario):
+    """On a fresh entry, concurrent first requests for one rel index,
+    and separately for one table, run one computation between them and
+    get identical bodies."""
+
+    class SlowView(ScenarioView):
+        def build_rel_index(self, algorithm):
+            time.sleep(0.3)
+            return super().build_rel_index(algorithm)
+
+    def slow_table_dict(table):
+        time.sleep(0.3)
+        return table_dict(table)
+
+    monkeypatch.setattr(app_module, "table_dict", slow_table_dict)
+    service = ReproService(
+        pool_size=1,
+        builder=lambda config, workers=0, cache=None: scenario,
+        view_factory=SlowView,
+    )
+    a, b = scenario.inferred_links()[0]
+    with serve_in_thread(service) as running:
+        with ServiceClient(port=running.port) as client:
+            client.build_scenario(preset="small", seed=7)
+            for path in (f"/v1/rel/problink/{a}/{b}", "/v1/table/asrank"):
+                before = client.metrics()["indexes_built"]
+                start = threading.Barrier(6)
+                responses = []
+
+                def fetch():
+                    with ServiceClient(port=running.port) as own:
+                        start.wait(timeout=30)
+                        responses.append(own.request_bytes("GET", path))
+
+                threads = [threading.Thread(target=fetch) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert len(responses) == 6
+                assert {status for status, _ in responses} == {200}
+                assert len({body for _, body in responses}) == 1
+                after = client.metrics()["indexes_built"]
+                assert after == before + 1, path
 
 
 def test_healthz_stays_responsive_during_build():

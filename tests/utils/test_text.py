@@ -45,9 +45,9 @@ class TestRenderBars:
         with pytest.raises(ValueError):
             render_bars(["a"], [1.0], width=0)
 
-    def test_value_format(self):
-        out = render_bars(["a"], [0.123456], value_format="{:.3f}")
-        assert "0.123" in out
+    def test_value_two_decimals(self):
+        out = render_bars(["a"], [0.123456])
+        assert out.endswith("| 0.12")
 
 
 class TestRenderHeatmap:
@@ -59,13 +59,9 @@ class TestRenderHeatmap:
         assert lines[-1][0] != " "
         assert lines[0].strip() == ""
 
-    def test_title_and_labels(self):
-        grid = np.ones((2, 2))
-        out = render_heatmap(
-            grid, x_labels=["lo", "hi"], y_labels=["s", "l"], title="T"
-        )
-        assert out.splitlines()[0] == "T"
-        assert "lo" in out
+    def test_title_above_rows(self):
+        out = render_heatmap(np.ones((2, 2)), title="T")
+        assert out.splitlines() == ["T", "@@@@", "@@@@"]
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
